@@ -29,8 +29,6 @@ from .priors import NnPriorSpec
 from .pwl import PwlFunction
 from .rng import SeededRng, partition_counts
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
 #: Default geometric grid of eps radii for slope fits.
 DEFAULT_EPS_GRID = (0.3, 0.2, 0.14, 0.1, 0.07, 0.05)
 
@@ -172,6 +170,7 @@ def _prepare(family, target):
 
 
 def _batch_rows(family) -> int:
+    # Fixes RNG consumption per batch: changing it changes every report's bytes.
     if isinstance(family, ShallowNetFamily):
         return min(200_000, max(4096, int(4_000_000 / (family.k * family.k))))
     return 1_000_000

@@ -159,23 +159,6 @@ class PwlMoments:
         return np.where(b >= 1.0, 0.0, out)
 
 
-def ramp_mean(b: np.ndarray) -> np.ndarray:
-    """int_0^1 max(0, x - b) dx."""
-    b = np.asarray(b, dtype=float)
-    bneg = np.maximum(-b, 0.0)
-    return np.where(b < 1.0, ((1.0 - b) ** 2 - bneg**2) / 2.0, 0.0)
-
-
-def ramp_cross(bi: np.ndarray, bj: np.ndarray) -> np.ndarray:
-    """int_0^1 max(0, x - bi) max(0, x - bj) dx, broadcast over inputs."""
-    m = np.clip(np.maximum(bi, bj), 0.0, 1.0)
-
-    def F(x):
-        return x**3 / 3.0 - (bi + bj) * x**2 / 2.0 + bi * bj * x
-
-    return np.where(m >= 1.0, 0.0, F(1.0) - F(m))
-
-
 # --------------------------------------------------------------------------
 # Shallow ReLU family
 # --------------------------------------------------------------------------
@@ -193,8 +176,9 @@ class ShallowNetFamily:
         self.k = k
         self.prior = prior
         self.dim = 3 * k + 1
-        # Distance computations allocate n*k*k scratch; cap chunk size.
-        self._chunk = max(1024, int(4_000_000 / (k * k)))
+        # Rows per dist_sq chunk: the kernel's scratch is a few (rows, k)
+        # arrays, so keep rows * k near 2**15 elements.
+        self._chunk = max(256, 32768 // k)
 
     # -- layout helpers ------------------------------------------------------
 
@@ -244,16 +228,32 @@ class ShallowNetFamily:
         return out
 
     def _dist_sq_chunk(self, mo: PwlMoments, thetas: np.ndarray) -> np.ndarray:
+        """E_x[(f - g)^2] per row in O(k log k), f(x) = sum_i u_i (x - b_i)_+ + b2.
+
+        Sort each row's biases; then ramps i <= j overlap on [m_j, 1] with
+        m = clip(b, 0, 1). With T1 = 1 - m, T2 = (1 - m^2)/2, T3 = (1 - m^3)/3,
+        exclusive prefix sums A_j = sum_{i<j} u_i, B_j = sum_{i<j} u_i b_i, and
+        Ac = u + 2A, Bc = u b + 2B:
+            sum_ij u_i u_j int_0^1 (x - b_i)_+ (x - b_j)_+ dx
+                = sum_j u_j [Ac_j T3_j - (Bc_j + Ac_j b_j) T2_j + Bc_j b_j T1_j],
+        and int_0^1 (x - b)_+ dx = T2 - b T1.
+        """
         w1, w2, b1, b2 = self.split(thetas)
-        u = w1 * w2
-        m1 = ramp_mean(b1)
-        cross = ramp_cross(b1[:, :, None], b1[:, None, :])
+        order = np.argsort(b1, axis=1)
+        b = np.take_along_axis(b1, order, axis=1)
+        u = np.take_along_axis(w1 * w2, order, axis=1)
+        m = np.clip(b, 0.0, 1.0)
+        t1, t2, t3 = 1.0 - m, (1.0 - m * m) / 2.0, (1.0 - m * m * m) / 3.0
+        ub = u * b
+        ac = 2.0 * np.cumsum(u, axis=1) - u
+        bc = 2.0 * np.cumsum(ub, axis=1) - ub
+        cross = ac * t3 - (bc + ac * b) * t2 + bc * b * t1
         e_f_sq = (
             b2**2
-            + 2.0 * b2 * np.einsum("ij,ij->i", u, m1)
-            + np.einsum("ij,ik,ijk->i", u, u, cross)
+            + 2.0 * b2 * np.einsum("ij,ij->i", u, t2 - b * t1)
+            + np.einsum("ij,ij->i", u, cross)
         )
-        inner = mo.ramp_inner(b1.ravel()).reshape(b1.shape)
+        inner = mo.ramp_inner(b.ravel()).reshape(b.shape)
         e_fg = b2 * mo.mean + np.einsum("ij,ij->i", u, inner)
         return np.maximum(e_f_sq - 2.0 * e_fg + mo.mean_sq, 0.0)
 
