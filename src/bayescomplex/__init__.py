@@ -42,7 +42,6 @@ from .errors import (
 )
 from .families import LinearFamily, LinearTarget, PwlMoments, ShallowNetFamily
 from .models import (
-    BasisKind,
     BasisSpec,
     DeepNetParams,
     LinearFunction,
@@ -80,9 +79,7 @@ from .posterior import (
 from .priors import (
     LinearPriorSpec,
     NnPriorSpec,
-    log_nn_prior_density,
     sample_linear_prior,
-    sample_nn_prior,
 )
 from .projection import (
     ProjectionPhases,

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .complexity import (
-    DEFAULT_EPS_GRID,
     CodimQuery,
     chi_from_q,
     codim_estimate,
@@ -279,27 +278,26 @@ def _fmt_cfg_value(v) -> str:
 
 @dataclass(frozen=True)
 class CsvReport:
-    """One experiment's tabular output plus its failed-check messages."""
+    """One experiment's tabular output plus its failed-check messages. Each
+    row maps column names to values; a column a row leaves out is empty."""
 
     columns: tuple[str, ...]
-    rows: list[list] = field(default_factory=list)
+    rows: list[dict] = field(default_factory=list)
     failures: tuple[str, ...] = ()
 
-    def render(self, cfg: dict) -> str:
-        return render_csv(cfg, self.columns, self.rows)
 
-
-def render_csv(cfg: dict, columns: tuple[str, ...], rows: list[list]) -> str:
+def render_csv(cfg: dict, columns: tuple[str, ...], rows: list[dict]) -> str:
     lines = [f"# {key}={_fmt_cfg_value(cfg[key])}" for key in sorted(cfg)]
     lines.append(",".join(columns))
     for row in rows:
-        if len(row) != len(columns):
-            raise NumericalError("internal: row width does not match the header")
-        lines.append(",".join(_fmt_cell(v) for v in row))
+        unknown = row.keys() - set(columns)
+        if unknown:
+            raise NumericalError(f"internal: row keys {sorted(unknown)} are not columns")
+        lines.append(",".join(_fmt_cell(row.get(col)) for col in columns))
     return "\n".join(lines) + "\n"
 
 
-def emit_report(cfg: dict, columns: tuple[str, ...], rows: list[list]) -> None:
+def emit_report(cfg: dict, columns: tuple[str, ...], rows: list[dict]) -> None:
     text = render_csv(cfg, columns, rows)
     out = cfg.get("out", "")
     if out:
@@ -349,7 +347,7 @@ def cmd_linear_complexity(cfg: dict) -> CsvReport:
         "seed", "zero_hits", "mc_consistent", "slope", "slope_ci", "slope_target",
         "offset_measured", "offset_claimed", "passed",
     )
-    rows: list[list] = []
+    rows: list[dict] = []
     failures: list[str] = []
     for i, (eps, est) in enumerate(zip(fit.eps_grid, fit.per_eps)):
         mc = sharp_complexity_mc(
@@ -365,11 +363,11 @@ def cmd_linear_complexity(cfg: dict) -> CsvReport:
                     f"closed form {est.chi:.6g} vs MC {mc.chi:.6g} "
                     f"(3 SE = {3.0 * mc.std_err:.3g})"
                 )
-        rows.append([
-            "point", eps, est.chi, mc.chi, mc.std_err, mc.n_hits, mc.n_samples,
-            cfg["seed"], mc.zero_hits, consistent, None, None, None, None, None,
-            None,
-        ])
+        rows.append({
+            "row": "point", "eps": eps, "chi_closed": est.chi, "chi_mc": mc.chi,
+            "std_err": mc.std_err, "n_hits": mc.n_hits, "n_samples": mc.n_samples,
+            "seed": cfg["seed"], "zero_hits": mc.zero_hits, "mc_consistent": consistent,
+        })
     slope_ok = abs(fit.slope - d) <= cfg["slope_rel_tol"] * d
     # Offset of the kappa-target complexity against the rescaled unit-target
     # one at the finest radius. The exact scaling identity makes the measured
@@ -381,11 +379,12 @@ def cmd_linear_complexity(cfg: dict) -> CsvReport:
         rescaled = chi_from_q(1.0, sigma_w / kappa, (grid[-1] / kappa) ** 2, d)
         offset_measured = fit.per_eps[-1].chi - rescaled.chi
         offset_claimed = -math.log(kappa)
-    rows.append([
-        "fit", None, None, None, None, None, None, cfg["seed"], None, None,
-        fit.slope, fit.ci_halfwidth, float(d), offset_measured, offset_claimed,
-        slope_ok,
-    ])
+    rows.append({
+        "row": "fit", "seed": cfg["seed"], "slope": fit.slope,
+        "slope_ci": fit.ci_halfwidth, "slope_target": float(d),
+        "offset_measured": offset_measured, "offset_claimed": offset_claimed,
+        "passed": slope_ok,
+    })
     if not slope_ok:
         failures.append(
             f"fitted slope {fit.slope:.4f} deviates from d={d} by more than "
@@ -412,16 +411,18 @@ def cmd_nn_complexity(cfg: dict) -> CsvReport:
         "row", "eps", "chi", "log_prob", "std_err", "n_hits", "n_samples", "seed",
         "zero_hits", "slope", "slope_ci", "lower", "upper", "passed",
     )
-    rows: list[list] = []
-    for eps, est in zip(fit.eps_grid, fit.per_eps):
-        rows.append([
-            "point", eps, est.chi, est.log_prob, est.std_err, est.n_hits,
-            est.n_samples, cfg["seed"], est.zero_hits, None, None, None, None, None,
-        ])
-    rows.append([
-        "fit", None, None, None, None, None, None, cfg["seed"], None,
-        fit.slope, fit.ci_halfwidth, lower, upper, passed,
-    ])
+    rows = [
+        {
+            "row": "point", "eps": eps, "chi": est.chi, "log_prob": est.log_prob,
+            "std_err": est.std_err, "n_hits": est.n_hits, "n_samples": est.n_samples,
+            "seed": cfg["seed"], "zero_hits": est.zero_hits,
+        }
+        for eps, est in zip(fit.eps_grid, fit.per_eps)
+    ]
+    rows.append({
+        "row": "fit", "seed": cfg["seed"], "slope": fit.slope,
+        "slope_ci": fit.ci_halfwidth, "lower": lower, "upper": upper, "passed": passed,
+    })
     failures = []
     if not passed:
         failures.append(
@@ -450,16 +451,19 @@ def cmd_codim(cfg: dict) -> CsvReport:
         "row", "eps", "log_vol_frac", "std_err", "n_hits", "n_samples", "seed",
         "slope", "slope_ci", "codim_target", "tolerance", "note", "passed",
     )
-    rows: list[list] = []
-    for eps, est in zip(fit.eps_grid, fit.per_eps):
-        rows.append([
-            "point", eps, est.log_prob, est.std_err, est.n_hits, est.n_samples,
-            cfg["seed"], None, None, None, None, fit.note, None,
-        ])
-    rows.append([
-        "fit", None, None, None, None, None, cfg["seed"], fit.slope,
-        fit.ci_halfwidth, target, cfg["tolerance"], fit.note, passed,
-    ])
+    rows = [
+        {
+            "row": "point", "eps": eps, "log_vol_frac": est.log_prob,
+            "std_err": est.std_err, "n_hits": est.n_hits, "n_samples": est.n_samples,
+            "seed": cfg["seed"], "note": fit.note,
+        }
+        for eps, est in zip(fit.eps_grid, fit.per_eps)
+    ]
+    rows.append({
+        "row": "fit", "seed": cfg["seed"], "slope": fit.slope,
+        "slope_ci": fit.ci_halfwidth, "codim_target": target,
+        "tolerance": cfg["tolerance"], "note": fit.note, "passed": passed,
+    })
     failures = []
     if not passed:
         failures.append(
@@ -503,11 +507,13 @@ def cmd_one_change(cfg: dict) -> CsvReport:
         "seed", "zero_hits", "lower", "upper", "assumptions_ok", "violated",
         "within_bounds", "passed",
     )
-    rows = [[
-        cfg["a"], cfg["b"], cfg["t"], cfg["k"], cfg["eps"], est.chi, est.std_err,
-        est.n_hits, est.n_samples, cfg["seed"], est.zero_hits, res.lower, res.upper,
-        res.assumptions_ok, ";".join(res.violated), within, passed,
-    ]]
+    rows = [{
+        "a": cfg["a"], "b": cfg["b"], "t": cfg["t"], "k": cfg["k"], "eps": cfg["eps"],
+        "chi_hat": est.chi, "std_err": est.std_err, "n_hits": est.n_hits,
+        "n_samples": est.n_samples, "seed": cfg["seed"], "zero_hits": est.zero_hits,
+        "lower": res.lower, "upper": res.upper, "assumptions_ok": res.assumptions_ok,
+        "violated": ";".join(res.violated), "within_bounds": within, "passed": passed,
+    }]
     return CsvReport(columns, rows, tuple(failures))
 
 
@@ -526,7 +532,11 @@ def cmd_periodic(cfg: dict) -> CsvReport:
         "l", "m", "deep_count", "deep_bound", "shallow_count", "sup_err",
         "sup_tol", "passed",
     )
-    rows = [[l, m, deep_count, deep_bound, shallow_count, sup_err, cfg["sup_tol"], passed]]
+    rows = [{
+        "l": l, "m": m, "deep_count": deep_count, "deep_bound": deep_bound,
+        "shallow_count": shallow_count, "sup_err": sup_err, "sup_tol": cfg["sup_tol"],
+        "passed": passed,
+    }]
     failures = []
     if sup_err >= cfg["sup_tol"]:
         failures.append(f"sup error {sup_err:.3g} >= {cfg['sup_tol']:g}")
@@ -559,21 +569,12 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
     def make_dataset(r: SeededRng):
         return generate_dataset(g_fn, N, sigma_e_sq, UNIFORM_SYM, r)
 
-    sigma_alg_sq = find_sigma_alg(
+    # search_ls is the achieved search objective: the expected empirical loss
+    # over the fixed replica set the bisection calibrated on.
+    sigma_alg_sq, search_ls = find_sigma_alg(
         beta, sigma_e_sq, make_dataset, family, sgld_cfg, cfg["tol"], rng.stream(1),
         loss_spec=loss_spec, n_replicas=cfg["n_replicas"],
     )
-    # Achieved search objective: the expected empirical loss over the same
-    # fixed replica set the bisection calibrated on.
-    search_rng = rng.stream(1)
-    replicas = [make_dataset(search_rng.stream(i)) for i in range(cfg["n_replicas"])]
-    search_ls = float(np.mean([
-        conjugate_empirical_loss(
-            S, conjugate_posterior_linear(S, prior, basis, sigma_alg_sq), basis,
-            loss_spec,
-        )
-        for S in replicas
-    ]))
     prior_gauss = GaussianPosterior(np.zeros(d), cfg["sigma_w_sq"] * np.eye(d))
     chi_sharp = chi_from_q(
         target.kappa, math.sqrt(cfg["sigma_w_sq"]), beta * sigma_e_sq, d
@@ -584,7 +585,7 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
         "L_S_search", "chi_sharp", "theorem_rhs", "std_err", "n_samples", "seed",
         "passed",
     )
-    rows: list[list] = []
+    rows: list[dict] = []
     ls_vals, ld_vals, pac_flags = [], [], []
     for trial in range(cfg["n_trials"]):
         S = generate_dataset(g_fn, N, sigma_e_sq, UNIFORM_SYM, rng.stream(200 + trial))
@@ -599,10 +600,10 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
         ls_vals.append(L_S)
         ld_vals.append(L_D)
         pac_flags.append(holds)
-        rows.append([
-            str(trial), L_S, L_D, kl, rhs, holds, None, None, None, None, None,
-            None, cfg["seed"], None,
-        ])
+        rows.append({
+            "row": str(trial), "L_S": L_S, "L_D": L_D, "kl": kl, "pac_rhs": rhs,
+            "pac_holds": holds, "seed": cfg["seed"],
+        })
     mean_ls = float(np.mean(ls_vals))
     mean_ld = float(np.mean(ld_vals))
     se_ld = float(np.std(ld_vals) / math.sqrt(len(ld_vals)))
@@ -624,10 +625,12 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
             f"by more than {cfg['tol']:g}"
         )
     passed = not failures
-    rows.append([
-        "summary", mean_ls, mean_ld, None, None, all(pac_flags), sigma_alg_sq,
-        search_ls, chi_sharp, thm, se_ld, cfg["n_trials"], cfg["seed"], passed,
-    ])
+    rows.append({
+        "row": "summary", "L_S": mean_ls, "L_D": mean_ld, "pac_holds": all(pac_flags),
+        "sigma_alg_sq": sigma_alg_sq, "L_S_search": search_ls, "chi_sharp": chi_sharp,
+        "theorem_rhs": thm, "std_err": se_ld, "n_samples": cfg["n_trials"],
+        "seed": cfg["seed"], "passed": passed,
+    })
     return CsvReport(columns, rows, tuple(failures))
 
 
@@ -657,7 +660,7 @@ def cmd_sgld_check(cfg: dict) -> CsvReport:
         "sgld_var", "var_ratio", "var_ok", "map_value", "map_exact", "map_abs_err",
         "map_ok", "n_samples", "seed", "passed",
     )
-    rows: list[list] = []
+    rows: list[dict] = []
     failures: list[str] = []
     for i in range(d):
         exact_mean = float(post.mean[i])
@@ -683,16 +686,19 @@ def cmd_sgld_check(cfg: dict) -> CsvReport:
             failures.append(
                 f"coordinate {i}: MAP error {map_err:.3g} exceeds {cfg['map_tol']:g}"
             )
-        rows.append([
-            str(i), exact_mean, float(chain.mean()), se, mean_ok, exact_var,
-            float(chain.var()), ratio, var_ok, float(map_theta[i]), exact_mean,
-            map_err, map_ok, draws.shape[0], cfg["seed"], None,
-        ])
+        rows.append({
+            "row": str(i), "exact_mean": exact_mean, "sgld_mean": float(chain.mean()),
+            "mean_se": se, "mean_ok": mean_ok, "exact_var": exact_var,
+            "sgld_var": float(chain.var()), "var_ratio": ratio, "var_ok": var_ok,
+            "map_value": float(map_theta[i]), "map_exact": exact_mean,
+            "map_abs_err": map_err, "map_ok": map_ok, "n_samples": draws.shape[0],
+            "seed": cfg["seed"],
+        })
     passed = not failures
-    rows.append([
-        "summary", None, None, None, None, None, None, None, None, None, None,
-        None, None, draws.shape[0], cfg["seed"], passed,
-    ])
+    rows.append({
+        "row": "summary", "n_samples": draws.shape[0], "seed": cfg["seed"],
+        "passed": passed,
+    })
     return CsvReport(columns, rows, tuple(failures))
 
 
@@ -724,7 +730,7 @@ def cmd_projection_check(cfg: dict) -> CsvReport:
         "row", "k", "norm_sq", "movement_sq", "bound", "ratio", "exact_zero",
         "bound_ok", "accounting_ok", "seed", "passed",
     )
-    rows: list[list] = []
+    rows: list[dict] = []
     failures: list[str] = []
     max_ratio = 0.0
     for trial in range(cfg["n_trials"]):
@@ -750,15 +756,17 @@ def cmd_projection_check(cfg: dict) -> CsvReport:
             )
         if not accounting_ok:
             failures.append(f"trial {trial}: phase accounting mismatch")
-        rows.append([
-            str(trial), k, norm_sq, res.movement_sq, res.bound, ratio, exact,
-            bound_ok, accounting_ok, cfg["seed"], ok,
-        ])
+        rows.append({
+            "row": str(trial), "k": k, "norm_sq": norm_sq,
+            "movement_sq": res.movement_sq, "bound": res.bound, "ratio": ratio,
+            "exact_zero": exact, "bound_ok": bound_ok, "accounting_ok": accounting_ok,
+            "seed": cfg["seed"], "passed": ok,
+        })
     passed = not failures
-    rows.append([
-        "summary", k, None, None, None, max_ratio, None, None, None, cfg["seed"],
-        passed,
-    ])
+    rows.append({
+        "row": "summary", "k": k, "ratio": max_ratio, "seed": cfg["seed"],
+        "passed": passed,
+    })
     return CsvReport(columns, rows, tuple(failures))
 
 

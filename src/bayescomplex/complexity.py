@@ -24,7 +24,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import ConfigError, InsufficientSamplesError
-from .families import LinearFamily, LinearTarget, PwlMoments, ShallowNetFamily
+from .families import PwlMoments, ShallowNetFamily
 from .priors import NnPriorSpec
 from .pwl import PwlFunction
 from .rng import SeededRng, partition_counts
@@ -136,16 +136,7 @@ def chi_from_q(
     """
     eff = eps_sq - perp_sq
     if eff <= 0.0:
-        return ComplexityEstimate(
-            chi=math.inf,
-            log_prob=-math.inf,
-            std_err=0.0,
-            n_samples=0,
-            n_hits=0,
-            epsilon_sq=eps_sq,
-            method="ClosedFormQ",
-            infinite=True,
-        )
+        return _impossible(eps_sq, "ClosedFormQ")
     q = q_closed_form(kappa, sigma_w, math.sqrt(eff), d)
     return ComplexityEstimate(
         chi=-math.log(q),
@@ -189,6 +180,53 @@ def _rule_of_three(n: int, eps_sq: float, method: str) -> ComplexityEstimate:
     )
 
 
+def _impossible(eps_sq: float, method: str) -> ComplexityEstimate:
+    return ComplexityEstimate(
+        chi=math.inf,
+        log_prob=-math.inf,
+        std_err=0.0,
+        n_samples=0,
+        n_hits=0,
+        epsilon_sq=eps_sq,
+        method=method,
+        infinite=True,
+    )
+
+
+def _naive_estimate(hits: int, n: int, eps_sq: float) -> ComplexityEstimate:
+    """Hit fraction p = hits/n with delta-method std_err sqrt((1-p)/(p n));
+    zero hits give the rule-of-three lower bound."""
+    if hits == 0:
+        return _rule_of_three(n, eps_sq, "NaiveMC")
+    p = hits / n
+    return ComplexityEstimate(
+        chi=-math.log(p),
+        log_prob=math.log(p),
+        std_err=math.sqrt((1.0 - p) / (p * n)),
+        n_samples=n,
+        n_hits=hits,
+        epsilon_sq=eps_sq,
+        method="NaiveMC",
+    )
+
+
+def _batches(rng: SeededRng, n: int, workers: int, rows: int):
+    """Yield (generator, m) batches covering n draws: worker w's share of
+    partition_counts(n, workers) is drawn from rng.stream(w) in chunks of at
+    most ``rows``."""
+    for w, count in enumerate(partition_counts(n, workers)):
+        gen = rng.stream(w).generator()
+        for done in range(0, count, rows):
+            yield gen, min(rows, count - done)
+
+
+def _prior_dist_sq(family, target, n: int, rng: SeededRng, workers: int):
+    """Yield E_x[(f_theta - target)^2] for n prior draws, one array per batch."""
+    prepared = _prepare(family, target)
+    for gen, m in _batches(rng, n, workers, _batch_rows(family)):
+        yield family.dist_sq(prepared, family.sample_matrix(m, gen))
+
+
 def sharp_complexity_mc(
     family,
     target,
@@ -200,30 +238,11 @@ def sharp_complexity_mc(
     """Naive Monte Carlo estimate of chi#."""
     if eps_sq <= 0:
         raise ConfigError(f"eps_sq must be > 0, got {eps_sq}")
-    target = _prepare(family, target)
-    rows = _batch_rows(family)
-    hits = 0
-    for w, count in enumerate(partition_counts(n, workers)):
-        gen = rng.stream(w).generator()
-        done = 0
-        while done < count:
-            m = min(rows, count - done)
-            thetas = family.sample_matrix(m, gen)
-            hits += int(np.count_nonzero(family.dist_sq(target, thetas) <= eps_sq))
-            done += m
-    if hits == 0:
-        return _rule_of_three(n, eps_sq, "NaiveMC")
-    p = hits / n
-    se_chi = math.sqrt((1.0 - p) / (p * n))
-    return ComplexityEstimate(
-        chi=-math.log(p),
-        log_prob=math.log(p),
-        std_err=se_chi,
-        n_samples=n,
-        n_hits=hits,
-        epsilon_sq=eps_sq,
-        method="NaiveMC",
+    hits = sum(
+        int(np.count_nonzero(d2 <= eps_sq))
+        for d2 in _prior_dist_sq(family, target, n, rng, workers)
     )
+    return _naive_estimate(hits, n, eps_sq)
 
 
 def sharp_complexity_is(
@@ -248,33 +267,27 @@ def sharp_complexity_is(
     center = family.is_center(target)
     scale = cloud_width * math.sqrt(eps_sq)
     prepared = _prepare(family, target)
-    rows = _batch_rows(family)
     log_half = math.log(0.5)
     s1 = 0.0
     s2 = 0.0
     hits = 0
-    for w, count in enumerate(partition_counts(n, workers)):
-        gen = rng.stream(w).generator()
-        done = 0
-        while done < count:
-            m = min(rows, count - done)
-            from_prior = gen.random(m) < 0.5
-            n_p = int(np.count_nonzero(from_prior))
-            thetas = np.empty((m, family.dim))
-            if n_p:
-                thetas[from_prior] = family.sample_matrix(n_p, gen)
-            if m - n_p:
-                thetas[~from_prior] = family.cloud_sample(m - n_p, center, scale, gen)
-            logp = family.log_prior_density(thetas)
-            logc = family.cloud_log_density(thetas, center, scale)
-            logmix = np.logaddexp(logp, logc) + log_half
-            weight = np.exp(logp - logmix)
-            hit = family.dist_sq(prepared, thetas) <= eps_sq
-            x = np.where(hit, weight, 0.0)
-            s1 += float(x.sum())
-            s2 += float((x * x).sum())
-            hits += int(np.count_nonzero(x > 0.0))
-            done += m
+    for gen, m in _batches(rng, n, workers, _batch_rows(family)):
+        from_prior = gen.random(m) < 0.5
+        n_p = int(np.count_nonzero(from_prior))
+        thetas = np.empty((m, family.dim))
+        if n_p:
+            thetas[from_prior] = family.sample_matrix(n_p, gen)
+        if m - n_p:
+            thetas[~from_prior] = family.cloud_sample(m - n_p, center, scale, gen)
+        logp = family.log_prior_density(thetas)
+        logc = family.cloud_log_density(thetas, center, scale)
+        logmix = np.logaddexp(logp, logc) + log_half
+        weight = np.exp(logp - logmix)
+        hit = family.dist_sq(prepared, thetas) <= eps_sq
+        x = np.where(hit, weight, 0.0)
+        s1 += float(x.sum())
+        s2 += float((x * x).sum())
+        hits += int(np.count_nonzero(x > 0.0))
     if hits == 0 or s1 <= 0.0:
         return _rule_of_three(n, eps_sq, "ImportanceSampling")
     p = s1 / n
@@ -395,7 +408,9 @@ def limiting_complexity_closed_form(
 # --------------------------------------------------------------------------
 
 
-def _logmean_estimate(a: np.ndarray, n: int, eps_sq, method: str) -> ComplexityEstimate:
+def _logmean_estimate(a: np.ndarray) -> ComplexityEstimate:
+    """-ln of the mean of exp(a), with its delta-method standard error."""
+    n = a.size
     m = float(a.max())
     y = np.exp(a - m)
     mean_y = float(y.mean())
@@ -407,8 +422,8 @@ def _logmean_estimate(a: np.ndarray, n: int, eps_sq, method: str) -> ComplexityE
         std_err=se,
         n_samples=n,
         n_hits=n,
-        epsilon_sq=eps_sq,
-        method=method,
+        epsilon_sq=None,
+        method="LogSumExpMC",
     )
 
 
@@ -429,21 +444,8 @@ def exponential_complexity_mc(
     """
     if sigma_y_sq <= 0:
         raise ConfigError(f"sigma_y_sq must be > 0, got {sigma_y_sq}")
-    target = _prepare(family, target)
-    rows = _batch_rows(family)
-    a = np.empty(n)
-    pos = 0
-    for w, count in enumerate(partition_counts(n, workers)):
-        gen = rng.stream(w).generator()
-        done = 0
-        while done < count:
-            m = min(rows, count - done)
-            thetas = family.sample_matrix(m, gen)
-            d2 = family.dist_sq(target, thetas)
-            a[pos : pos + m] = -(d2 + sigma_e_sq) / (2.0 * sigma_y_sq)
-            pos += m
-            done += m
-    return _logmean_estimate(a, n, None, "LogSumExpMC")
+    d2 = np.concatenate(list(_prior_dist_sq(family, target, n, rng, workers)))
+    return _logmean_estimate(-(d2 + sigma_e_sq) / (2.0 * sigma_y_sq))
 
 
 def empirical_complexity_mc(
@@ -472,19 +474,11 @@ def empirical_complexity_mc(
     ys = (g(xs) if callable(g) else np.asarray(g, dtype=float)) + noise
     denom = 2.0 * sigma_y_sq_over_N * big_n
     rows = max(256, min(_batch_rows(family), int(4_000_000 / big_n)))
-    a = np.empty(n)
-    pos = 0
-    for w, count in enumerate(partition_counts(n, workers)):
-        gen = rng.stream(w).generator()
-        done = 0
-        while done < count:
-            m = min(rows, count - done)
-            thetas = family.sample_matrix(m, gen)
-            resid = family.predict_batch(thetas, xs) - ys[None, :]
-            a[pos : pos + m] = -np.einsum("ij,ij->i", resid, resid) / denom
-            pos += m
-            done += m
-    return _logmean_estimate(a, n, None, "LogSumExpMC")
+    a = []
+    for gen, m in _batches(rng, n, workers, rows):
+        resid = family.predict_batch(family.sample_matrix(m, gen), xs) - ys[None, :]
+        a.append(-np.einsum("ij,ij->i", resid, resid) / denom)
+    return _logmean_estimate(np.concatenate(a))
 
 
 def sharp_with_noise(
@@ -498,16 +492,7 @@ def sharp_with_noise(
     if sigma_e_sq < 0:
         raise ConfigError(f"sigma_e_sq must be >= 0, got {sigma_e_sq}")
     if eps_sq <= sigma_e_sq:
-        return ComplexityEstimate(
-            chi=math.inf,
-            log_prob=-math.inf,
-            std_err=0.0,
-            n_samples=0,
-            n_hits=0,
-            epsilon_sq=eps_sq,
-            method="ShiftedSharp",
-            infinite=True,
-        )
+        return _impossible(eps_sq, "ShiftedSharp")
     inner = chi_sharp_fn(eps_sq - sigma_e_sq)
     return replace(inner, epsilon_sq=eps_sq)
 
@@ -635,16 +620,18 @@ def _dist_batch(g: PwlFunction, thetas: np.ndarray, k: int) -> np.ndarray:
     return np.sqrt(base + best)
 
 
-def dist_to_representation_set(theta, g: PwlFunction) -> float:
-    """Distance from a single parameter point to A_g = {theta : f_theta = g
-    on [0, 1]}; exact for k = c, an upper bound for k = c + 1."""
-    k = theta.k
-    c = len(g.knots)
+def _check_oracle_width(k: int, c: int) -> None:
     if k < c:
         raise ConfigError(f"k={k} nodes cannot represent a target with c={c} knots")
     if k > c + 1:
         raise ConfigError(f"distance oracle supports k <= c + 1, got k={k}, c={c}")
-    return float(_dist_batch(g, theta.flat()[None, :], k)[0])
+
+
+def dist_to_representation_set(theta, g: PwlFunction) -> float:
+    """Distance from a single parameter point to A_g = {theta : f_theta = g
+    on [0, 1]}; exact for k = c, an upper bound for k = c + 1."""
+    _check_oracle_width(theta.k, len(g.knots))
+    return float(_dist_batch(g, theta.flat()[None, :], theta.k)[0])
 
 
 # --------------------------------------------------------------------------
@@ -664,10 +651,7 @@ def codim_estimate(
     g = query.g
     k = query.k
     c = len(g.knots)
-    if k < c:
-        raise ConfigError(f"k={k} nodes cannot represent a target with c={c} knots")
-    if k > c + 1:
-        raise ConfigError(f"distance oracle supports k <= c + 1, got k={k}, c={c}")
+    _check_oracle_width(k, c)
     note = "upper-bound-based" if k > c else ""
     family = ShallowNetFamily(k, prior)
     if query.radius is not None:
@@ -703,24 +687,7 @@ def codim_estimate(
             for j, eps in enumerate(grid):
                 hits[j] += int(np.count_nonzero(dist <= eps))
             accepted += take.shape[0]
-    per_eps = []
-    for j, eps in enumerate(grid):
-        h = int(hits[j])
-        if h == 0:
-            raise InsufficientSamplesError(eps, n)
-        p = h / n
-        se = math.sqrt((1.0 - p) / (p * n))
-        per_eps.append(
-            ComplexityEstimate(
-                chi=-math.log(p),
-                log_prob=math.log(p),
-                std_err=se,
-                n_samples=n,
-                n_hits=h,
-                epsilon_sq=eps * eps,
-                method="NaiveMC",
-            )
-        )
+    per_eps = [_naive_estimate(int(h), n, eps * eps) for h, eps in zip(hits, grid)]
     return fit_limiting_slope(per_eps, grid, note=note)
 
 

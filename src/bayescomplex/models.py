@@ -12,7 +12,6 @@ half the squared coefficient distance.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,14 +25,9 @@ from .pwl import PwlFunction, canonicalize
 # --------------------------------------------------------------------------
 
 
-class BasisKind(enum.Enum):
-    LEGENDRE_ORTHONORMAL = "legendre_orthonormal"
-
-
 @dataclass(frozen=True)
 class BasisSpec:
     d: int
-    kind: BasisKind = BasisKind.LEGENDRE_ORTHONORMAL
 
     def __post_init__(self):
         if self.d < 1:

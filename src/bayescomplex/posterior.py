@@ -39,8 +39,6 @@ class Dataset:
     xs: np.ndarray
     ys: np.ndarray
     sigma_e_sq: float
-    generator: object
-    seed: SeededRng
 
     def __post_init__(self):
         object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
@@ -126,7 +124,7 @@ def generate_dataset(
     ys = np.asarray(g(xs), dtype=float)
     if sigma_e_sq > 0:
         ys = ys + gen.normal(0.0, math.sqrt(sigma_e_sq), size=N)
-    return Dataset(xs=xs, ys=ys, sigma_e_sq=sigma_e_sq, generator=g, seed=rng)
+    return Dataset(xs=xs, ys=ys, sigma_e_sq=sigma_e_sq)
 
 
 def clipped_loss(pred, y, spec: LossSpec):
@@ -404,12 +402,15 @@ def find_sigma_alg(
     n_replicas: int = 32,
     bracket: tuple[float, float] = (1e-6, 1e6),
     max_iter: int = 60,
-) -> float:
+) -> tuple[float, float]:
     """Bisection on ln sigma_y_sq for E_S E_{h~Q(sigma_y_sq)}[L_S(h)] =
     (1 + beta) sigma_e_sq, using a fixed set of dataset replicas so the
     objective is monotone and deterministic across iterations. The linear
     family uses the exact conjugate expected loss; other families fall back
-    to SGLD draws.
+    to SGLD draws. Replica i's dataset comes from rng.stream(i) and its SGLD
+    chain from rng.stream(i).stream(0), so the two never share a stream.
+
+    Returns (sigma_y_sq, achieved objective).
     """
     if not 0.0 < beta <= 1.0:
         raise ConfigError(f"beta must lie in (0, 1], got {beta}")
@@ -427,7 +428,7 @@ def find_sigma_alg(
                 losses.append(conjugate_empirical_loss(S, post, family.basis, spec))
             else:
                 draws = run_sgld(
-                    S, family, replace(cfg, sigma_y_sq=sigma_y_sq), rng.stream(1000 + i)
+                    S, family, replace(cfg, sigma_y_sq=sigma_y_sq), rng.stream(i).stream(0)
                 )
                 losses.append(empirical_loss_of_Q(draws, S, spec, family).value)
         return float(np.mean(losses))
@@ -447,7 +448,7 @@ def find_sigma_alg(
         mid_val = math.exp(mid)
         loss_mid = mean_loss(mid_val)
         if abs(loss_mid - target) <= tol:
-            return mid_val
+            return mid_val, loss_mid
         if loss_mid < target:
             lo = mid
         else:

@@ -11,13 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
-from .models import LinearModelParams, ShallowNetParams
+from .models import LinearModelParams
 from .rng import SeededRng
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -44,33 +40,6 @@ class LinearPriorSpec:
     def __post_init__(self):
         if self.sigma_w_sq <= 0:
             raise ConfigError("prior variance must be positive")
-
-
-def sample_nn_prior(spec: NnPriorSpec, k: int, rng: SeededRng) -> ShallowNetParams:
-    if k < 1:
-        raise ConfigError("node count must be >= 1")
-    gen = rng.generator()
-    sw = math.sqrt(spec.sigma_w_sq)
-    w1 = gen.normal(0.0, sw, size=k)
-    w2 = gen.normal(0.0, sw, size=k)
-    b1 = gen.uniform(0.0, spec.M, size=k)
-    b2 = gen.normal(0.0, math.sqrt(spec.sigma_b_sq))
-    return ShallowNetParams(tuple(w1), tuple(w2), tuple(b1), float(b2))
-
-
-def log_nn_prior_density(theta: ShallowNetParams, spec: NnPriorSpec) -> float:
-    """Log prior density; -inf when any hidden bias leaves [0, M]."""
-    b1 = np.asarray(theta.b1)
-    if np.any(b1 < 0.0) or np.any(b1 > spec.M):
-        return -math.inf
-    k = theta.k
-    w = np.concatenate([theta.w1, theta.w2])
-    logp = -0.5 * float(w @ w) / spec.sigma_w_sq
-    logp -= 2 * k * 0.5 * (_LOG_2PI + math.log(spec.sigma_w_sq))
-    logp -= k * math.log(spec.M)
-    logp -= 0.5 * theta.b2**2 / spec.sigma_b_sq
-    logp -= 0.5 * (_LOG_2PI + math.log(spec.sigma_b_sq))
-    return float(logp)
 
 
 def sample_linear_prior(spec: LinearPriorSpec, d: int, rng: SeededRng) -> LinearModelParams:

@@ -13,7 +13,6 @@ operations here use numerical quadrature.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,11 +106,6 @@ class PwlFunction:
         return np.concatenate(
             ([self.domain_lo], self.locations(), [self.domain_hi])
         )
-
-
-def eval(g: PwlFunction, x: float) -> float:  # noqa: A001 - name fixed by the API
-    """Pointwise evaluation; thin named wrapper over ``g(x)``."""
-    return g(x)
 
 
 def canonicalize(

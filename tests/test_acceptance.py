@@ -424,7 +424,7 @@ def test_criterion_11_pac_bayes_validity():
     def make_dataset(r):
         return generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM, r)
 
-    sigma_alg_sq = find_sigma_alg(
+    sigma_alg_sq, achieved = find_sigma_alg(
         beta, sigma_e_sq, make_dataset, family, sgld_cfg, 1e-3, rng.stream(1),
         loss_spec=spec, n_replicas=32,
     )
@@ -436,6 +436,7 @@ def test_criterion_11_pac_bayes_validity():
             basis, spec)
         for S in replicas
     ]))
+    assert search_ls == achieved
     search_ok = abs(search_ls - 2.0 * sigma_e_sq) <= 1e-3
 
     chi_sharp = chi_from_q(target.kappa, 1.0, beta * sigma_e_sq, d).chi

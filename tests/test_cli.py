@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import bayescomplex
-from bayescomplex.cli import main
+from bayescomplex.cli import main, render_csv
+from bayescomplex.errors import NumericalError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -229,6 +230,14 @@ class TestCsvShape:
             width = len(lines[0].split(","))
             for line in lines[1:]:
                 assert len(line.split(",")) == width
+
+    def test_rows_are_keyed_by_column(self):
+        """A column a row leaves out renders empty; a key that is not a
+        column is an internal error, not a silently dropped cell."""
+        text = render_csv({"seed": 1}, ("row", "n", "ok"), [{"row": "a", "ok": True}])
+        assert text == "# seed=1\nrow,n,ok\na,,true\n"
+        with pytest.raises(NumericalError, match="oops"):
+            render_csv({"seed": 1}, ("row", "n"), [{"row": "a", "oops": 2}])
 
     def test_floats_carry_seventeen_significant_digits(self, capsys):
         _, out, _ = run_cli(

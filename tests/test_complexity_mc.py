@@ -8,6 +8,7 @@ import pytest
 
 from bayescomplex.complexity import (
     CodimQuery,
+    _batches,
     chi_from_q,
     codim_estimate,
     empirical_complexity_mc,
@@ -65,6 +66,20 @@ class TestSharpAgainstClosedForm:
             sharp_complexity_mc(family, LinearTarget((1.0, 0.0)), 0.0, 10, SeededRng(1))
         with pytest.raises(ConfigError):
             sharp_complexity_is(family, LinearTarget((1.0, 0.0)), -0.1, 10, SeededRng(1))
+
+
+class TestBatches:
+    def test_each_worker_stream_is_split_into_chunks(self):
+        """Worker w's share of partition_counts comes from rng.stream(w), in
+        chunks of at most ``rows`` drawn from one generator."""
+        batches = list(_batches(SeededRng(3), 10, 3, 2))
+        assert [m for _, m in batches] == [2, 2, 2, 1, 2, 1]
+        gens = [gen for gen, _ in batches]
+        assert gens[0] is gens[1] and gens[2] is gens[3] and gens[4] is gens[5]
+        assert len({id(gen) for gen in gens}) == 3
+        for w, gen in enumerate(gens[::2]):
+            expected = SeededRng(3).stream(w).generator().normal(size=3)
+            np.testing.assert_array_equal(gen.normal(size=3), expected)
 
 
 class TestEstimatorConsistencyBattery:

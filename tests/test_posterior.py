@@ -22,6 +22,7 @@ from bayescomplex.models import (
 from bayescomplex.posterior import (
     Dataset,
     GaussianPosterior,
+    LossEstimate,
     LossSpec,
     SgldConfig,
     batch_means_se,
@@ -89,8 +90,7 @@ class TestDataset:
         with pytest.raises(ConfigError):
             generate_dataset(g, 10, -0.01, UNIFORM_SYM, SeededRng(0))
         with pytest.raises(ConfigError):
-            Dataset(xs=np.zeros(3), ys=np.zeros(4), sigma_e_sq=0.0,
-                    generator=None, seed=SeededRng(0))
+            Dataset(xs=np.zeros(3), ys=np.zeros(4), sigma_e_sq=0.0)
 
 
 class TestClippedLoss:
@@ -155,8 +155,7 @@ class TestConjugatePosterior:
 
     def test_no_data_returns_prior(self):
         basis, prior, _ = _linear_setup(3, sigma_w_sq=0.7)
-        S = Dataset(xs=np.zeros(0), ys=np.zeros(0), sigma_e_sq=0.0,
-                    generator=None, seed=SeededRng(0))
+        S = Dataset(xs=np.zeros(0), ys=np.zeros(0), sigma_e_sq=0.0)
         post = conjugate_posterior_linear(S, prior, basis, 0.5)
         np.testing.assert_array_equal(post.mean, np.zeros(3))
         np.testing.assert_array_equal(post.covariance, 0.7 * np.eye(3))
@@ -173,8 +172,7 @@ class TestConjugatePosterior:
         # d = 1: the only basis function is the constant 1/sqrt(2), so the
         # update is the textbook scalar conjugate formula.
         basis, prior, _ = _linear_setup(1, sigma_w_sq=2.0)
-        S = Dataset(xs=np.array([0.3]), ys=np.array([1.1]), sigma_e_sq=0.04,
-                    generator=None, seed=SeededRng(0))
+        S = Dataset(xs=np.array([0.3]), ys=np.array([1.1]), sigma_e_sq=0.04)
         sigma_y_sq = 0.25
         post = conjugate_posterior_linear(S, prior, basis, sigma_y_sq)
         phi = 1.0 / math.sqrt(2.0)
@@ -199,8 +197,7 @@ class TestConjugatePosterior:
 
     def test_validation(self):
         basis, prior, _ = _linear_setup(1)
-        S = Dataset(xs=np.array([0.1]), ys=np.array([0.2]), sigma_e_sq=0.0,
-                    generator=None, seed=SeededRng(0))
+        S = Dataset(xs=np.array([0.1]), ys=np.array([0.2]), sigma_e_sq=0.0)
         with pytest.raises(ConfigError):
             conjugate_posterior_linear(S, prior, basis, 0.0)
 
@@ -277,8 +274,7 @@ class TestSgld:
 
     def test_no_data_chain_samples_prior(self):
         _, _, family = _linear_setup(1)
-        S = Dataset(xs=np.zeros(0), ys=np.zeros(0), sigma_e_sq=0.0,
-                    generator=None, seed=SeededRng(0))
+        S = Dataset(xs=np.zeros(0), ys=np.zeros(0), sigma_e_sq=0.0)
         cfg = SgldConfig(eta=0.01, steps=105_000, burn_in=5_000, thin=10,
                          sigma_y_sq=1.0)
         draws = run_sgld(S, family, cfg, SeededRng(42).stream(3))
@@ -565,9 +561,9 @@ class TestFindSigmaAlg:
 
         cfg = SgldConfig(eta=1e-3, steps=2, burn_in=1, thin=1, sigma_y_sq=1.0)
         spec = LossSpec(clip_C=4.0)
-        sigma_alg_sq = find_sigma_alg(1.0, 0.04, make, family, cfg, 1e-3,
-                                      rng.stream(1), loss_spec=spec,
-                                      n_replicas=16)
+        sigma_alg_sq, achieved = find_sigma_alg(1.0, 0.04, make, family, cfg, 1e-3,
+                                                rng.stream(1), loss_spec=spec,
+                                                n_replicas=16)
         # Recompute the search objective on the same replica set.
         check_rng = SeededRng(21).stream(1)
         replicas = [make(check_rng.stream(i)) for i in range(16)]
@@ -577,6 +573,7 @@ class TestFindSigmaAlg:
                 basis, spec)
             for S in replicas
         ]))
+        assert mean_loss == achieved
         assert abs(mean_loss - 2 * 0.04) <= 1e-3
 
     def test_bracket_failure_reports_endpoint_losses(self):
@@ -591,6 +588,32 @@ class TestFindSigmaAlg:
             find_sigma_alg(1.0, 0.04, make, family, cfg, 1e-3,
                            SeededRng(5).stream(1), loss_spec=LossSpec(),
                            n_replicas=4, bracket=(1e-6, 1e-4))
+
+    def test_sgld_chains_never_reuse_a_replica_stream(self, monkeypatch):
+        """With more than 1000 replicas, no SGLD chain draws from the stream
+        that generated a replica's dataset."""
+        dataset_ids, chain_ids = set(), set()
+
+        def make(r):
+            dataset_ids.add(r.stream_id)
+            return generate_dataset(lambda x: 0.0 * x, 1, 0.04, UNIFORM_UNIT, r)
+
+        def fake_sgld(S, family, cfg, rng, **kwargs):
+            chain_ids.add(rng.stream_id)
+            return np.zeros((1, family.dim))
+
+        # A constant zero loss stays below the target at both bracket ends, so
+        # the search stops after one pass per endpoint.
+        monkeypatch.setattr("bayescomplex.posterior.run_sgld", fake_sgld)
+        monkeypatch.setattr("bayescomplex.posterior.empirical_loss_of_Q",
+                            lambda *args: LossEstimate(0.0, 0.0))
+        family = ShallowNetFamily(1, NnPriorSpec.default_for(1))
+        cfg = SgldConfig(eta=1e-3, steps=2, burn_in=1, thin=1, sigma_y_sq=1.0)
+        with pytest.raises(CheckFailure, match="bracket"):
+            find_sigma_alg(1.0, 0.04, make, family, cfg, 1e-3, SeededRng(5).stream(1),
+                           n_replicas=1001)
+        assert len(dataset_ids) == 1001 and len(chain_ids) == 1001
+        assert dataset_ids.isdisjoint(chain_ids)
 
     def test_validation(self):
         basis, prior, family = _linear_setup(1)

@@ -1,4 +1,5 @@
-"""Prior samplers, prior log-density, and the deterministic stream tree."""
+"""Prior samplers, the shallow family's batch prior kernels, and the
+deterministic stream tree."""
 
 import math
 
@@ -6,14 +7,9 @@ import numpy as np
 import pytest
 
 from bayescomplex.errors import ConfigError
+from bayescomplex.families import ShallowNetFamily
 from bayescomplex.models import ShallowNetParams
-from bayescomplex.priors import (
-    LinearPriorSpec,
-    NnPriorSpec,
-    log_nn_prior_density,
-    sample_linear_prior,
-    sample_nn_prior,
-)
+from bayescomplex.priors import LinearPriorSpec, NnPriorSpec, sample_linear_prior
 from bayescomplex.rng import SeededRng, partition_counts
 
 
@@ -68,12 +64,10 @@ class TestNnPrior:
     def test_sample_moments(self):
         """Weights N(0, 1/k), hidden biases U([0, M]) with mean M/2 and
         variance M^2/12, output bias N(0, 1)."""
-        k, n = 3, 200_000
+        k, n = 3, 2_000
         spec = NnPriorSpec.default_for(k)
-        gen_rows = [sample_nn_prior(spec, k, SeededRng(42).stream(i)) for i in range(n // 100)]
-        w1 = np.array([th.w1 for th in gen_rows])
-        b1 = np.array([th.b1 for th in gen_rows])
-        b2 = np.array([th.b2 for th in gen_rows])
+        family = ShallowNetFamily(k, spec)
+        w1, _, b1, b2 = family.split(family.sample_matrix(n, SeededRng(42).generator()))
         n_eff = w1.size
         assert abs(w1.mean()) < 4 * math.sqrt(spec.sigma_w_sq / n_eff)
         assert w1.var() == pytest.approx(spec.sigma_w_sq, rel=0.05)
@@ -92,12 +86,16 @@ class TestNnPrior:
             - 0.5 * 0.04
             - 0.5 * math.log(2 * math.pi)
         )
-        assert log_nn_prior_density(theta, spec) == pytest.approx(expected, rel=1e-12)
+        got = ShallowNetFamily(1, spec).log_prior_density(theta.flat()[None, :])
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(expected, rel=1e-12)
 
     def test_log_density_outside_support(self):
         spec = NnPriorSpec(sigma_w_sq=1.0, M=1.0, sigma_b_sq=1.0)
-        theta = ShallowNetParams((0.1,), (0.1,), (1.5,), 0.0)
-        assert log_nn_prior_density(theta, spec) == -math.inf
+        above = ShallowNetParams((0.1,), (0.1,), (1.5,), 0.0).flat()
+        below = ShallowNetParams((0.1,), (0.1,), (-0.2,), 0.0).flat()
+        got = ShallowNetFamily(1, spec).log_prior_density(np.stack([above, below]))
+        assert got.tolist() == [-math.inf, -math.inf]
 
 
 class TestLinearPrior:
