@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from bayescomplex.cli import _random_admissible_theta
 from bayescomplex.complexity import (
     CodimQuery,
     chi_from_q,
@@ -172,17 +173,6 @@ def test_criterion_05_codimension_counts_constraints():
     assert ok, detail
 
 
-def _random_admissible(k: int, frac: float, gen: np.random.Generator) -> ShallowNetParams:
-    threshold = 1.0 / (12.0 * (k + 1) ** 5)
-    u = gen.standard_normal(k)
-    u[np.abs(u) < 1e-3] = 1e-3
-    b = gen.uniform(0.0, 1.0, size=k)
-    theta = ShallowNetParams((1.0,) * k, tuple(u), tuple(b), 0.0)
-    cur = l2_norm_sq(shallow_to_pwl(theta))
-    scale = math.sqrt(frac * threshold / cur)
-    return ShallowNetParams((1.0,) * k, tuple(u * scale), tuple(b), 0.0)
-
-
 def test_criterion_06_projection_exactness_bound_and_slopes():
     """200 randomized admissible parameters project to an exact zero with
     movement^2 <= 96 k^{13/5} ||f||^{4/5}; the biased and targeted variants
@@ -192,7 +182,7 @@ def test_criterion_06_projection_exactness_bound_and_slopes():
     exact_all, bound_all = True, True
     for _ in range(200):
         k = int(gen.integers(1, 7))
-        theta = _random_admissible(k, float(gen.uniform(0.1, 0.9)), gen)
+        theta = _random_admissible_theta(k, float(gen.uniform(0.1, 0.9)), gen)
         norm_sq = l2_norm_sq(shallow_to_pwl(theta))
         res = project_to_zero(theta)
         f_star = shallow_to_pwl(res.theta_star)

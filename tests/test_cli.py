@@ -168,6 +168,18 @@ class TestExitCodes:
         assert rc == 2
         assert "at least 3" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["linear_complexity", "mc_samples=0"],
+        ["nn_complexity", "n_per_eps=0"],
+        ["one_change", "n_samples=0"],
+        ["codim", "n_samples=0"],
+    ])
+    def test_zero_sample_budget_is_two(self, argv, capsys):
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "config error: sample budget must be >= 1, got 0\n"
+
     def test_numerical_error_is_three(self, capsys):
         rc, _, err = run_cli(
             ["sgld_check", "eta=50.0", "steps=100", "burn_in=10"], capsys

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from bayescomplex import complexity
 from bayescomplex.complexity import (
     chi_from_q,
     dist_to_representation_set,
@@ -20,7 +21,7 @@ from bayescomplex.complexity import (
     q_closed_form,
     sharp_with_noise,
 )
-from bayescomplex.errors import ConfigError, InsufficientSamplesError
+from bayescomplex.errors import ConfigError, InsufficientSamplesError, NumericalError
 from bayescomplex.models import ShallowNetParams, min_norm_realization
 from bayescomplex.priors import NnPriorSpec
 from bayescomplex.pwl import PwlFunction
@@ -224,6 +225,87 @@ class TestHyperbolaDistance:
             assert vec[i] == pytest.approx(
                 hyperbola_distance(float(ps[i]), float(qs[i]), float(vs[i]))
             )
+
+
+def _hyperbola_reference(p, q, v):
+    """Distance from (p, q) to {x y = v}, v != 0, one np.roots call per
+    point: the minimum over the roots x of the stationarity quartic
+    x^4 - p x^3 + q v x - v^2 of |(x, v/x) - (p, q)|. Every nonzero real
+    part x gives a point (x, v/x) of the curve, so taking all of them keeps
+    the real roots (near-double roots come back with tiny imaginary parts)
+    and can only add candidates that are no nearer than the true one."""
+    out = np.empty(len(p))
+    for i, (pi, qi, vi) in enumerate(zip(p, q, v)):
+        x = np.roots([1.0, -pi, 0.0, qi * vi, -vi * vi]).real
+        x = x[x != 0.0]
+        out[i] = np.min(np.hypot(x - pi, vi / x - qi))
+    return out
+
+
+class TestHyperbolaDistanceProperty:
+    """hyperbola_distance against the independent quartic-root reference."""
+
+    @staticmethod
+    def _check(p, q, v):
+        p, q, v = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (p, q, v)))
+        got = hyperbola_distance(p, q, v)
+        ref = _hyperbola_reference(p.ravel(), q.ravel(), v.ravel())
+        tol = np.maximum(1.0, ref)
+        over = got - ref > 1e-12 * tol
+        assert not over.any(), (
+            f"{int(over.sum())} overestimates, worst at "
+            f"(p, q, v) = {(p[over][0], q[over][0], v[over][0])}"
+        )
+        err = np.abs(got - ref) / tol
+        worst = int(np.argmax(err))
+        assert err[worst] <= 1e-10, (
+            f"error {err[worst]:.3g} at (p, q, v) = {(p[worst], q[worst], v[worst])}"
+        )
+
+    def test_uniform_points(self):
+        gen = np.random.default_rng(2024)
+        n = 20_000
+        v = np.resize([1.0, -0.8, 0.3], n)
+        self._check(gen.uniform(-4, 4, n), gen.uniform(-4, 4, n), v)
+
+    def test_small_levels(self):
+        """|v| << p^2: the regime where a grid-seeded Newton overestimated
+        by up to 4.5."""
+        gen = np.random.default_rng(7)
+        n = 4_000
+        v = np.resize([1e-6, -1e-6, 1e-3, -1e-3], n)
+        self._check(gen.uniform(-4, 4, n), gen.uniform(-4, 4, n), v)
+
+    @pytest.mark.parametrize("v", [1.0, -0.8, 0.3, 1e-6, -1e-6])
+    def test_exact_ties(self, v):
+        """p = q and p = -q make a = p + sigma q vanish for one sign of v
+        each: the interior root 2 - sqrt(pq/v) or the hard case."""
+        t = np.random.default_rng(11).uniform(-4, 4, 500)
+        self._check(t, t, v)
+        self._check(t, -t, v)
+        self._check(0.0, 0.0, v)
+
+    def test_origin_hard_case_values(self):
+        """From the origin the nearest points of {x y = v}, r = sqrt|v|, are
+        (r, r) and (-r, -r) for v > 0 and (r, -r) and (-r, r) for v < 0:
+        distance sqrt(2 |v|) for either sign."""
+        got = hyperbola_distance(0.0, 0.0, np.array([2.0, -2.0, 1e-6, -1e-6]))
+        np.testing.assert_allclose(got, np.sqrt(2.0 * np.array([2.0, 2.0, 1e-6, 1e-6])),
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_a_config_error(self, bad):
+        for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ConfigError):
+                hyperbola_distance(*args)
+        with pytest.raises(ConfigError):
+            hyperbola_distance(np.array([0.5, bad]), 1.0, 1.0)
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        """The iteration cap raises NumericalError; no best guess is returned."""
+        monkeypatch.setattr(complexity, "_HYPERBOLA_MAX_ITER", 1)
+        with pytest.raises(NumericalError):
+            hyperbola_distance(np.array([1.3, -2.1]), np.array([0.4, 0.7]), 1.0)
 
 
 class TestDistToRepresentationSet:

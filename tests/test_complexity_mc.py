@@ -82,6 +82,33 @@ class TestBatches:
             np.testing.assert_array_equal(gen.normal(size=3), expected)
 
 
+class TestSampleBudget:
+    """A budget below one draw is a ConfigError, raised before any draw."""
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_every_estimator_rejects_an_empty_budget(self, n):
+        family = _linear(2)
+        target = LinearTarget((1.0, 0.0))
+        xs = np.array([0.1, 0.2])
+        calls = [
+            lambda: sharp_complexity_mc(family, target, 0.1, n, SeededRng(1)),
+            lambda: sharp_complexity_is(family, target, 0.1, n, SeededRng(1)),
+            lambda: exponential_complexity_mc(family, target, 0.1, n, SeededRng(1)),
+            lambda: empirical_complexity_mc(
+                family, lambda x: x, xs, np.zeros(2), 0.1, n, SeededRng(1)
+            ),
+            lambda: codim_estimate(
+                CodimQuery(PwlFunction(bias=0.1), k=1),
+                NnPriorSpec(sigma_w_sq=1.0, M=2.0, sigma_b_sq=1.0),
+                n,
+                SeededRng(1),
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError, match="sample budget"):
+                call()
+
+
 class TestEstimatorConsistencyBattery:
     """Naive MC and importance sampling agree within 3 joint standard errors
     whenever both record at least 100 hits, over 20 randomized triples."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bayescomplex.cli import _random_admissible_theta
 from bayescomplex.errors import ConfigError, SmallnessError
 from bayescomplex.models import ShallowNetParams, min_norm_realization, shallow_to_pwl
 from bayescomplex.projection import (
@@ -27,17 +28,6 @@ def _net(u, b, b2=0.0):
     """Build params with w1 = 1 so the effective weights are exactly u."""
     ones = (1.0,) * len(u)
     return ShallowNetParams(ones, tuple(float(x) for x in u), tuple(float(x) for x in b), b2)
-
-
-def _admissible(k, frac, gen):
-    """Random theta with b2 = 0 and ||f||^2 = frac / (12 (k+1)^5)."""
-    u = gen.standard_normal(k)
-    u[np.abs(u) < 1e-3] = 1e-3
-    b = gen.uniform(0.0, 1.0, size=k)
-    theta = _net(u, b)
-    norm = l2_norm_sq(shallow_to_pwl(theta))
-    target = frac / (12.0 * (k + 1) ** 5)
-    return _net(u * math.sqrt(target / norm), b)
 
 
 class TestScalarInequalities:
@@ -135,7 +125,7 @@ class TestProjectToZero:
         gen = np.random.default_rng(42)
         for trial in range(200):
             k = int(gen.integers(1, 7))
-            theta = _admissible(k, float(gen.uniform(0.1, 0.9)), gen)
+            theta = _random_admissible_theta(k, float(gen.uniform(0.1, 0.9)), gen)
             res = project_to_zero(theta)
             f_star = shallow_to_pwl(res.theta_star)
             assert f_star.knots == () and f_star.bias == 0.0, f"trial {trial}"
@@ -157,7 +147,7 @@ class TestProjectToZero:
 class TestProjectToZeroWithBias:
     def test_zero_bias_delegates(self):
         gen = np.random.default_rng(42)
-        theta = _admissible(3, 0.2, gen)
+        theta = _random_admissible_theta(3, 0.2, gen)
         base = project_to_zero(theta)
         res = project_to_zero_with_bias(theta, R=1.0, guard_scale=1.0)
         assert res.theta_star == base.theta_star
