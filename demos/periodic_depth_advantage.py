@@ -14,12 +14,12 @@ approximate.
 
 import numpy as np
 
-from bayescomplex.models import build_periodic_deep_net
+from bayescomplex.models import build_periodic_deep_net, interior_knot_count
 from bayescomplex.pwl import PwlFunction, periodize
 
 # One tile: a tent with m = 1 interior kink, g0(0) = g0(1) = 0.
 tent = PwlFunction(bias=0.0, knots=((0.0, 2.0), (0.5, -4.0)))
-m = sum(1 for t, _ in tent.knots if 0.0 < t < 1.0)
+m = interior_knot_count(tent)
 
 print(" l   deep params   deep bound   shallow count   sup |deep - tiled|")
 for l in (2, 4, 8, 16):

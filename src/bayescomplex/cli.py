@@ -41,6 +41,7 @@ from .models import (
     LinearModelParams,
     ShallowNetParams,
     build_periodic_deep_net,
+    interior_knot_count,
     shallow_to_pwl,
 )
 from .posterior import (
@@ -524,7 +525,7 @@ def cmd_periodic(cfg: dict) -> CsvReport:
     tiled = periodize(g0, l)
     xs = np.linspace(0.0, float(l), cfg["n_grid"])
     sup_err = float(np.max(np.abs(net.forward(xs) - tiled(xs))))
-    m = max(1, sum(1 for t, _ in g0.knots if t < 0.5))
+    m = interior_knot_count(g0)
     deep_bound = 4 * l + 2 * m + 6
     shallow_count = 2 * (l * (m + 2)) + 1
     passed = sup_err < cfg["sup_tol"] and deep_count <= deep_bound < shallow_count

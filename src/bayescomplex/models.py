@@ -230,6 +230,12 @@ def _is_reflection_symmetric(g0: PwlFunction, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(g0(pts) - g0(1.0 - pts))) <= tol)
 
 
+def interior_knot_count(g0: PwlFunction) -> int:
+    """m in the periodic bound 4l + 2m + 6: the period profile's knots
+    strictly inside (0, 1). A knot at 0 only sets the initial slope."""
+    return sum(1 for t, _ in g0.knots if 0.0 < t < 1.0)
+
+
 def build_periodic_deep_net(g0: PwlFunction, l: int) -> tuple[DeepNetParams, int]:
     """Tile a reflection-symmetric period profile with O(l + m) pinned parameters.
 

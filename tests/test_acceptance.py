@@ -32,6 +32,7 @@ from bayescomplex.models import (
     LinearModelParams,
     ShallowNetParams,
     build_periodic_deep_net,
+    interior_knot_count,
     shallow_to_pwl,
 )
 from bayescomplex.posterior import (
@@ -462,7 +463,7 @@ def test_criterion_12_periodic_separation():
     tiled = periodize(tent, l)
     xs = np.linspace(0.0, float(l), 10_000)
     sup_err = float(np.max(np.abs(net.forward(xs) - tiled(xs))))
-    m = sum(1 for t_knot, _ in tent.knots if 0.0 < t_knot < 1.0)
+    m = interior_knot_count(tent)
     deep_bound = 4 * l + 2 * m + 6
     shallow_count = 2 * (l * (m + 2)) + 1
     elapsed, in_time = _within_budget(t0, 1.0)

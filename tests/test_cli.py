@@ -272,6 +272,25 @@ GOLDEN_RUNS = [
 ]
 
 
+class TestPeriodicReport:
+    """The periodic report's m is the profile's interior-knot count, the m
+    of the deep bound 4l + 2m + 6."""
+
+    def test_w_profile_counts_every_interior_knot(self, capsys):
+        rc, out, _ = run_cli(
+            ["periodic", "target_locs=0,0.25,0.5,0.75", "target_slopes=-4,8,-8,8"],
+            capsys,
+        )
+        assert rc == 0
+        columns, values = [line for line in out.splitlines() if not line.startswith("#")]
+        row = dict(zip(columns.split(","), values.split(",")))
+        l, m = int(row["l"]), int(row["m"])
+        assert m == 3  # knots at 0.25, 0.5 and 0.75; the one at 0 is not interior
+        assert int(row["deep_bound"]) == 4 * l + 2 * m + 6
+        assert int(row["deep_count"]) <= int(row["deep_bound"]) < int(row["shallow_count"])
+        assert row["passed"] == "true"
+
+
 class TestGoldenOutputs:
     """Frozen CSVs for the default configs (plus two reduced variants) are
     reproduced: byte-for-byte except the last digits of float cells."""

@@ -12,6 +12,7 @@ from bayescomplex.models import (
     basis_matrix,
     build_periodic_deep_net,
     eval_linear,
+    interior_knot_count,
     linear_l2_distance_sq,
     min_norm_realization,
     shallow_to_pwl,
@@ -119,7 +120,7 @@ class TestPeriodicDeepNet:
         g0 = self._tent()
         l = 8
         net, count = build_periodic_deep_net(g0, l)
-        m = sum(1 for t, _ in g0.knots if 0.0 < t < 1.0)  # interior knots
+        m = interior_knot_count(g0)
         assert count == 36
         assert count <= 4 * l + 2 * m + 6
         # A shallow net replicating all knots of the tiling needs one node per

@@ -2,6 +2,8 @@
 and SGLD), and the PAC-Bayes bound assembly."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +315,86 @@ class TestSgld:
             SgldConfig(eta=0.1, steps=10, burn_in=1, thin=0, sigma_y_sq=1.0)
         with pytest.raises(ConfigError):
             SgldConfig(eta=0.1, steps=10, burn_in=1, thin=1, sigma_y_sq=0.0)
+
+
+def _stepped_linear_sgld(S, family, cfg, rng, inject_noise=True, init=None):
+    """Reference: the linear-family SGLD chain stepped one update at a time,
+    with the per-step arithmetic run_sgld used before it solved the
+    recursion in blocks."""
+    gen = rng.generator()
+    n = S.n
+    n_eff = max(n, 1)
+    if init is not None:
+        theta = np.asarray(init, dtype=float).copy()
+    else:
+        theta = family.sample_matrix(1, gen)[0]
+    design = family.design(S.xs) if n else None
+    noise_scale = math.sqrt(2.0 * cfg.eta / n_eff)
+    draws = []
+    for step in range(cfg.steps):
+        if n:
+            grad = design.T @ (design @ theta - S.ys) / (n * cfg.sigma_y_sq)
+        else:
+            grad = np.zeros_like(theta)
+        grad -= family.grad_log_prior(theta) / n_eff
+        theta = theta - cfg.eta * grad
+        if inject_noise:
+            theta = theta + noise_scale * gen.standard_normal(theta.size)
+        norm = float(np.linalg.norm(theta))
+        if norm > 1e6 or not np.isfinite(norm):
+            raise NumericalError(f"SGLD diverged at step {step}")
+        if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
+            draws.append(theta.copy())
+    return np.array(draws)
+
+
+class TestLinearSgldRecursion:
+    """The linear family's block-solved chain equals the stepped chain."""
+
+    # 20k steps span two full 8192-step blocks and a partial third; thin 7
+    # puts kept steps on both sides of each block boundary.
+    CFG = SgldConfig(eta=3e-4, steps=20_000, burn_in=3_000, thin=7, sigma_y_sq=0.04)
+
+    @staticmethod
+    def _problem(d, N):
+        basis, _, family = _linear_setup(d)
+        if N == 0:
+            return Dataset(xs=np.zeros(0), ys=np.zeros(0), sigma_e_sq=0.0), family
+        w = (0.8, -0.5, 0.3)[:d]
+        g = LinearFunction(LinearModelParams(w), basis)
+        return generate_dataset(g, N, 0.04, UNIFORM_SYM, SeededRng(11).stream(d)), family
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize(
+        "N, inject_noise, with_init",
+        [(20, True, False), (20, False, False), (20, True, True), (0, True, False)],
+        ids=["noise", "noise_free", "init", "no_data"],
+    )
+    def test_matches_stepped_chain(self, d, N, inject_noise, with_init):
+        S, family = self._problem(d, N)
+        init = np.linspace(-2.0, 2.0, d) if with_init else None
+        cfg = self.CFG if N else replace(self.CFG, eta=0.01)
+        got = run_sgld(S, family, cfg, SeededRng(5), inject_noise=inject_noise, init=init)
+        ref = _stepped_linear_sgld(S, family, cfg, SeededRng(5), inject_noise, init)
+        assert got.shape == ref.shape == (2_429, d)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_divergence_step_matches_stepped_chain(self):
+        # |1 - eta lambda| = 1.001: the norm grows slowly and crosses 1e6 after
+        # the first block, so the guard must report a step in a later block.
+        S, family = self._problem(1, 20)
+        design = family.design(S.xs)
+        lam = float(design[:, 0] @ design[:, 0]) / (20 * 0.04) + 1.0 / 20
+        cfg = SgldConfig(eta=2.001 / lam, steps=30_000, burn_in=100, thin=1,
+                         sigma_y_sq=0.04)
+        init = np.array([1.0])
+        with pytest.raises(NumericalError) as ref_err:
+            _stepped_linear_sgld(S, family, cfg, SeededRng(3), init=init)
+        with pytest.raises(NumericalError, match="diverged") as got_err:
+            run_sgld(S, family, cfg, SeededRng(3), init=init)
+        ref_step = int(re.search(r"at step (\d+)", str(ref_err.value)).group(1))
+        got_step = int(re.search(r"at step (\d+)", str(got_err.value)).group(1))
+        assert got_step == ref_step > 8192
 
 
 class TestLosses:
