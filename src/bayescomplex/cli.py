@@ -10,6 +10,14 @@ its full resolved configuration as sorted ``# key=value`` header lines above
 a single CSV table; floats are written with 17 significant digits so output
 is byte-identical across runs with the same (config, seed, workers).
 
+``--workers N`` splits each estimator's sample budget into N independent
+Philox streams and runs them on up to min(N, CPUs) threads; every stream
+owns its generator and partial results are reduced in stream order, so the
+bytes depend on (config, seed, workers), never on the thread count or the
+scheduling. Only ``linear_complexity``, ``nn_complexity``, ``codim`` and
+``one_change`` sample in streams; the other subcommands echo ``workers``
+and ignore it.
+
 Exit codes: 0 all checks passed, 1 a result check failed (the CSV is still
 written first), 2 configuration error, 3 numerical error.
 """
@@ -802,7 +810,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--seed", type=int, default=None, help="unsigned 64-bit seed")
-        p.add_argument("--workers", type=int, default=None, help="sampling streams")
+        p.add_argument(
+            "--workers", type=int, default=None, metavar="N",
+            help="independent sampling streams, run on up to min(N, CPUs) threads; "
+            "the report depends on N, not on the thread count",
+        )
         p.add_argument("--out", default=None, help="CSV output path (default stdout)")
         p.add_argument("pairs", nargs="*", help="key=value overrides")
     return parser

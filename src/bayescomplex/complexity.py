@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -213,28 +215,76 @@ def _naive_estimate(hits: int, n: int, eps_sq: float) -> ComplexityEstimate:
 def _streams(rng: SeededRng, n: int, workers: int) -> list[tuple[np.random.Generator, int]]:
     """(generator, count) per worker: worker w draws its share of
     partition_counts(n, workers) from rng.stream(w). A budget below one draw
-    is a configuration error, raised before any draw."""
+    or fewer than one worker is a configuration error, raised before any
+    draw; workers > n leaves the surplus streams with a count of 0."""
     if n < 1:
         raise ConfigError(f"sample budget must be >= 1, got {n}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     return [
         (rng.stream(w).generator(), count)
         for w, count in enumerate(partition_counts(n, workers))
     ]
 
 
-def _batches(rng: SeededRng, n: int, workers: int, rows: int):
-    """Yield (generator, m) batches covering n draws, each worker's share in
-    chunks of at most ``rows``."""
-    for gen, count in _streams(rng, n, workers):
-        for done in range(0, count, rows):
-            yield gen, min(rows, count - done)
+# One pool for the process, created on first use with workers > 1 (and again
+# in a forked child, which inherits no threads). A pool per call would start
+# and stop threads for every estimate.
+_POOL: tuple[int, object] | None = None
+_POOL_LOCK = threading.Lock()
 
 
-def _prior_dist_sq(family, target, n: int, rng: SeededRng, workers: int):
-    """Yield E_x[(f_theta - target)^2] for n prior draws, one array per batch."""
+def _cpu_cap() -> int:
+    """CPUs this process may run on: the pool's thread count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool():
+    """The module's ThreadPoolExecutor, capped at _cpu_cap() threads."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(max_workers=_cpu_cap(), thread_name_prefix="bayescomplex")
+            _POOL = (os.getpid(), pool)
+        return _POOL[1]
+
+
+def _run_streams(rng: SeededRng, n: int, workers: int, fn) -> list:
+    """fn(generator, count) once per stream of _streams(rng, n, workers),
+    results in stream order. One stream runs inline; several run on the
+    module's pool, so N streams use up to min(N, CPUs) threads. Each stream
+    owns its generator, so the results depend on (rng, n, workers) only,
+    never on the thread count or the scheduling."""
+    streams = _streams(rng, n, workers)
+    if len(streams) == 1:
+        return [fn(*streams[0])]
+    return list(_pool().map(lambda stream: fn(*stream), streams))
+
+
+def _map_batches(rng: SeededRng, n: int, workers: int, rows: int, fn) -> list:
+    """fn(generator, m) for every batch of at most ``rows`` draws of every
+    stream. A stream's batches run in order on one thread, and the results
+    come back flat in (stream, batch) order, so float reductions over them
+    are the same for any thread count."""
+
+    def stream(gen, count):
+        return [fn(gen, min(rows, count - done)) for done in range(0, count, rows)]
+
+    return [result for part in _run_streams(rng, n, workers, stream) for result in part]
+
+
+def _prior_dist_sq(family, target, n: int, rng: SeededRng, workers: int, fn) -> list:
+    """fn(d2) for each batch of n prior draws, with d2 = E_x[(f_theta -
+    target)^2] per draw, in (stream, batch) order."""
     prepared = _prepare(family, target)
-    for gen, m in _batches(rng, n, workers, _batch_rows(family)):
-        yield family.dist_sq(prepared, family.sample_matrix(m, gen))
+    return _map_batches(
+        rng, n, workers, _batch_rows(family),
+        lambda gen, m: fn(family.dist_sq(prepared, family.sample_matrix(m, gen))),
+    )
 
 
 def sharp_complexity_mc(
@@ -249,8 +299,9 @@ def sharp_complexity_mc(
     if eps_sq <= 0:
         raise ConfigError(f"eps_sq must be > 0, got {eps_sq}")
     hits = sum(
-        int(np.count_nonzero(d2 <= eps_sq))
-        for d2 in _prior_dist_sq(family, target, n, rng, workers)
+        _prior_dist_sq(
+            family, target, n, rng, workers, lambda d2: int(np.count_nonzero(d2 <= eps_sq))
+        )
     )
     return _naive_estimate(hits, n, eps_sq)
 
@@ -278,26 +329,40 @@ def sharp_complexity_is(
     scale = cloud_width * math.sqrt(eps_sq)
     prepared = _prepare(family, target)
     log_half = math.log(0.5)
+    tile = family.tile_rows
+
+    def hit_weights(thetas):
+        # prior/mixture density ratio where the draw hits, else 0; row-wise,
+        # so tiling leaves every value unchanged.
+        out = np.empty(thetas.shape[0])
+        for lo in range(0, thetas.shape[0], tile):
+            part = thetas[lo : lo + tile]
+            logp = family.log_prior_density(part)
+            logc = family.cloud_log_density(part, center, scale)
+            weight = np.exp(logp - (np.logaddexp(logp, logc) + log_half))
+            hit = family.dist_sq(prepared, part) <= eps_sq
+            out[lo : lo + tile] = np.where(hit, weight, 0.0)
+        return out
+
+    def batch(gen, m):
+        # Each block is weighed (and freed) before the next is drawn; only
+        # the 1-D weights are scattered back into draw order.
+        from_prior = gen.random(m) < 0.5
+        n_p = int(np.count_nonzero(from_prior))
+        x = np.empty(m)
+        if n_p:
+            x[from_prior] = hit_weights(family.sample_matrix(n_p, gen))
+        if m - n_p:
+            x[~from_prior] = hit_weights(family.cloud_sample(m - n_p, center, scale, gen))
+        return float(x.sum()), float((x * x).sum()), int(np.count_nonzero(x > 0.0))
+
     s1 = 0.0
     s2 = 0.0
     hits = 0
-    for gen, m in _batches(rng, n, workers, _batch_rows(family)):
-        from_prior = gen.random(m) < 0.5
-        n_p = int(np.count_nonzero(from_prior))
-        thetas = np.empty((m, family.dim))
-        if n_p:
-            thetas[from_prior] = family.sample_matrix(n_p, gen)
-        if m - n_p:
-            thetas[~from_prior] = family.cloud_sample(m - n_p, center, scale, gen)
-        logp = family.log_prior_density(thetas)
-        logc = family.cloud_log_density(thetas, center, scale)
-        logmix = np.logaddexp(logp, logc) + log_half
-        weight = np.exp(logp - logmix)
-        hit = family.dist_sq(prepared, thetas) <= eps_sq
-        x = np.where(hit, weight, 0.0)
-        s1 += float(x.sum())
-        s2 += float((x * x).sum())
-        hits += int(np.count_nonzero(x > 0.0))
+    for b1, b2, b_hits in _map_batches(rng, n, workers, _batch_rows(family), batch):
+        s1 += b1
+        s2 += b2
+        hits += b_hits
     if hits == 0 or s1 <= 0.0:
         return _rule_of_three(n, eps_sq, "ImportanceSampling")
     p = s1 / n
@@ -454,7 +519,7 @@ def exponential_complexity_mc(
     """
     if sigma_y_sq <= 0:
         raise ConfigError(f"sigma_y_sq must be > 0, got {sigma_y_sq}")
-    d2 = np.concatenate(list(_prior_dist_sq(family, target, n, rng, workers)))
+    d2 = np.concatenate(_prior_dist_sq(family, target, n, rng, workers, lambda d2: d2))
     return _logmean_estimate(-(d2 + sigma_e_sq) / (2.0 * sigma_y_sq))
 
 
@@ -484,11 +549,12 @@ def empirical_complexity_mc(
     ys = (g(xs) if callable(g) else np.asarray(g, dtype=float)) + noise
     denom = 2.0 * sigma_y_sq_over_N * big_n
     rows = max(256, min(_batch_rows(family), int(4_000_000 / big_n)))
-    a = []
-    for gen, m in _batches(rng, n, workers, rows):
+
+    def batch(gen, m):
         resid = family.predict_batch(family.sample_matrix(m, gen), xs) - ys[None, :]
-        a.append(-np.einsum("ij,ij->i", resid, resid) / denom)
-    return _logmean_estimate(np.concatenate(a))
+        return -np.einsum("ij,ij->i", resid, resid) / denom
+
+    return _logmean_estimate(np.concatenate(_map_batches(rng, n, workers, rows, batch)))
 
 
 def sharp_with_noise(
@@ -759,8 +825,9 @@ def codim_estimate(
     b_hi = min(prior.M, radius)
     dim = family.dim
     rows = 65536
-    hits = np.zeros(len(grid), dtype=np.int64)
-    for gen, count in _streams(rng, n, workers):
+
+    def stream_hits(gen, count):
+        hits = np.zeros(len(grid), dtype=np.int64)
         accepted = 0
         while accepted < count:
             m = rows
@@ -778,6 +845,9 @@ def codim_estimate(
             for j, eps in enumerate(grid):
                 hits[j] += int(np.count_nonzero(dist <= eps))
             accepted += take.shape[0]
+        return hits
+
+    hits = sum(_run_streams(rng, n, workers, stream_hits))
     per_eps = [_naive_estimate(int(h), n, eps * eps) for h, eps in zip(hits, grid)]
     return fit_limiting_slope(per_eps, grid, note=note)
 

@@ -57,6 +57,8 @@ class LinearFamily:
         self.basis = basis
         self.prior = prior
         self.dim = basis.d
+        # Rows per tile of the IS weight pass: about 2**15 elements.
+        self.tile_rows = max(256, 32768 // self.dim)
 
     def sample_matrix(self, n: int, gen: np.random.Generator) -> np.ndarray:
         return gen.normal(0.0, math.sqrt(self.prior.sigma_w_sq), size=(n, self.dim))
@@ -176,9 +178,9 @@ class ShallowNetFamily:
         self.k = k
         self.prior = prior
         self.dim = 3 * k + 1
-        # Rows per dist_sq chunk: the kernel's scratch is a few (rows, k)
-        # arrays, so keep rows * k near 2**15 elements.
-        self._chunk = max(256, 32768 // k)
+        # Rows per kernel tile (dist_sq, and the IS weight pass): the
+        # scratch is a few (rows, k) arrays, so keep rows * k near 2**15.
+        self.tile_rows = max(256, 32768 // k)
 
     # -- layout helpers ------------------------------------------------------
 
@@ -222,8 +224,8 @@ class ShallowNetFamily:
         moments = target if isinstance(target, PwlMoments) else PwlMoments(target)
         n = thetas.shape[0]
         out = np.empty(n)
-        for lo in range(0, n, self._chunk):
-            hi = min(n, lo + self._chunk)
+        for lo in range(0, n, self.tile_rows):
+            hi = min(n, lo + self.tile_rows)
             out[lo:hi] = self._dist_sq_chunk(moments, thetas[lo:hi])
         return out
 

@@ -269,6 +269,12 @@ GOLDEN_RUNS = [
     ("nn_complexity_small",
      ["nn_complexity", "eps_grid=0.2,0.14,0.1", "n_per_eps=20000"]),
     ("pacbayes_small", ["pacbayes", "n_trials=4", "n_replicas=4"]),
+    # Two streams on the thread pool; generated by the sequential engine, so
+    # they pin the threaded path to its bytes. one_change's 75,000 draws per
+    # stream come in two IS batches (62,500 rows at k = 8).
+    ("nn_complexity_workers2",
+     ["nn_complexity", "eps_grid=0.2,0.14,0.1", "n_per_eps=20000", "--workers", "2"]),
+    ("one_change_workers2", ["one_change", "n_samples=150000", "--workers", "2"]),
 ]
 
 

@@ -2,13 +2,17 @@
 the exponential/empirical complexity chain, and codimension regression."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from bayescomplex import complexity
 from bayescomplex.complexity import (
     CodimQuery,
-    _batches,
+    _map_batches,
+    _run_streams,
     chi_from_q,
     codim_estimate,
     empirical_complexity_mc,
@@ -25,7 +29,7 @@ from bayescomplex.families import LinearFamily, LinearTarget, ShallowNetFamily
 from bayescomplex.models import BasisSpec, LinearFunction, LinearModelParams
 from bayescomplex.priors import LinearPriorSpec, NnPriorSpec
 from bayescomplex.pwl import PwlFunction
-from bayescomplex.rng import SeededRng
+from bayescomplex.rng import SeededRng, partition_counts
 
 
 def _linear(d, sigma_w_sq=1.0):
@@ -68,11 +72,49 @@ class TestSharpAgainstClosedForm:
             sharp_complexity_is(family, LinearTarget((1.0, 0.0)), -0.1, 10, SeededRng(1))
 
 
+# The five estimators that draw in sampling streams, as fn(n, rng, workers).
+# k = 32 batches at 4096 rows, so budgets of a few 10^4 give every stream
+# several batches; the codim grid is coarse enough to hit at n = 40.
+_K32 = ShallowNetFamily(32, NnPriorSpec.default_for(32))
+_ONE_KNOT = PwlFunction(bias=0.0, knots=((0.35, 1.0),))
+_XS = np.linspace(0.05, 0.95, 7)
+STREAM_ESTIMATORS = {
+    "sharp_complexity_is": lambda n, rng, workers: sharp_complexity_is(
+        _K32, _ONE_KNOT, 0.04, n, rng, workers=workers
+    ),
+    "sharp_complexity_mc": lambda n, rng, workers: sharp_complexity_mc(
+        _K32, _ONE_KNOT, 0.09, n, rng, workers=workers
+    ),
+    "exponential_complexity_mc": lambda n, rng, workers: exponential_complexity_mc(
+        _K32, _ONE_KNOT, 0.05, n, rng, sigma_e_sq=0.01, workers=workers
+    ),
+    "empirical_complexity_mc": lambda n, rng, workers: empirical_complexity_mc(
+        _K32, _ONE_KNOT, _XS, np.full(_XS.size, 0.01), 0.02, n, rng, workers=workers
+    ),
+    "codim_estimate": lambda n, rng, workers: codim_estimate(
+        CodimQuery(_ONE_KNOT, k=1, eps_grid=(3.0, 2.0, 1.4)),
+        NnPriorSpec.default_for(1),
+        n,
+        rng,
+        workers=workers,
+    ),
+}
+
+
+def _sequential(monkeypatch, run, *args):
+    """run(*args) with every stream in the calling thread, in stream order:
+    the pool's map becomes the builtin map."""
+    with monkeypatch.context() as m:
+        m.setattr(complexity._pool(), "map", map)
+        return run(*args)
+
+
 class TestBatches:
     def test_each_worker_stream_is_split_into_chunks(self):
         """Worker w's share of partition_counts comes from rng.stream(w), in
-        chunks of at most ``rows`` drawn from one generator."""
-        batches = list(_batches(SeededRng(3), 10, 3, 2))
+        chunks of at most ``rows`` drawn from one generator, returned in
+        (stream, batch) order."""
+        batches = _map_batches(SeededRng(3), 10, 3, 2, lambda gen, m: (gen, m))
         assert [m for _, m in batches] == [2, 2, 2, 1, 2, 1]
         gens = [gen for gen, _ in batches]
         assert gens[0] is gens[1] and gens[2] is gens[3] and gens[4] is gens[5]
@@ -82,31 +124,91 @@ class TestBatches:
             np.testing.assert_array_equal(gen.normal(size=3), expected)
 
 
+class TestStreamEngine:
+    """Streams on the thread pool give exactly the sequential results."""
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    @pytest.mark.parametrize("name", list(STREAM_ESTIMATORS))
+    def test_threaded_equals_sequential_reference(self, name, workers, monkeypatch):
+        run = STREAM_ESTIMATORS[name]
+        reference = _sequential(monkeypatch, run, 20_000, SeededRng(11), workers)
+        assert run(20_000, SeededRng(11), workers) == reference
+
+    def test_one_worker_runs_inline(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("workers=1 must not touch the pool")
+
+        def record(gen, count):
+            seen.add(threading.get_ident())
+            return count
+
+        monkeypatch.setattr(complexity, "_pool", no_pool)
+        seen = set()
+        assert _run_streams(SeededRng(1), 7, 1, record) == [7]
+        assert seen == {threading.get_ident()}
+
+    def test_many_streams_stay_on_the_cpu_cap(self):
+        """64 streams run on at most one thread per usable CPU, never on the
+        caller's thread, and return in stream order; a short switch interval
+        shakes the interleaving."""
+        seen = set()
+
+        def record(gen, count):
+            seen.add(threading.get_ident())
+            return count, float(gen.random())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _run_streams(SeededRng(4), 100, 64, record)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [count for count, _ in results] == partition_counts(100, 64)
+        assert [u for _, u in results] == [
+            SeededRng(4).stream(w).generator().random() for w in range(64)
+        ]
+        assert 1 <= len(seen) <= complexity._cpu_cap()
+        assert threading.get_ident() not in seen
+
+    @pytest.mark.parametrize("name", list(STREAM_ESTIMATORS))
+    def test_more_workers_than_draws(self, name, monkeypatch):
+        """workers > n leaves surplus streams empty: the estimate covers
+        exactly n draws, threaded or not."""
+        run = STREAM_ESTIMATORS[name]
+        est = run(40, SeededRng(5), 64)
+        assert est == _sequential(monkeypatch, run, 40, SeededRng(5), 64)
+        first = est.per_eps[0] if name == "codim_estimate" else est
+        assert first.n_samples == 40
+
+
+class TestImportanceWeightTiles:
+    """The IS weight pass is row-wise: any tile size gives the same bytes."""
+
+    @pytest.mark.parametrize("family,target", [
+        (ShallowNetFamily(4, NnPriorSpec.default_for(4)), _ONE_KNOT),
+        (_linear(3), LinearTarget((1.0, 0.0, 0.0))),
+    ])
+    def test_tile_size_does_not_change_the_estimate(self, family, target):
+        default = sharp_complexity_is(family, target, 0.09, 5_000, SeededRng(8), workers=2)
+        family.tile_rows = 7
+        assert sharp_complexity_is(family, target, 0.09, 5_000, SeededRng(8), workers=2) == default
+
+
 class TestSampleBudget:
-    """A budget below one draw is a ConfigError, raised before any draw."""
+    """A budget below one draw, or fewer than one worker, is a ConfigError,
+    raised before any draw."""
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_every_estimator_rejects_an_empty_budget(self, n):
-        family = _linear(2)
-        target = LinearTarget((1.0, 0.0))
-        xs = np.array([0.1, 0.2])
-        calls = [
-            lambda: sharp_complexity_mc(family, target, 0.1, n, SeededRng(1)),
-            lambda: sharp_complexity_is(family, target, 0.1, n, SeededRng(1)),
-            lambda: exponential_complexity_mc(family, target, 0.1, n, SeededRng(1)),
-            lambda: empirical_complexity_mc(
-                family, lambda x: x, xs, np.zeros(2), 0.1, n, SeededRng(1)
-            ),
-            lambda: codim_estimate(
-                CodimQuery(PwlFunction(bias=0.1), k=1),
-                NnPriorSpec(sigma_w_sq=1.0, M=2.0, sigma_b_sq=1.0),
-                n,
-                SeededRng(1),
-            ),
-        ]
-        for call in calls:
+        for run in STREAM_ESTIMATORS.values():
             with pytest.raises(ConfigError, match="sample budget"):
-                call()
+                run(n, SeededRng(1), 1)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_every_estimator_rejects_fewer_than_one_worker(self, workers):
+        for run in STREAM_ESTIMATORS.values():
+            with pytest.raises(ConfigError, match="workers must be >= 1"):
+                run(100, SeededRng(1), workers)
 
 
 class TestEstimatorConsistencyBattery:

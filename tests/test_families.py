@@ -63,7 +63,7 @@ def test_dist_sq_matches_pwl_reference(k, name):
 @pytest.mark.parametrize("k", [8, 64])
 def test_dist_sq_independent_of_chunking(k):
     fam = _family(k)
-    n = 2 * fam._chunk + 1
+    n = 2 * fam.tile_rows + 1
     thetas = _rows(k, np.random.default_rng(k))
     thetas = np.resize(thetas, (n, thetas.shape[1]))
     g = PwlMoments(TARGETS["2knots"])
