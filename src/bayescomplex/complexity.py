@@ -277,16 +277,6 @@ def _map_batches(rng: SeededRng, n: int, workers: int, rows: int, fn) -> list:
     return [result for part in _run_streams(rng, n, workers, stream) for result in part]
 
 
-def _prior_dist_sq(family, target, n: int, rng: SeededRng, workers: int, fn) -> list:
-    """fn(d2) for each batch of n prior draws, with d2 = E_x[(f_theta -
-    target)^2] per draw, in (stream, batch) order."""
-    prepared = _prepare(family, target)
-    return _map_batches(
-        rng, n, workers, _batch_rows(family),
-        lambda gen, m: fn(family.dist_sq(prepared, family.sample_matrix(m, gen))),
-    )
-
-
 def sharp_complexity_mc(
     family,
     target,
@@ -298,11 +288,13 @@ def sharp_complexity_mc(
     """Naive Monte Carlo estimate of chi#."""
     if eps_sq <= 0:
         raise ConfigError(f"eps_sq must be > 0, got {eps_sq}")
-    hits = sum(
-        _prior_dist_sq(
-            family, target, n, rng, workers, lambda d2: int(np.count_nonzero(d2 <= eps_sq))
-        )
-    )
+    prepared = _prepare(family, target)
+
+    def batch(gen, m):
+        hit = family.within(prepared, family.sample_matrix(m, gen), eps_sq)
+        return int(np.count_nonzero(hit))
+
+    hits = sum(_map_batches(rng, n, workers, _batch_rows(family), batch))
     return _naive_estimate(hits, n, eps_sq)
 
 
@@ -321,7 +313,8 @@ def sharp_complexity_is(
     the cloud is centered at a minimum-norm realization of the target with
     per-coordinate scale cloud_width * sqrt(eps_sq). Weights are bounded by
     2 on the prior's support, and samples outside the support get weight 0,
-    so the estimate stays unbiased.
+    so the estimate stays unbiased. Only hits carry a weight: the hit test
+    is family.within, and the two densities are evaluated on hits alone.
     """
     if eps_sq <= 0:
         raise ConfigError(f"eps_sq must be > 0, got {eps_sq}")
@@ -332,16 +325,17 @@ def sharp_complexity_is(
     tile = family.tile_rows
 
     def hit_weights(thetas):
-        # prior/mixture density ratio where the draw hits, else 0; row-wise,
-        # so tiling leaves every value unchanged.
-        out = np.empty(thetas.shape[0])
+        # prior/mixture density ratio where the draw hits, else 0. The
+        # densities run on hits only; every step is row-wise, so neither the
+        # tiling nor the compaction changes a value.
+        out = np.zeros(thetas.shape[0])
         for lo in range(0, thetas.shape[0], tile):
             part = thetas[lo : lo + tile]
-            logp = family.log_prior_density(part)
-            logc = family.cloud_log_density(part, center, scale)
-            weight = np.exp(logp - (np.logaddexp(logp, logc) + log_half))
-            hit = family.dist_sq(prepared, part) <= eps_sq
-            out[lo : lo + tile] = np.where(hit, weight, 0.0)
+            hit = family.within(prepared, part, eps_sq)
+            hits = part[hit]
+            logp = family.log_prior_density(hits)
+            logc = family.cloud_log_density(hits, center, scale)
+            out[lo : lo + tile][hit] = np.exp(logp - (np.logaddexp(logp, logc) + log_half))
         return out
 
     def batch(gen, m):
@@ -519,7 +513,11 @@ def exponential_complexity_mc(
     """
     if sigma_y_sq <= 0:
         raise ConfigError(f"sigma_y_sq must be > 0, got {sigma_y_sq}")
-    d2 = np.concatenate(_prior_dist_sq(family, target, n, rng, workers, lambda d2: d2))
+    prepared = _prepare(family, target)
+    d2 = np.concatenate(_map_batches(
+        rng, n, workers, _batch_rows(family),
+        lambda gen, m: family.dist_sq(prepared, family.sample_matrix(m, gen)),
+    ))
     return _logmean_estimate(-(d2 + sigma_e_sq) / (2.0 * sigma_y_sq))
 
 

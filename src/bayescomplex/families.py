@@ -33,6 +33,13 @@ from .pwl import PwlFunction
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _scale_shift(z: np.ndarray, scale, shift) -> np.ndarray:
+    """z * scale + shift, in place."""
+    z *= scale
+    z += shift
+    return z
+
+
 # --------------------------------------------------------------------------
 # Linear family
 # --------------------------------------------------------------------------
@@ -66,6 +73,11 @@ class LinearFamily:
     def dist_sq(self, target: LinearTarget, thetas: np.ndarray) -> np.ndarray:
         diff = thetas - np.asarray(target.w)
         return 0.5 * np.einsum("ij,ij->i", diff, diff) + target.perp_sq
+
+    def within(self, target: LinearTarget, thetas: np.ndarray, eps_sq: float) -> np.ndarray:
+        """Hit mask dist_sq(target, thetas) <= eps_sq; the distance is O(d)
+        already, so there is nothing to screen."""
+        return self.dist_sq(target, thetas) <= eps_sq
 
     def log_prior_density(self, thetas: np.ndarray) -> np.ndarray:
         s2 = self.prior.sigma_w_sq
@@ -133,6 +145,9 @@ class PwlMoments:
         self._pts = pts
         self._g_at = vals
         self._slope = (b - a) / seg
+        # max|g| + max|g'|: bounds sup|g| and the size of every term the
+        # kernels form from g (ramp_inner works with g's segment slopes).
+        self.scale = float(np.max(np.abs(vals)) + np.max(np.abs(self._slope)))
         # Suffix moments S0(j) = int_{s_j}^1 g dx and S1(j) = int_{s_j}^1 x g dx.
         s0_seg = seg * (a + b) / 2.0
         x0, x1 = pts[:-1], pts[1:]
@@ -140,6 +155,8 @@ class PwlMoments:
         s1_seg = alpha * (x1**2 - x0**2) / 2.0 + self._slope * (x1**3 - x0**3) / 3.0
         self._S0 = np.concatenate([np.cumsum(s0_seg[::-1])[::-1], [0.0]])
         self._S1 = np.concatenate([np.cumsum(s1_seg[::-1])[::-1], [0.0]])
+        # E[x g] over U([0,1]).
+        self.mean_x = float(self._S1[0])
 
     def ramp_inner(self, b: np.ndarray) -> np.ndarray:
         """I(b) = int_0^1 max(0, x - b) g(x) dx for an array of thresholds."""
@@ -229,6 +246,55 @@ class ShallowNetFamily:
             out[lo:hi] = self._dist_sq_chunk(moments, thetas[lo:hi])
         return out
 
+    def within(self, target, thetas: np.ndarray, eps_sq: float) -> np.ndarray:
+        """Hit mask, exactly ``self.dist_sq(target, thetas) <= eps_sq``.
+
+        A row runs the O(k log k) kernel only if an O(k) lower bound on its
+        distance leaves it a chance (_lower_bound): a row is dropped when
+        lb > eps_sq + margin, and the margin exceeds the rounding of both
+        kernels, so a dropped row has a computed dist_sq above eps_sq too.
+        Rows where the bound is nan, or its margin overflows, are kept.
+        """
+        mo = target if isinstance(target, PwlMoments) else PwlMoments(target)
+        n = thetas.shape[0]
+        keep = np.empty(n, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n, self.tile_rows):
+                lb, margin = self._lower_bound(mo, thetas[lo : lo + self.tile_rows])
+                keep[lo : lo + self.tile_rows] = ~(lb > eps_sq + margin)
+        hit = np.zeros(n, dtype=bool)
+        hit[keep] = self.dist_sq(mo, thetas[keep]) <= eps_sq
+        return hit
+
+    def _lower_bound(self, mo: PwlMoments, thetas: np.ndarray):
+        """(lb, margin) per row with lb <= E_x[(f - g)^2] in exact arithmetic.
+
+        Bessel's inequality for h = f - g against the orthonormal pair 1,
+        sqrt(3)(2x - 1) of U([0, 1]): E[h^2] >= h0^2 + 3 (2 hx - h0)^2 with
+        h0 = E[h] = b2 - E[g] + sum_i u_i (T2_i - b_i T1_i) and
+        hx = E[x h] = b2/2 - E[x g] + sum_i u_i (T3_i - b_i T2_i), the T's
+        as in _dist_sq_chunk. It is tight when h is affine on [0, 1].
+
+        Rounding: S = |b2| + sum_i |u_i| (1 + |b_i|) + max|g| + max|g'|
+        bounds sup|f| + sup|g| and the size of every term either kernel
+        sums (each at most a few S^2, at most 3k + 4 of them, summed by
+        sequential sums and cumsums of length <= k). Each product carries a
+        few roundings, so each kernel's error is below about
+        70 (k + 10) 2^-53 S^2 (measured against exact rational arithmetic:
+        under 3 * 2^-53 S^2 at k <= 64, rows with cancelling 1e6 weights
+        included). The margin 2^-46 (k + 64) S^2 = 128 (k + 64) 2^-53 S^2
+        covers both at every k.
+        """
+        w1, w2, b1, b2 = self.split(thetas)
+        u = w1 * w2
+        m = np.clip(b1, 0.0, 1.0)
+        t1, t2, t3 = 1.0 - m, (1.0 - m * m) / 2.0, (1.0 - m * m * m) / 3.0
+        h0 = b2 - mo.mean + np.einsum("ij,ij->i", u, t2 - b1 * t1)
+        hx = b2 / 2.0 - mo.mean_x + np.einsum("ij,ij->i", u, t3 - b1 * t2)
+        lb = h0 * h0 + 3.0 * (2.0 * hx - h0) ** 2
+        s = np.abs(b2) + np.einsum("ij,ij->i", np.abs(u), 1.0 + np.abs(b1)) + mo.scale
+        return lb, 2.0**-46 * (self.k + 64) * (s * s)
+
     def _dist_sq_chunk(self, mo: PwlMoments, thetas: np.ndarray) -> np.ndarray:
         """E_x[(f - g)^2] per row in O(k log k), f(x) = sum_i u_i (x - b_i)_+ + b2.
 
@@ -272,12 +338,14 @@ class ShallowNetFamily:
         return flat
 
     def cloud_sample(self, n, center, scale, gen) -> np.ndarray:
+        # numpy draws normal(loc, scale) as loc + scale * z and uniform(lo,
+        # hi) as lo + (hi - lo) * U: standard draws scaled in place give the
+        # same bytes without the per-element broadcast path.
         k = self.k
         out = np.empty((n, self.dim))
-        out[:, : 2 * k] = gen.normal(center[: 2 * k], scale, size=(n, 2 * k))
-        out[:, 2 * k : 3 * k] = gen.uniform(
-            center[2 * k : 3 * k] - scale, center[2 * k : 3 * k] + scale, size=(n, k)
-        )
+        out[:, : 2 * k] = _scale_shift(gen.standard_normal((n, 2 * k)), scale, center[: 2 * k])
+        lo, hi = center[2 * k : 3 * k] - scale, center[2 * k : 3 * k] + scale
+        out[:, 2 * k : 3 * k] = _scale_shift(gen.random((n, k)), hi - lo, lo)
         out[:, 3 * k] = gen.normal(center[3 * k], scale, size=n)
         return out
 

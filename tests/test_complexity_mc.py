@@ -194,6 +194,105 @@ class TestImportanceWeightTiles:
         assert sharp_complexity_is(family, target, 0.09, 5_000, SeededRng(8), workers=2) == default
 
 
+def _weigh_every_row(family, target, eps_sq, n, rng, workers, cloud_width=3.0):
+    """sharp_complexity_is as it was before the hit screen: both densities
+    and dist_sq on every row, the weight masked by the hit afterwards."""
+    center = family.is_center(target)
+    scale = cloud_width * math.sqrt(eps_sq)
+    prepared = complexity._prepare(family, target)
+    tile = family.tile_rows
+
+    def hit_weights(thetas):
+        out = np.empty(thetas.shape[0])
+        for lo in range(0, thetas.shape[0], tile):
+            part = thetas[lo : lo + tile]
+            logp = family.log_prior_density(part)
+            logc = family.cloud_log_density(part, center, scale)
+            weight = np.exp(logp - (np.logaddexp(logp, logc) + math.log(0.5)))
+            hit = family.dist_sq(prepared, part) <= eps_sq
+            out[lo : lo + tile] = np.where(hit, weight, 0.0)
+        return out
+
+    def batch(gen, m):
+        from_prior = gen.random(m) < 0.5
+        n_p = int(np.count_nonzero(from_prior))
+        x = np.empty(m)
+        if n_p:
+            x[from_prior] = hit_weights(family.sample_matrix(n_p, gen))
+        if m - n_p:
+            x[~from_prior] = hit_weights(family.cloud_sample(m - n_p, center, scale, gen))
+        return float(x.sum()), float((x * x).sum()), int(np.count_nonzero(x > 0.0))
+
+    s1 = s2 = 0.0
+    hits = 0
+    for b1, b2, b_hits in _map_batches(rng, n, workers, complexity._batch_rows(family), batch):
+        s1 += b1
+        s2 += b2
+        hits += b_hits
+    p = s1 / n
+    return complexity.ComplexityEstimate(
+        chi=-math.log(p),
+        log_prob=math.log(p),
+        std_err=math.sqrt(max(s2 / n - p * p, 0.0) / n) / p,
+        n_samples=n,
+        n_hits=hits,
+        epsilon_sq=eps_sq,
+        method="ImportanceSampling",
+    )
+
+
+class TestImportanceHitScreen:
+    """The weight pass screens rows with family.within and weighs hits only;
+    the estimate keeps every bit of the weigh-every-row arithmetic."""
+
+    CASES = {
+        "shallow_k4": (ShallowNetFamily(4, NnPriorSpec.default_for(4)), _ONE_KNOT, 0.0025),
+        "shallow_k32": (_K32, _ONE_KNOT, 0.04),
+        "linear_d3": (_linear(3), LinearTarget((1.0, 0.0, 0.0)), 0.09),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_weighing_every_row(self, case, workers):
+        family, target, eps_sq = self.CASES[case]
+        est = sharp_complexity_is(family, target, eps_sq, 20_000, SeededRng(21), workers=workers)
+        assert est.n_hits > 0
+        assert est == _weigh_every_row(family, target, eps_sq, 20_000, SeededRng(21), workers)
+
+    def test_distances_and_densities_run_on_few_rows(self, monkeypatch):
+        """k = 4, eps = 0.05: dist_sq sees under a quarter of the draws, and
+        the densities see exactly the hits, the zero-weight ones (cloud
+        draws outside the prior's support) included."""
+        family = ShallowNetFamily(4, NnPriorSpec.default_for(4))
+        rows = {}
+        log_priors = []
+
+        def count(name, arg):
+            method = getattr(family, name)
+
+            def counted(*args):
+                rows[name] = rows.get(name, 0) + args[arg].shape[0]
+                return method(*args)
+
+            monkeypatch.setattr(family, name, counted)
+
+        def log_prior_density(thetas, method=family.log_prior_density):
+            log_priors.append(method(thetas))
+            return log_priors[-1]
+
+        count("dist_sq", 1)
+        count("cloud_log_density", 0)
+        monkeypatch.setattr(family, "log_prior_density", log_prior_density)
+        n = 20_000
+        est = sharp_complexity_is(family, _ONE_KNOT, 0.05**2, n, SeededRng(13))
+        log_prior = np.concatenate(log_priors)
+        zero_weight_hits = int(np.count_nonzero(log_prior == -np.inf))
+        assert est.n_hits > 0
+        assert rows["dist_sq"] < 0.25 * n
+        assert log_prior.size == est.n_hits + zero_weight_hits
+        assert rows["cloud_log_density"] == log_prior.size
+
+
 class TestSampleBudget:
     """A budget below one draw, or fewer than one worker, is a ConfigError,
     raised before any draw."""

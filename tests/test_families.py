@@ -70,3 +70,86 @@ def test_dist_sq_independent_of_chunking(k):
     together = fam.dist_sq(g, thetas)
     one_by_one = np.array([fam.dist_sq(g, row[None, :])[0] for row in thetas])
     np.testing.assert_array_equal(together, one_by_one)
+
+
+# -- the exact hit test ----------------------------------------------------
+
+
+def _affine_rows(k, g, rng, n=40):
+    """Rows whose f - g is affine on [0, 1], where the screen's lower bound
+    is tight: one node per target knot with u = v exactly, every other node
+    outside (0, 1). Needs k >= the target's knot count."""
+    fam = _family(k)
+    rows = fam.sample_matrix(n, rng)
+    b = rows[:, 2 * k : 3 * k]
+    b[:] = np.where(rng.random(b.shape) < 0.5, rng.uniform(-0.7, 0.0, b.shape),
+                    rng.uniform(1.0, 1.6, b.shape))
+    for i, (t, v) in enumerate(g.knots):
+        rows[:, i], rows[:, k + i], b[:, i] = 1.0, v, t
+    return rows
+
+
+def _row_sets(k, g, rng):
+    fam = _family(k)
+    # Too few nodes to realize g: the cloud sits around a prior draw instead.
+    center = (fam.is_center(g) if len(g.knots) <= k
+              else fam.sample_matrix(1, rng)[0])
+    cloud = np.concatenate([fam.cloud_sample(40, center, s, rng) for s in (0.3, 0.03)])
+    cancel = fam.sample_matrix(40, rng)
+    cancel[:, :k] = 1e3
+    cancel[:, k : 2 * k] = np.where(np.arange(k) % 2, -1e3, 1e3)
+    if k > 1:
+        cancel[:, 2 * k + 1] = cancel[:, 2 * k]  # nodes 0 and 1 cancel exactly
+    sets = {
+        "prior": fam.sample_matrix(80, rng),
+        "cloud": cloud,
+        "special_biases": _rows(k, rng),
+        "cancelling_1e6": cancel,
+    }
+    if len(g.knots) <= k:
+        sets["affine"] = _affine_rows(k, g, rng)
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 64])
+def test_within_is_exactly_the_thresholded_distance(k, name):
+    """within(g, rows, e) == (dist_sq(g, rows) <= e) bit for bit, with e at
+    a row's computed distance and one ulp below it."""
+    fam, g = _family(k), TARGETS[name]
+    rng = np.random.default_rng(2000 + k)
+    for set_name, rows in _row_sets(k, g, rng).items():
+        d = fam.dist_sq(g, rows)
+        for i in rng.choice(rows.shape[0], size=12, replace=False):
+            for e in (d[i], np.nextafter(d[i], -np.inf)):
+                np.testing.assert_array_equal(
+                    fam.within(g, rows, e), d <= e, err_msg=f"{set_name} row {i} e={e!r}"
+                )
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 64])
+def test_lower_bound_is_valid_and_tight_when_the_difference_is_affine(k, name):
+    fam, g = _family(k), PwlMoments(TARGETS[name])
+    for set_name, rows in _row_sets(k, TARGETS[name], np.random.default_rng(k)).items():
+        d = fam.dist_sq(g, rows)
+        lb, margin = fam._lower_bound(g, rows)
+        assert np.all(lb <= d + margin), set_name
+        if set_name == "affine":
+            np.testing.assert_allclose(lb, d, rtol=1e-9, atol=1e-12)
+
+
+def test_within_keeps_a_row_whose_margin_overflows():
+    """|u| = 1e160 on an inactive node: the margin's S^2 overflows, the
+    row is kept (no warning) and its distance is exact."""
+    fam = _family(2)
+    g = TARGETS["1knot"]
+    row = fam.sample_matrix(1, np.random.default_rng(0))
+    row[0, [0, 2, 4]] = 1e160, 1.0, 5.0
+    with np.errstate(over="ignore"):
+        _, margin = fam._lower_bound(PwlMoments(g), row)
+    assert margin[0] == np.inf
+    d = fam.dist_sq(g, row)
+    assert np.isfinite(d[0])
+    assert fam.within(g, row, d[0])[0]
+    assert not fam.within(g, row, np.nextafter(d[0], -np.inf))[0]
