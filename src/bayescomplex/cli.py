@@ -451,7 +451,7 @@ def cmd_codim(cfg: dict) -> CsvReport:
         g=g,
         k=k,
         eps_grid=cfg["eps_grid"] if cfg["eps_grid"] else None,
-        radius=cfg["radius"] if cfg["radius"] > 0 else None,
+        radius=None if cfg["radius"] == 0 else cfg["radius"],
     )
     fit = codim_estimate(query, prior, cfg["n_samples"], rng, workers=cfg["workers"])
     target = float(2 * c + 1)

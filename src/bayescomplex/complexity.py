@@ -423,6 +423,8 @@ def _check_eps_grid(eps_grid: Sequence[float]) -> tuple[float, ...]:
     grid = tuple(float(e) for e in eps_grid)
     if len(grid) < 3:
         raise ConfigError("eps_grid needs at least 3 points")
+    if not all(math.isfinite(e) for e in grid):
+        raise ConfigError("eps_grid values must be finite")
     if any(e <= 0 for e in grid):
         raise ConfigError("eps_grid values must be positive")
     if any(b >= a for a, b in zip(grid, grid[1:])):
@@ -730,14 +732,6 @@ def _multiplier_offset(a_abs, h0, sv) -> np.ndarray:
     )
 
 
-def _node_knot_cost_sq(w1, w2, b1, knots) -> np.ndarray:
-    """(n, k, c) array of per-node, per-knot squared matching costs."""
-    t = np.array([kn[0] for kn in knots])
-    v = np.array([kn[1] for kn in knots])
-    hyp = hyperbola_distance(w1[:, :, None], w2[:, :, None], v[None, None, :])
-    return (b1[:, :, None] - t[None, None, :]) ** 2 + hyp**2
-
-
 def _inactive_cost_sq(w1, w2, b1) -> np.ndarray:
     """(n, k) squared cost of making each node vanish on [0, 1]."""
     by_weight = np.minimum(np.abs(w1), np.abs(w2))
@@ -745,35 +739,54 @@ def _inactive_cost_sq(w1, w2, b1) -> np.ndarray:
     return np.minimum(by_weight, by_bias) ** 2
 
 
-def _dist_batch(g: PwlFunction, thetas: np.ndarray, k: int) -> np.ndarray:
+def _assign(base, cost, inact, k, c) -> np.ndarray:
+    """sqrt(base + the cheapest assignment) for the (n, k, c) per-node,
+    per-knot squared costs: each of the c knots gets its own node, and for
+    k = c + 1 the surplus node pays its (n, k) inactive cost.
+
+    Every sum runs in one fixed order, and rounding is monotone
+    (fl(x + y) >= x for y >= 0), so the sums, the min and the sqrt all keep
+    order: a cost that is elementwise no larger gives a result no larger,
+    in floating point. On the bias-only cost this is a lower bound on the
+    computed distance, never above it by even one ulp."""
+    best = np.full(base.shape[0], np.inf)
+    for surplus in range(k) if k > c else (None,):
+        active = [i for i in range(k) if i != surplus]
+        for perm in itertools.permutations(range(c)):
+            total = cost[:, active, perm].sum(axis=1)
+            if surplus is not None:
+                total = inact[:, surplus] + total
+            best = np.minimum(best, total)
+    return np.sqrt(base + best)
+
+
+def _dist_batch(
+    g: PwlFunction, thetas: np.ndarray, k: int, cutoff: float = math.inf
+) -> np.ndarray:
     """Vectorized distance from parameter rows to the exact-representation
-    set of g, for k = c or k = c + 1 (the latter is an upper bound)."""
+    set of g, for k = c or k = c + 1 (the latter is an upper bound).
+
+    A node matched to the knot (t, v) costs (b1 - t)^2 plus the squared
+    distance from its weights (w1, w2) to the hyperbola w1 w2 = v. The
+    bias-only cost (b1 - t)^2 gives a lower bound (see _assign); rows whose
+    bound exceeds ``cutoff`` come back as inf without a hyperbola solve, and
+    every other row (a nan bound included) gets the same bits as with no
+    cutoff."""
     c = len(g.knots)
-    n = thetas.shape[0]
     w1 = thetas[:, :k]
     w2 = thetas[:, k : 2 * k]
     b1 = thetas[:, 2 * k : 3 * k]
-    b2 = thetas[:, 3 * k]
-    base = (b2 - g.bias) ** 2
-    if c == 0:
-        inact = _inactive_cost_sq(w1, w2, b1)
-        return np.sqrt(base + inact.sum(axis=1))
-    cost = _node_knot_cost_sq(w1, w2, b1, g.knots)
-    if k == c:
-        best = np.full(n, np.inf)
-        for perm in itertools.permutations(range(c)):
-            total = cost[:, range(k), perm].sum(axis=1)
-            best = np.minimum(best, total)
-        return np.sqrt(base + best)
-    # k = c + 1: choose one surplus node to deactivate, assign the rest.
+    base = (thetas[:, 3 * k] - g.bias) ** 2
     inact = _inactive_cost_sq(w1, w2, b1)
-    best = np.full(n, np.inf)
-    for surplus in range(k):
-        active = [i for i in range(k) if i != surplus]
-        for perm in itertools.permutations(range(c)):
-            total = inact[:, surplus] + cost[:, active, perm].sum(axis=1)
-            best = np.minimum(best, total)
-    return np.sqrt(base + best)
+    if c == 0:
+        return np.sqrt(base + inact.sum(axis=1))
+    t, v = np.array(g.knots).T
+    bias_sq = (b1[:, :, None] - t) ** 2
+    live = np.flatnonzero(~(_assign(base, bias_sq, inact, k, c) > cutoff))
+    hyp = hyperbola_distance(w1[live, :, None], w2[live, :, None], v)
+    dist = np.full(thetas.shape[0], np.inf)
+    dist[live] = _assign(base[live], bias_sq[live] + hyp**2, inact[live], k, c)
+    return dist
 
 
 def _check_oracle_width(k: int, c: int) -> None:
@@ -803,17 +816,26 @@ def codim_estimate(
     workers: int = 1,
 ) -> SlopeEstimate:
     """Minkowski codimension of A_g inside B_R intersected with the prior
-    support: WLS slope of ln vol-fraction{dist <= eps} against ln eps."""
+    support: WLS slope of ln vol-fraction{dist <= eps} against ln eps.
+
+    The radius R is query.radius (finite and > 0) or, if None, three prior
+    standard norms. Only draws whose bias-only lower bound (_assign) is
+    within the largest eps, grid[0], get the hyperbola solve. The screen is
+    exact: rounding is monotone, so a dropped draw's computed distance is at
+    least its computed bound, above every eps of the grid, and every hit
+    count is the one the unscreened oracle gives."""
     g = query.g
     k = query.k
     c = len(g.knots)
     _check_oracle_width(k, c)
     note = "upper-bound-based" if k > c else ""
     family = ShallowNetFamily(k, prior)
-    if query.radius is not None:
+    if query.radius is None:
+        radius = 3.0 * math.sqrt(family.expected_prior_norm_sq())
+    elif math.isfinite(query.radius) and query.radius > 0:
         radius = float(query.radius)
     else:
-        radius = 3.0 * math.sqrt(family.expected_prior_norm_sq())
+        raise ConfigError(f"radius must be finite and > 0, got {query.radius}")
     if query.eps_grid is not None:
         grid = _check_eps_grid(query.eps_grid)
     elif c >= 2:
@@ -839,7 +861,7 @@ def codim_estimate(
                 take = take[: count - accepted]
             if take.shape[0] == 0:
                 continue
-            dist = _dist_batch(g, take, k)
+            dist = _dist_batch(g, take, k, cutoff=grid[0])
             for j, eps in enumerate(grid):
                 hits[j] += int(np.count_nonzero(dist <= eps))
             accepted += take.shape[0]

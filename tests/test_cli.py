@@ -180,6 +180,26 @@ class TestExitCodes:
         assert out == ""
         assert err == "config error: sample budget must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["codim", "eps_grid=0.3,nan,0.1"],
+        ["nn_complexity", "eps_grid=0.3,nan,0.1"],
+        ["nn_complexity", "eps_grid=inf,0.2,0.1", "n_per_eps=2000"],
+        ["linear_complexity", "eps_grid=0.3,nan,0.1"],
+    ])
+    def test_non_finite_eps_grid_is_two(self, argv, capsys):
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "config error: eps_grid values must be finite\n"
+
+    @pytest.mark.parametrize("radius", ["-1", "nan", "inf"])
+    def test_bad_codim_radius_is_two(self, radius, capsys):
+        """Only radius=0 means the default radius; the rest must be usable."""
+        rc, out, err = run_cli(["codim", f"radius={radius}", "n_samples=1000"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("config error: radius must be finite and > 0, got ")
+
     def test_numerical_error_is_three(self, capsys):
         rc, _, err = run_cli(
             ["sgld_check", "eta=50.0", "steps=100", "burn_in=10"], capsys
@@ -265,6 +285,11 @@ GOLDEN_RUNS = [
     ("projection_check", ["projection_check"]),
     ("linear_complexity", ["linear_complexity"]),
     ("codim", ["codim"]),
+    # The surplus-node branch (k = c + 1) and the two-knot assignment (c = 2).
+    ("codim_k2", ["codim", "k=2", "eps_grid=0.3,0.2,0.14", "n_samples=80000"]),
+    ("codim_c2",
+     ["codim", "k=2", "target_locs=0.3,0.7", "target_slopes=1.0,-0.8",
+      "eps_grid=0.5,0.4,0.3", "radius=4.0", "tolerance=0.7", "n_samples=60000"]),
     ("sgld_check", ["sgld_check"]),
     ("nn_complexity_small",
      ["nn_complexity", "eps_grid=0.2,0.14,0.1", "n_per_eps=20000"]),

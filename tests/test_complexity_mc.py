@@ -11,6 +11,7 @@ import pytest
 from bayescomplex import complexity
 from bayescomplex.complexity import (
     CodimQuery,
+    _dist_batch,
     _map_batches,
     _run_streams,
     chi_from_q,
@@ -18,6 +19,7 @@ from bayescomplex.complexity import (
     empirical_complexity_mc,
     exponential_complexity_mc,
     fit_limiting_slope,
+    hyperbola_distance,
     limiting_complexity,
     limiting_complexity_closed_form,
     sharp_complexity_is,
@@ -602,3 +604,121 @@ class TestCodim:
             f"codim {codim.slope:.3f}±{codim.ci_halfwidth:.3f}, "
             f"slope {slope.slope:.3f}±{slope.ci_halfwidth:.3f}"
         )
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        """None means the default radius; anything else must be a usable
+        radius, rejected before any draw."""
+        g = PwlFunction(bias=0.0, knots=((0.35, 1.0),))
+        with pytest.raises(ConfigError, match="radius must be finite and > 0"):
+            codim_estimate(
+                CodimQuery(g, k=1, radius=radius), NnPriorSpec.default_for(1), 100, SeededRng(1)
+            )
+
+    @pytest.mark.parametrize("grid", [(0.3, math.nan, 0.1), (math.inf, 0.2, 0.1)])
+    def test_eps_grid_must_be_finite(self, grid):
+        g = PwlFunction(bias=0.0, knots=((0.35, 1.0),))
+        with pytest.raises(ConfigError, match="eps_grid values must be finite"):
+            codim_estimate(
+                CodimQuery(g, k=1, eps_grid=grid), NnPriorSpec.default_for(1), 100, SeededRng(1)
+            )
+        with pytest.raises(ConfigError, match="eps_grid values must be finite"):
+            limiting_complexity_closed_form(1.0, 1.0, 3, grid)
+
+
+_TWO_KNOT = PwlFunction(bias=0.0, knots=((0.3, 1.0), (0.7, -0.8)))
+
+
+def _count_points(monkeypatch) -> list:
+    """Record the size of every hyperbola_distance call the oracle makes."""
+    points = []
+    solve = complexity.hyperbola_distance
+
+    def counted(p, q, v):
+        points.append(np.size(p))
+        return solve(p, q, v)
+
+    monkeypatch.setattr(complexity, "hyperbola_distance", counted)
+    return points
+
+
+class TestCodimScreen:
+    """codim_estimate solves the hyperbola only on rows whose bias-only
+    lower bound is within grid[0]; its counts are those of the unscreened
+    oracle, bit for bit."""
+
+    # (target, k, prior, eps_grid, radius); k = 0 is no network, so c = 0
+    # has only k = 1.
+    CASES = {
+        "c0_k1": (PwlFunction(bias=0.2), 1, NnPriorSpec(1.0, 2.0, 1.0), (0.5, 0.4, 0.3), None),
+        "c1_k1": (_ONE_KNOT, 1, NnPriorSpec.default_for(1), (0.3, 0.2, 0.14), None),
+        "c1_k2": (_ONE_KNOT, 2, NnPriorSpec.default_for(2), (0.3, 0.2, 0.14), None),
+        "c2_k2": (_TWO_KNOT, 2, NnPriorSpec.default_for(2), (0.5, 0.4, 0.3), 4.0),
+        "c2_k3": (_TWO_KNOT, 3, NnPriorSpec.default_for(3), (0.6, 0.5, 0.4), 4.0),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_hits_equal_the_unscreened_oracle(self, case, workers, monkeypatch):
+        g, k, prior, grid, radius = self.CASES[case]
+        query = CodimQuery(g, k=k, eps_grid=grid, radius=radius)
+        fit = codim_estimate(query, prior, 40_000, SeededRng(5), workers=workers)
+        # The reference solves every row: the oracle without the screen.
+        full = complexity._dist_batch
+        monkeypatch.setattr(
+            complexity, "_dist_batch", lambda g, thetas, k, cutoff: full(g, thetas, k)
+        )
+        reference = codim_estimate(query, prior, 40_000, SeededRng(5), workers=workers)
+        assert [e.n_hits for e in fit.per_eps] == [e.n_hits for e in reference.per_eps]
+        assert fit == reference
+        assert fit.per_eps[-1].n_hits > 0
+
+    @pytest.mark.parametrize("surplus", [0, 1])
+    @pytest.mark.parametrize(
+        "g", [_ONE_KNOT, PwlFunction(0.0, ((0.3, 1.0), (0.7, 0.5)))], ids=["c1", "c2"]
+    )
+    def test_boundary_rows(self, g, surplus):
+        """Rows on the set but for an output-bias offset have distance
+        exactly |offset|: every hyperbola term is exactly 0 (w1 = 1,
+        w2 = v), and a surplus node with zero weights is inactive at no
+        cost. At offset eps the row is kept and hits; one ulp above, it is
+        dropped."""
+        c = len(g.knots)
+        k = c + surplus
+        eps = 0.3
+        rows = np.zeros((2, 3 * k + 1))
+        for i, (t, v) in enumerate(g.knots):
+            assert hyperbola_distance(1.0, v, v) == 0.0
+            rows[:, i], rows[:, k + i], rows[:, 2 * k + i] = 1.0, v, t
+        rows[:, 3 * k] = [eps, np.nextafter(eps, 1.0)]
+        unscreened = _dist_batch(g, rows, k)
+        np.testing.assert_array_equal(unscreened, rows[:, 3 * k])
+        screened = _dist_batch(g, rows, k, cutoff=eps)
+        np.testing.assert_array_equal(screened, [eps, np.inf])
+        assert list(screened <= eps) == list(unscreened <= eps) == [True, False]
+
+    def test_no_survivors(self, monkeypatch):
+        """A block whose every row is screened out returns all inf and asks
+        hyperbola_distance about no point; the empty solve is well formed."""
+        assert hyperbola_distance(np.empty(0), np.empty(0), np.empty(0)).shape == (0,)
+        assert hyperbola_distance(np.empty((0, 2, 1)), np.empty((0, 2, 1)), 1.0).shape == (0, 2, 1)
+        points = _count_points(monkeypatch)
+        rows = np.zeros((5, 7))
+        rows[:, 6] = 2.0  # output bias 2 away from the target's 0
+        dist = _dist_batch(_TWO_KNOT, rows, 2, cutoff=1.0)
+        np.testing.assert_array_equal(dist, np.full(5, np.inf))
+        assert sum(points) == 0
+
+    def test_solves_under_a_tenth_of_the_draws(self, monkeypatch):
+        """The benchmark's codim_c1_k1 config: 120,000 draws, one node-knot
+        point each. The bias-only bound rules out all but ~4% of them."""
+        points = _count_points(monkeypatch)
+        n = 120_000
+        fit = codim_estimate(
+            CodimQuery(_ONE_KNOT, k=1, eps_grid=(0.3, 0.2, 0.14, 0.1)),
+            NnPriorSpec.default_for(1),
+            n,
+            SeededRng(42),
+        )
+        assert fit.per_eps[0].n_samples == n
+        assert 0 < sum(points) < 0.1 * n
