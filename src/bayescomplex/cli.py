@@ -331,12 +331,13 @@ def _pwl_target(cfg: dict) -> PwlFunction:
 
 
 def _nn_prior(cfg: dict, k: int) -> NnPriorSpec:
+    """The network prior; a value of exactly 0 means NnPriorSpec.default_for(k)'s,
+    and every other value goes to NnPriorSpec's checks."""
     base = NnPriorSpec.default_for(k)
-    return NnPriorSpec(
-        sigma_w_sq=cfg["sigma_w_sq"] if cfg["sigma_w_sq"] > 0 else base.sigma_w_sq,
-        M=cfg["M"] if cfg["M"] > 0 else base.M,
-        sigma_b_sq=cfg["sigma_b_sq"] if cfg["sigma_b_sq"] > 0 else base.sigma_b_sq,
-    )
+    return NnPriorSpec(**{
+        key: getattr(base, key) if cfg[key] == 0 else cfg[key]
+        for key in ("sigma_w_sq", "M", "sigma_b_sq")
+    })
 
 
 # --------------------------------------------------------------------------

@@ -101,10 +101,10 @@ def q_closed_form(kappa: float, sigma_w: float, eps: float, d: int) -> float:
     remaining d-1 coordinates integrated exactly through the regularized
     lower incomplete gamma CDF.
     """
-    if kappa < 0:
-        raise ConfigError(f"kappa must be >= 0, got {kappa}")
-    if sigma_w <= 0:
-        raise ConfigError(f"sigma_w must be > 0, got {sigma_w}")
+    if not 0 <= kappa < math.inf:
+        raise ConfigError(f"kappa must be finite and >= 0, got {kappa}")
+    if not 0 < sigma_w < math.inf:
+        raise ConfigError(f"sigma_w must be finite and > 0, got {sigma_w}")
     if not 0.0 < eps <= 1.0:
         raise ConfigError(f"eps must lie in (0, 1], got {eps}")
     if d < 1:

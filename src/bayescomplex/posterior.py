@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import linalg
-from scipy.stats import norm as _norm
+from scipy import linalg, special
 
 from .complexity import ComplexityEstimate
 from .errors import CheckFailure, ConfigError, NumericalError
@@ -37,19 +36,42 @@ from .rng import SeededRng
 
 @dataclass(frozen=True)
 class Dataset:
+    """A sample S = (xs, ys) drawn with noise variance sigma_e_sq.
+
+    The conjugate formulas need the design phi = basis_matrix(basis, xs),
+    phi'phi and phi'ys; the bisection in find_sigma_alg asks for them once
+    per replica at every step. Each dataset therefore memoizes them per basis
+    size (_design). xs and ys are stored as read-only float copies, so the
+    memo cannot go stale and the caller's arrays stay writable.
+    """
+
     xs: np.ndarray
     ys: np.ndarray
     sigma_e_sq: float
+    _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
-        object.__setattr__(self, "ys", np.asarray(self.ys, dtype=float))
+        for name in ("xs", "ys"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.xs.shape != self.ys.shape:
             raise ConfigError("xs and ys must have matching shapes")
 
     @property
     def n(self) -> int:
         return int(self.xs.size)
+
+    def _design(self, basis: BasisSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(phi, phi'phi, phi'ys) for basis, computed on first use; read-only."""
+        cached = self._designs.get(basis.d)
+        if cached is None:
+            phi = basis_matrix(basis, self.xs)
+            cached = (phi, phi.T @ phi, phi.T @ self.ys)
+            for arr in cached:
+                arr.flags.writeable = False
+            self._designs[basis.d] = cached
+        return cached
 
 
 @dataclass(frozen=True)
@@ -198,30 +220,42 @@ def conjugate_posterior_linear(
     d = basis.d
     if S.n == 0:
         return GaussianPosterior(np.zeros(d), prior.sigma_w_sq * np.eye(d))
-    phi = basis_matrix(basis, S.xs)
+    phi, gram, rhs = S._design(basis)
     if not np.all(np.isfinite(phi)):
         raise NumericalError("design matrix contains non-finite entries")
-    precision = phi.T @ phi / sigma_y_sq + np.eye(d) / prior.sigma_w_sq
+    precision = gram / sigma_y_sq + np.eye(d) / prior.sigma_w_sq
     try:
         cho = linalg.cho_factor(precision)
     except linalg.LinAlgError as exc:
         raise NumericalError(f"posterior precision not positive definite: {exc}") from exc
     cov = linalg.cho_solve(cho, np.eye(d))
-    mean = linalg.cho_solve(cho, phi.T @ S.ys / sigma_y_sq)
+    mean = linalg.cho_solve(cho, rhs / sigma_y_sq)
     return GaussianPosterior(mean, (cov + cov.T) / 2.0)
+
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _std_normal_pdf(x):
+    return np.exp(-x**2/2.0) / _SQRT_2PI
 
 
 def expected_clipped_loss_gaussian(mu, s_sq, C: float):
     """E[min(r^2, C)] for r ~ N(mu, s_sq), exactly, via truncated-normal
-    second moments. Vectorized over mu and s_sq."""
+    second moments. Vectorized over mu and s_sq.
+
+    The standard normal pdf is scipy's own expression exp(-x**2/2)/sqrt(2 pi)
+    and the cdf is scipy.special.ndtr, the calls scipy.stats.norm makes at
+    loc=0, scale=1, so the result is bit for bit the same without the cost
+    of scipy.stats (its import and its per-call argument handling)."""
     mu = np.asarray(mu, dtype=float)
     s = np.sqrt(np.asarray(s_sq, dtype=float))
     root = math.sqrt(C)
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = np.where(s > 0, (-root - mu) / s, 0.0)
         beta = np.where(s > 0, (root - mu) / s, 0.0)
-    phi_a, phi_b = _norm.pdf(alpha), _norm.pdf(beta)
-    cdf_a, cdf_b = _norm.cdf(alpha), _norm.cdf(beta)
+    phi_a, phi_b = _std_normal_pdf(alpha), _std_normal_pdf(beta)
+    cdf_a, cdf_b = special.ndtr(alpha), special.ndtr(beta)
     mass = cdf_b - cdf_a
     second = (mu * mu + s * s) * mass + 2.0 * mu * s * (phi_a - phi_b) + s * s * (
         alpha * phi_a - beta * phi_b
@@ -237,21 +271,26 @@ def conjugate_empirical_loss(
     S: Dataset, post: GaussianPosterior, basis: BasisSpec, spec: LossSpec
 ) -> float:
     """Exact E_{h~Q}[L_S(h)] for a Gaussian posterior over linear weights."""
-    phi = basis_matrix(basis, S.xs)
+    phi = S._design(basis)[0]
     mu = phi @ post.mean - S.ys
     s_sq = np.einsum("ij,jk,ik->i", phi, post.covariance, phi)
     return float(expected_clipped_loss_gaussian(mu, s_sq, spec.clip_C).mean())
 
 
 @functools.lru_cache(maxsize=8)
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n_nodes-point Gauss-Legendre rule on [-1, 1], computed once per
-    node count (each leggauss call is an n_nodes x n_nodes eigenproblem);
-    the arrays are read-only because every caller shares them."""
+def _quadrature_design(
+    basis: BasisSpec, measure: L2Measure, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The basis design at the n_nodes Gauss-Legendre nodes mapped onto
+    measure's interval, and the rule's weights, computed once per argument
+    set (each leggauss call is an n_nodes x n_nodes eigenproblem); the arrays
+    are read-only because every caller shares them."""
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    nodes.flags.writeable = False
+    xs = (measure.lo + measure.hi) / 2.0 + (measure.hi - measure.lo) / 2.0 * nodes
+    phi = basis_matrix(basis, xs)
+    phi.flags.writeable = False
     weights.flags.writeable = False
-    return nodes, weights
+    return phi, weights
 
 
 def conjugate_true_loss(
@@ -267,9 +306,7 @@ def conjugate_true_loss(
     by Gauss-Legendre quadrature of the exact per-x formula."""
     if target.perp_sq != 0.0:
         raise ConfigError("conjugate_true_loss requires a fully realizable target")
-    nodes, weights = _gauss_legendre(n_nodes)
-    xs = (measure.lo + measure.hi) / 2.0 + (measure.hi - measure.lo) / 2.0 * nodes
-    phi = basis_matrix(basis, xs)
+    phi, weights = _quadrature_design(basis, measure, n_nodes)
     mu = phi @ (post.mean - np.asarray(target.w))
     s_sq = np.einsum("ij,jk,ik->i", phi, post.covariance, phi) + sigma_e_sq
     vals = expected_clipped_loss_gaussian(mu, s_sq, spec.clip_C)

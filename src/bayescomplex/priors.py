@@ -23,10 +23,13 @@ class NnPriorSpec:
     sigma_b_sq: float
 
     def __post_init__(self):
-        if self.sigma_w_sq <= 0 or self.sigma_b_sq <= 0:
-            raise ConfigError("prior variances must be positive")
-        if self.M < 1:
-            raise ConfigError("hidden-bias range M must be >= 1")
+        if not (0 < self.sigma_w_sq < math.inf and 0 < self.sigma_b_sq < math.inf):
+            raise ConfigError(
+                "prior variances must be finite and > 0, got "
+                f"sigma_w_sq={self.sigma_w_sq}, sigma_b_sq={self.sigma_b_sq}"
+            )
+        if not 1 <= self.M < math.inf:
+            raise ConfigError(f"hidden-bias range M must be finite and >= 1, got {self.M}")
 
     @staticmethod
     def default_for(k: int) -> "NnPriorSpec":
@@ -38,8 +41,8 @@ class LinearPriorSpec:
     sigma_w_sq: float
 
     def __post_init__(self):
-        if self.sigma_w_sq <= 0:
-            raise ConfigError("prior variance must be positive")
+        if not 0 < self.sigma_w_sq < math.inf:
+            raise ConfigError(f"prior variance must be finite and > 0, got {self.sigma_w_sq}")
 
 
 def sample_linear_prior(spec: LinearPriorSpec, d: int, rng: SeededRng) -> LinearModelParams:

@@ -200,6 +200,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error: radius must be finite and > 0, got ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["codim", "sigma_w_sq=nan"], "prior variances must be finite and > 0"),
+        (["codim", "M=nan"], "hidden-bias range M must be finite and >= 1"),
+        (["nn_complexity", "sigma_w_sq=-3"], "prior variances must be finite and > 0"),
+        (["nn_complexity", "sigma_b_sq=inf"], "prior variances must be finite and > 0"),
+        (["pacbayes", "sigma_w_sq=nan"], "prior variance must be finite and > 0"),
+        (["sgld_check", "sigma_w_sq=inf"], "prior variance must be finite and > 0"),
+        (["linear_complexity", "sigma_w=nan"], "sigma_w must be finite and > 0"),
+        (["linear_complexity", "kappa=nan"], "kappa must be finite and >= 0"),
+    ])
+    def test_bad_prior_parameter_is_two(self, argv, message, capsys):
+        """Only exactly 0 means a network prior's default; nan, inf and
+        negative values are config errors, not defaults or tracebacks."""
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"config error: {message}, got ")
+        assert err.count("\n") == 1
+
     def test_numerical_error_is_three(self, capsys):
         rc, _, err = run_cli(
             ["sgld_check", "eta=50.0", "steps=100", "burn_in=10"], capsys
@@ -413,6 +432,21 @@ class TestEntryPoints:
         )
         assert result.returncode == 0, result.stderr
         assert_report_matches(result.stdout, (GOLDEN_DIR / "periodic.csv").read_text())
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        """scipy.stats adds about 0.6 s and 18 MiB to every process that
+        imports it, and no command needs it."""
+        package_parent = str(Path(bayescomplex.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bayescomplex.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": package_parent},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     @pytest.mark.skipif(
         shutil.which("bayescomplex") is None,

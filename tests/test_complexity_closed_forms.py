@@ -85,10 +85,10 @@ class TestQClosedForm:
         assert q_peak > q_large
 
     def test_domain_validation(self):
-        with pytest.raises(ConfigError):
-            q_closed_form(-0.1, 1.0, 0.1, 3)
-        with pytest.raises(ConfigError):
-            q_closed_form(1.0, 0.0, 0.1, 3)
+        for kappa, sigma_w in ((-0.1, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                               (1.0, 0.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ConfigError):
+                q_closed_form(kappa, sigma_w, 0.1, 3)
         with pytest.raises(ConfigError):
             q_closed_form(1.0, 1.0, 0.0, 3)
         with pytest.raises(ConfigError):

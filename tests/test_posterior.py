@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp, multivariate_normal
+from scipy.stats import ks_2samp, multivariate_normal, norm
 
+from bayescomplex import cli
 from bayescomplex.complexity import empirical_complexity_mc
 from bayescomplex.errors import CheckFailure, ConfigError, NumericalError
 from bayescomplex.families import LinearFamily, LinearTarget, ShallowNetFamily
@@ -122,8 +123,50 @@ class TestClippedLoss:
             LossSpec(clip_C=0.0)
 
 
+def _clipped_loss_with_scipy_stats(mu, s_sq, C):
+    """expected_clipped_loss_gaussian's formula through scipy.stats.norm, the
+    reference the direct pdf/ndtr calls must reproduce bit for bit."""
+    mu = np.asarray(mu, dtype=float)
+    s = np.sqrt(np.asarray(s_sq, dtype=float))
+    root = math.sqrt(C)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(s > 0, (-root - mu) / s, 0.0)
+        beta = np.where(s > 0, (root - mu) / s, 0.0)
+    phi_a, phi_b = norm.pdf(alpha), norm.pdf(beta)
+    cdf_a, cdf_b = norm.cdf(alpha), norm.cdf(beta)
+    mass = cdf_b - cdf_a
+    second = (mu * mu + s * s) * mass + 2.0 * mu * s * (phi_a - phi_b) + s * s * (
+        alpha * phi_a - beta * phi_b
+    )
+    out = second + C * (1.0 - mass)
+    degenerate = s == 0.0
+    if np.any(degenerate):
+        out = np.where(degenerate, np.minimum(mu * mu, C), out)
+    return out
+
+
 class TestExpectedClippedLossGaussian:
     """Closed form of E[min(r^2, C)] for r ~ N(mu, s^2)."""
+
+    MUS = (-1e3, -31.0, -2.0, -1e-9, 0.0, 0.4, 2.0, 7.5, 1e3)
+    S_SQS = (0.0, 5e-324, 1e-300, 1e-12, 0.3, 1.0, 250.0, 1e300)
+
+    @pytest.mark.parametrize("C", [1e-8, 4.0, 1e8])
+    def test_bit_identical_to_scipy_stats(self, C):
+        mu, s_sq = (a.ravel() for a in np.meshgrid(self.MUS, self.S_SQS))
+        # Both versions square alpha ~ 1e3 / sqrt(5e-324) ~ 4e164, which
+        # overflows to inf (pdf exactly 0) with the same RuntimeWarning.
+        with np.errstate(over="ignore"):
+            got = expected_clipped_loss_gaussian(mu, s_sq, C)
+            want = _clipped_loss_with_scipy_stats(mu, s_sq, C)
+            assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
+            np.testing.assert_array_equal(got, want)
+            for m, v in zip(mu.tolist(), s_sq.tolist()):
+                for args in ((m, v), (np.float64(m), np.array(v))):
+                    got = expected_clipped_loss_gaussian(*args, C)
+                    want = _clipped_loss_with_scipy_stats(*args, C)
+                    assert (type(got), np.shape(got)) == (type(want), np.shape(want))
+                    np.testing.assert_array_equal(got, want)
 
     def test_degenerate_variance(self):
         assert expected_clipped_loss_gaussian(0.5, 0.0, 4.0) == 0.25
@@ -150,6 +193,78 @@ class TestExpectedClippedLossGaussian:
             assert val == pytest.approx(
                 float(expected_clipped_loss_gaussian(mu, s_sq, 2.5))
             )
+
+
+class TestDesignMemo:
+    """A Dataset builds its design once per basis; every result equals a
+    fresh recomputation bit for bit."""
+
+    @staticmethod
+    def _bypass_memo(monkeypatch):
+        def recompute(self, basis):
+            phi = basis_matrix(basis, self.xs)
+            return phi, phi.T @ phi, phi.T @ self.ys
+
+        monkeypatch.setattr(Dataset, "_design", recompute)
+
+    @pytest.mark.parametrize("seed", [11, 2027])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_find_sigma_alg_matches_recomputed_design(self, d, seed, monkeypatch):
+        basis, _, family = _linear_setup(d)
+        g = LinearFunction(LinearModelParams((0.7,) + (-0.3,) * (d - 1)), basis)
+        cfg = SgldConfig(eta=1e-3, steps=2, burn_in=1, thin=1, sigma_y_sq=1.0)
+
+        def search():
+            return find_sigma_alg(
+                1.0, 0.04, lambda r: generate_dataset(g, 40, 0.04, UNIFORM_SYM, r),
+                family, cfg, 1e-3, SeededRng(seed).stream(1), n_replicas=8,
+            )
+
+        memoized = search()
+        self._bypass_memo(monkeypatch)
+        assert search() == memoized
+
+    @pytest.mark.parametrize("seed", [11, 2027])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_pacbayes_matches_recomputed_design(self, d, seed, monkeypatch):
+        args = cli.build_parser().parse_args([
+            "pacbayes", f"d={d}", "N=30", "n_trials=4", "n_replicas=8", "--seed", str(seed),
+        ])
+
+        def report():
+            rep = cli.cmd_pacbayes(cli.resolve_config(args))
+            return rep.rows, rep.failures
+
+        memoized = report()
+        self._bypass_memo(monkeypatch)
+        assert report() == memoized
+
+    def test_reused_dataset_matches_fresh_one(self):
+        """One dataset across basis sizes and temperatures, in an order that
+        revisits each, gives what a new dataset gives every time."""
+        gen = np.random.default_rng(4)
+        xs, ys = gen.uniform(-1.0, 1.0, 30), gen.normal(size=30)
+        S = Dataset(xs=xs, ys=ys, sigma_e_sq=0.04)
+        spec = LossSpec()
+        for d, sigma_y_sq in [(3, 0.1), (1, 0.1), (3, 2.0), (5, 0.1), (1, 2.0), (3, 0.1)]:
+            basis, prior, _ = _linear_setup(d)
+            fresh = Dataset(xs=xs, ys=ys, sigma_e_sq=0.04)
+            post = conjugate_posterior_linear(S, prior, basis, sigma_y_sq)
+            ref = conjugate_posterior_linear(fresh, prior, basis, sigma_y_sq)
+            np.testing.assert_array_equal(post.mean, ref.mean)
+            np.testing.assert_array_equal(post.covariance, ref.covariance)
+            assert conjugate_empirical_loss(S, post, basis, spec) == (
+                conjugate_empirical_loss(fresh, ref, basis, spec)
+            )
+
+    def test_arrays_are_read_only_copies(self):
+        xs, ys = np.linspace(-1.0, 1.0, 5), np.zeros(5)
+        S = Dataset(xs=xs, ys=ys, sigma_e_sq=0.0)
+        for arr in (S.xs, S.ys):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+        xs[0], ys[0] = 0.5, 1.0
+        assert (S.xs[0], S.ys[0]) == (-1.0, 0.0)
 
 
 class TestConjugatePosterior:

@@ -56,10 +56,11 @@ class TestNnPrior:
         assert spec.sigma_b_sq == 1.0
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            NnPriorSpec(sigma_w_sq=0.0, M=2.0, sigma_b_sq=1.0)
-        with pytest.raises(ConfigError):
-            NnPriorSpec(sigma_w_sq=1.0, M=0.5, sigma_b_sq=1.0)
+        for bad in ({"sigma_w_sq": 0.0}, {"sigma_w_sq": math.nan}, {"sigma_w_sq": math.inf},
+                    {"sigma_b_sq": -1.0}, {"sigma_b_sq": math.nan}, {"sigma_b_sq": math.inf},
+                    {"M": 0.5}, {"M": math.nan}, {"M": math.inf}):
+            with pytest.raises(ConfigError):
+                NnPriorSpec(**{"sigma_w_sq": 1.0, "M": 2.0, "sigma_b_sq": 1.0, **bad})
 
     def test_sample_moments(self):
         """Weights N(0, 1/k), hidden biases U([0, M]) with mean M/2 and
@@ -108,7 +109,8 @@ class TestLinearPrior:
         np.testing.assert_allclose(np.cov(rows.T), 2.0 * np.eye(3), atol=0.08)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            LinearPriorSpec(sigma_w_sq=-1.0)
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                LinearPriorSpec(sigma_w_sq=bad)
         with pytest.raises(ConfigError):
             sample_linear_prior(LinearPriorSpec(1.0), 0, SeededRng(1))
