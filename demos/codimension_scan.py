@@ -8,8 +8,8 @@ the prior volume of the tube {theta : dist(theta, set) <= eps} scales like
 eps^(2c+1), so regressing ln(volume) on ln(eps) counts the constraints.
 
 The distance oracle is exact (per-node hyperbola projections plus a
-dead-node alternative), and the volume is estimated by sampling a box
-around the set and counting tube hits.
+dead-node alternative), and the volume is estimated by sampling the ball
+B_R (hidden biases in [0, M]) uniformly and counting tube hits.
 """
 
 from bayescomplex.complexity import CodimQuery, codim_estimate

@@ -808,6 +808,39 @@ def dist_to_representation_set(theta, g: PwlFunction) -> float:
 # --------------------------------------------------------------------------
 
 
+# Most candidates one codim batch draws, which bounds a batch's memory.
+_CODIM_ROWS = 65536
+
+
+def _codim_rows(gen, m: int, need: int, k: int, radius: float, b_hi: float) -> np.ndarray:
+    """At most ``need`` rows [w1, w2, b1, b2] uniform on
+    S = B_R ∩ {b1 ∈ [0, b_hi]^k}, from m candidate b1 draws.
+
+    The marginal density of b1 on S is proportional to (R² − |b1|²)_+^{d/2},
+    d = 2k + 1, the volume of its slice of the ball, and given b1 the other
+    d coordinates (w1, w2, b2) are uniform in the d-ball of radius
+    sqrt(R² − |b1|²). So a candidate b1 ~ U[0, b_hi]^k is kept with
+    probability ((R² − |b1|²)_+ / R²)^{d/2}, and each of the first ``need``
+    kept ones gets a Gaussian direction scaled to radius
+    sqrt(R² − |b1|²) U^{1/d}."""
+    d = 2 * k + 1
+    r_sq = radius * radius
+    # Column-major throughout: every step below works on contiguous rows of
+    # k, d or m values, and the result is the transpose of a (3k+1, n) array.
+    b1 = gen.uniform(0.0, b_hi, size=(k, m))
+    room = r_sq - np.einsum("ij,ij->j", b1, b1)
+    keep = gen.random(m) < (np.maximum(room, 0.0) / r_sq) ** (0.5 * d)
+    keep = np.flatnonzero(keep)[:need]
+    z = gen.standard_normal((d, keep.size))
+    radial = gen.random(keep.size) ** (1.0 / d)
+    scale = np.sqrt(room[keep] / np.einsum("ij,ij->j", z, z)) * radial
+    rows = np.empty((3 * k + 1, keep.size))
+    np.multiply(z[: 2 * k], scale, out=rows[: 2 * k])
+    np.take(b1, keep, axis=1, out=rows[2 * k : 3 * k])
+    np.multiply(z[2 * k], scale, out=rows[3 * k])
+    return rows.T
+
+
 def codim_estimate(
     query: CodimQuery,
     prior: NnPriorSpec,
@@ -819,8 +852,16 @@ def codim_estimate(
     support: WLS slope of ln vol-fraction{dist <= eps} against ln eps.
 
     The radius R is query.radius (finite and > 0) or, if None, three prior
-    standard norms. Only draws whose bias-only lower bound (_assign) is
-    within the largest eps, grid[0], get the hyperbola solve. The screen is
+    standard norms. The draws are uniform on S = B_R ∩ {b1 ∈ [0, b_hi]^k},
+    b_hi = min(M, R), sampled directly (_codim_rows): b1 from its exact
+    marginal, proportional to the volume (R² − |b1|²)_+^{(2k+1)/2} of its
+    slice of the ball, then (w1, w2, b2) uniform in that slice, a
+    (2k+1)-ball of radius sqrt(R² − |b1|²). Each stream sizes its batches
+    to the rows it still needs at the acceptance seen so far, so a stream
+    of a few rows draws a few candidates.
+
+    Only draws whose bias-only lower bound (_assign) is within the largest
+    eps, grid[0], get the hyperbola solve. The screen is
     exact: rounding is monotone, so a dropped draw's computed distance is at
     least its computed bound, above every eps of the grid, and every hit
     count is the one the unscreened oracle gives."""
@@ -843,27 +884,20 @@ def codim_estimate(
     else:
         grid = DEFAULT_EPS_GRID
     b_hi = min(prior.M, radius)
-    dim = family.dim
-    rows = 65536
 
     def stream_hits(gen, count):
         hits = np.zeros(len(grid), dtype=np.int64)
-        accepted = 0
+        drawn = accepted = 0
         while accepted < count:
-            m = rows
-            box = np.empty((m, dim))
-            box[:, : 2 * k] = gen.uniform(-radius, radius, size=(m, 2 * k))
-            box[:, 2 * k : 3 * k] = gen.uniform(0.0, b_hi, size=(m, k))
-            box[:, 3 * k] = gen.uniform(-radius, radius, size=m)
-            inside = np.einsum("ij,ij->i", box, box) <= radius * radius
-            take = box[inside]
-            if take.shape[0] > count - accepted:
-                take = take[: count - accepted]
-            if take.shape[0] == 0:
-                continue
+            need = count - accepted
+            # Candidates for `need` rows at the acceptance seen so far (one
+            # added to both counts, so the first batch draws `need`).
+            m = min(_CODIM_ROWS, -(-need * (drawn + 1) // (accepted + 1)))
+            take = _codim_rows(gen, m, need, k, radius, b_hi)
             dist = _dist_batch(g, take, k, cutoff=grid[0])
             for j, eps in enumerate(grid):
                 hits[j] += int(np.count_nonzero(dist <= eps))
+            drawn += m
             accepted += take.shape[0]
         return hits
 

@@ -234,9 +234,13 @@ def conjugate_posterior_linear(
 
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
+# exp(-x**2/2) is exactly 0 from |x| ~ 38.6 on; capping |x| here keeps x**2
+# finite (no overflow warning) and changes no value.
+_PDF_CAP = 1e150
 
 
 def _std_normal_pdf(x):
+    x = np.minimum(np.abs(x), _PDF_CAP)
     return np.exp(-x**2/2.0) / _SQRT_2PI
 
 

@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from bayescomplex import complexity
 from bayescomplex.complexity import (
@@ -722,3 +723,165 @@ class TestCodimScreen:
         )
         assert fit.per_eps[0].n_samples == n
         assert 0 < sum(points) < 0.1 * n
+
+
+def _box_rows(gen, n, k, radius, b_hi):
+    """codim_estimate's old sampler: uniform rows of the box
+    [-R, R]^2k x [0, b_hi]^k x [-R, R], kept when inside B_R, in blocks of
+    65,536 box rows; the first n kept rows."""
+    parts, got = [], 0
+    while got < n:
+        box = np.empty((65536, 3 * k + 1))
+        box[:, : 2 * k] = gen.uniform(-radius, radius, size=(65536, 2 * k))
+        box[:, 2 * k : 3 * k] = gen.uniform(0.0, b_hi, size=(65536, k))
+        box[:, 3 * k] = gen.uniform(-radius, radius, size=65536)
+        parts.append(box[np.einsum("ij,ij->i", box, box) <= radius * radius])
+        got += parts[-1].shape[0]
+    return np.concatenate(parts)[:n]
+
+
+def _direct_rows(gen, n, k, radius, b_hi):
+    """n rows of complexity._codim_rows, 65,536 candidates at a time."""
+    parts, got = [], 0
+    while got < n:
+        parts.append(complexity._codim_rows(gen, 65536, n - got, k, radius, b_hi))
+        got += parts[-1].shape[0]
+    return np.concatenate(parts)
+
+
+def _default_radius(k):
+    return 3.0 * math.sqrt(ShallowNetFamily(k, NnPriorSpec.default_for(k)).expected_prior_norm_sq())
+
+
+class TestCodimSampler:
+    """The direct sampler draws from the old box sampler's distribution:
+    uniform on B_R intersected with {b1 in [0, b_hi]^k}, b_hi = min(M, R)."""
+
+    N = 200_000
+    # Two independent samples of 200k rows: the two-sample KS statistic
+    # exceeds 0.01 with probability about 4e-9 when they share a law.
+    KS_MAX = 0.01
+
+    @pytest.mark.parametrize("radius", ["default", 4.0, 0.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_same_law_as_the_box_sampler(self, k, radius):
+        radius = _default_radius(k) if radius == "default" else radius
+        b_hi = min(NnPriorSpec.default_for(k).M, radius)
+        direct = _direct_rows(np.random.default_rng(100 + k), self.N, k, radius, b_hi)
+        box = _box_rows(np.random.default_rng(200 + k), self.N, k, radius, b_hi)
+        assert direct.shape == box.shape == (self.N, 3 * k + 1)
+        b1 = direct[:, 2 * k : 3 * k]
+        assert b1.min() >= 0.0 and b1.max() <= b_hi
+        # A radius of sqrt(room) U^(1/d) < sqrt(room) can still round up
+        # by an ulp or two.
+        norm_sq = np.einsum("ij,ij->i", direct, direct)
+        assert norm_sq.max() <= radius * radius * (1.0 + 1e-14)
+        columns = {"|theta|": lambda rows: np.sqrt(np.einsum("ij,ij->i", rows, rows)),
+                   "b2": lambda rows: rows[:, 3 * k]}
+        for i in range(k):
+            columns[f"b1[{i}]"] = lambda rows, i=i: rows[:, 2 * k + i]
+        for name, column in columns.items():
+            stat = ks_2samp(column(direct), column(box)).statistic
+            assert stat <= self.KS_MAX, f"{name}: KS {stat:.4f}"
+
+    def test_exactly_need_rows_at_most(self):
+        gen = np.random.default_rng(3)
+        rows = complexity._codim_rows(gen, 1000, 7, 2, 4.0, 2.0)
+        assert rows.shape == (7, 7)
+        rows = complexity._codim_rows(gen, 1000, 0, 2, 4.0, 2.0)
+        assert rows.shape == (0, 7)
+
+
+class _CountingGenerator:
+    """A stream generator that counts the random numbers of each kind it
+    hands out. codim_estimate draws uniforms only for candidate b1 rows, k
+    per candidate."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.numbers = {}
+
+    def __getattr__(self, name):
+        draw = getattr(self.gen, name)
+
+        def counted(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.numbers[name] = self.numbers.get(name, 0) + int(np.size(out))
+            return out
+
+        return counted
+
+
+def _counting_streams(monkeypatch) -> list:
+    """Wrap every stream generator codim_estimate gets in _CountingGenerator."""
+    gens = []
+    streams = complexity._streams
+
+    def counted(rng, n, workers):
+        out = [(_CountingGenerator(gen), count) for gen, count in streams(rng, n, workers)]
+        gens.extend(gen for gen, _ in out)
+        return out
+
+    monkeypatch.setattr(complexity, "_streams", counted)
+    return gens
+
+
+def _count_rows(monkeypatch) -> list:
+    """Record the row count of every block codim_estimate hands the oracle."""
+    rows = []
+    dist = complexity._dist_batch
+
+    def counted(g, thetas, k, cutoff):
+        rows.append(thetas.shape[0])
+        return dist(g, thetas, k, cutoff)
+
+    monkeypatch.setattr(complexity, "_dist_batch", counted)
+    return rows
+
+
+class TestCodimStreamSizing:
+    """Each stream draws about as many candidates as it needs rows."""
+
+    def test_many_small_streams_draw_few_candidates(self, monkeypatch):
+        """workers=64, n = 40: the box sampler drew 64 x 65,536 box rows."""
+        gens = _counting_streams(monkeypatch)
+        fit = STREAM_ESTIMATORS["codim_estimate"](40, SeededRng(5), 64)
+        assert fit.per_eps[0].n_samples == 40
+        assert len(gens) == 64
+        candidates = sum(gen.numbers.get("uniform", 0) for gen in gens)  # k = 1
+        assert 40 <= candidates <= 120
+
+    # The benchmark's codim_c1_k2 and codim_c2_k2 configs. The box sampler
+    # drew 6.9 and 9.3 box rows (48 and 65 random numbers) per kept row.
+    @pytest.mark.parametrize("g,grid,radius,n", [
+        (_ONE_KNOT, (0.3, 0.2, 0.14), None, 80_000),
+        (_TWO_KNOT, (0.5, 0.4, 0.3), 4.0, 60_000),
+    ], ids=["codim_c1_k2", "codim_c2_k2"])
+    def test_work_per_accepted_row(self, g, grid, radius, n, monkeypatch):
+        gens = _counting_streams(monkeypatch)
+        rows = _count_rows(monkeypatch)
+        query = CodimQuery(g, k=2, eps_grid=grid, radius=radius)
+        fit = codim_estimate(query, NnPriorSpec.default_for(2), n, SeededRng(42))
+        assert fit.per_eps[0].n_samples == sum(rows) == n
+        (gen,) = gens
+        assert gen.numbers["uniform"] / 2 <= 2 * n
+        assert sum(gen.numbers.values()) <= 12 * n
+
+
+class TestCodimEdgeCases:
+    """Sampler corners: each run finishes and hands the oracle exactly n rows."""
+
+    @pytest.mark.parametrize("g,k,radius,grid", [
+        # b_hi = R < M: room = R^2 - |b1|^2 is negative on part of the box.
+        # The ball is about 1 from the set (w1 w2 = 1 needs |w| >= sqrt 2).
+        (_ONE_KNOT, 2, 0.5, (2.0, 1.6, 1.3)),
+        # k = 3, R = 4: about 16% of the candidates are kept.
+        (_TWO_KNOT, 3, 4.0, (1.0, 0.8, 0.6)),
+    ], ids=["b_hi_equals_radius", "k3_radius4"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_exactly_n_rows(self, g, k, radius, grid, workers, monkeypatch):
+        rows = _count_rows(monkeypatch)
+        query = CodimQuery(g, k=k, eps_grid=grid, radius=radius)
+        fit = codim_estimate(query, NnPriorSpec.default_for(k), 30_001, SeededRng(9), workers)
+        assert sum(rows) == 30_001
+        assert all(e.n_samples == 30_001 for e in fit.per_eps)

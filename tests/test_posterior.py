@@ -3,6 +3,7 @@ and SGLD), and the PAC-Bayes bound assembly."""
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -154,19 +155,31 @@ class TestExpectedClippedLossGaussian:
     @pytest.mark.parametrize("C", [1e-8, 4.0, 1e8])
     def test_bit_identical_to_scipy_stats(self, C):
         mu, s_sq = (a.ravel() for a in np.meshgrid(self.MUS, self.S_SQS))
-        # Both versions square alpha ~ 1e3 / sqrt(5e-324) ~ 4e164, which
-        # overflows to inf (pdf exactly 0) with the same RuntimeWarning.
+        # scipy.stats squares alpha ~ 1e3 / sqrt(5e-324) ~ 4e164, which
+        # overflows to inf (pdf exactly 0) with a RuntimeWarning; only the
+        # reference runs under errstate.
         with np.errstate(over="ignore"):
-            got = expected_clipped_loss_gaussian(mu, s_sq, C)
             want = _clipped_loss_with_scipy_stats(mu, s_sq, C)
-            assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
-            np.testing.assert_array_equal(got, want)
-            for m, v in zip(mu.tolist(), s_sq.tolist()):
-                for args in ((m, v), (np.float64(m), np.array(v))):
-                    got = expected_clipped_loss_gaussian(*args, C)
+        got = expected_clipped_loss_gaussian(mu, s_sq, C)
+        assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
+        np.testing.assert_array_equal(got, want)
+        for m, v in zip(mu.tolist(), s_sq.tolist()):
+            for args in ((m, v), (np.float64(m), np.array(v))):
+                with np.errstate(over="ignore"):
                     want = _clipped_loss_with_scipy_stats(*args, C)
-                    assert (type(got), np.shape(got)) == (type(want), np.shape(want))
-                    np.testing.assert_array_equal(got, want)
+                got = expected_clipped_loss_gaussian(*args, C)
+                assert (type(got), np.shape(got)) == (type(want), np.shape(want))
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("mu", [1e3, -1e3])
+    def test_huge_standardized_bound_does_not_overflow(self, mu):
+        """|alpha| = |mu| / s ~ 4e164 at s_sq = 5e-324: the pdf is exactly 0
+        there and the run raises no RuntimeWarning (an error under this
+        repo's pytest config)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expected_clipped_loss_gaussian(mu, 5e-324, 4.0)
+        assert got == 4.0
 
     def test_degenerate_variance(self):
         assert expected_clipped_loss_gaussian(0.5, 0.0, 4.0) == 0.25
