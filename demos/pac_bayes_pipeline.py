@@ -25,7 +25,6 @@ from bayescomplex.models import BasisSpec, LinearFunction, LinearModelParams
 from bayescomplex.posterior import (
     GaussianPosterior,
     LossSpec,
-    SgldConfig,
     conjugate_empirical_loss,
     conjugate_posterior_linear,
     conjugate_true_loss,
@@ -52,11 +51,10 @@ g = LinearFunction(LinearModelParams(tuple(w)), basis)
 print(f"target kappa = {target.kappa:.4f}, noise sigma_e^2 = {sigma_e_sq}")
 
 # Step 1: calibrate the temperature.
-sgld_cfg = SgldConfig(eta=1e-3, steps=2, burn_in=1, thin=1, sigma_y_sq=1.0)
 sigma_alg_sq, search_ls = find_sigma_alg(
     beta, sigma_e_sq,
     lambda r: generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM, r),
-    family, sgld_cfg, 1e-3, rng.stream(1), loss_spec=spec, n_replicas=16,
+    family, 1e-3, rng.stream(1), loss_spec=spec, n_replicas=16,
 )
 print(f"calibrated sigma_alg^2 = {sigma_alg_sq:.5f} "
       f"(E[L_S] = {search_ls:.5f}, target {(1 + beta) * sigma_e_sq})")

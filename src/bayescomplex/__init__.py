@@ -8,6 +8,8 @@ driver (``bayescomplex``) wraps each experiment family with reproducible CSV
 output.
 """
 
+import types
+
 from .complexity import (
     DEFAULT_EPS_GRID,
     CodimQuery,
@@ -16,21 +18,14 @@ from .complexity import (
     SlopeEstimate,
     chi_from_q,
     codim_estimate,
-    dist_to_representation_set,
-    empirical_complexity_mc,
-    exponential_complexity_mc,
     fit_limiting_slope,
     hyperbola_distance,
     limiting_complexity,
     limiting_complexity_closed_form,
-    megaineq_gap,
     one_change_bounds,
-    product_density_claimed,
-    product_density_mc,
     q_closed_form,
     sharp_complexity_is,
     sharp_complexity_mc,
-    sharp_with_noise,
 )
 from .errors import (
     BayescomplexError,
@@ -50,7 +45,6 @@ from .models import (
     basis_matrix,
     build_periodic_deep_net,
     eval_linear,
-    linear_l2_distance_sq,
     min_norm_realization,
     shallow_to_pwl,
 )
@@ -65,7 +59,6 @@ from .posterior import (
     conjugate_empirical_loss,
     conjugate_posterior_linear,
     conjugate_true_loss,
-    divergence_upper_bound,
     empirical_loss_of_Q,
     expected_clipped_loss_gaussian,
     find_sigma_alg,
@@ -84,9 +77,7 @@ from .priors import (
 from .projection import (
     ProjectionPhases,
     ProjectionResult,
-    l2_slope_lower_bound,
     movement_between,
-    prefix_sum_bound,
     project_to_target,
     project_to_zero,
     project_to_zero_with_bias,
@@ -96,17 +87,20 @@ from .pwl import (
     UNIFORM_SYM,
     UNIFORM_UNIT,
     L2Measure,
-    MeasureKind,
     PwlFunction,
     canonical_equal,
     canonicalize,
-    l2_distance_sq,
     l2_norm_sq,
     periodize,
-    variational_complexity,
 )
 from .rng import SeededRng, partition_counts
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The imports above are the one list of exported names; the submodules they
+# bind as a side effect are not part of it.
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], types.ModuleType)
+]

@@ -574,7 +574,6 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
     target = LinearTarget(w=tuple(w))
     g_fn = LinearFunction(LinearModelParams(tuple(w)), basis)
     loss_spec = LossSpec(clip_C=C)
-    sgld_cfg = SgldConfig(eta=1e-3, steps=2, burn_in=1, thin=1, sigma_y_sq=1.0)
 
     def make_dataset(r: SeededRng):
         return generate_dataset(g_fn, N, sigma_e_sq, UNIFORM_SYM, r)
@@ -582,7 +581,7 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
     # search_ls is the achieved search objective: the expected empirical loss
     # over the fixed replica set the bisection calibrated on.
     sigma_alg_sq, search_ls = find_sigma_alg(
-        beta, sigma_e_sq, make_dataset, family, sgld_cfg, cfg["tol"], rng.stream(1),
+        beta, sigma_e_sq, make_dataset, family, cfg["tol"], rng.stream(1),
         loss_spec=loss_spec, n_replicas=cfg["n_replicas"],
     )
     prior_gauss = GaussianPosterior(np.zeros(d), cfg["sigma_w_sq"] * np.eye(d))

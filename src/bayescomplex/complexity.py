@@ -4,9 +4,8 @@ Implements the sharp complexity chi#(g, eps^2) = -ln P_theta[E_x[(g - f_theta)^2
 via naive Monte Carlo and defensive importance sampling, the limiting
 complexity (weighted log-log slope regression), the closed-form q function
 for the linear model, the exponential/empirical/with-noise complexity chain,
-Minkowski codimension estimation for shallow-net representation sets, the
-one-slope-change bounds, and the claimed product-density formula with an MC
-diagnostic.
+Minkowski codimension estimation for shallow-net representation sets, and
+the one-slope-change bounds.
 
 Conventions: natural logarithms throughout; eps arguments are radii and
 eps_sq arguments are squared radii; every randomized estimate carries a
@@ -573,22 +572,6 @@ def sharp_with_noise(
     return replace(inner, epsilon_sq=eps_sq)
 
 
-def megaineq_gap(px: np.ndarray, py: np.ndarray, f: np.ndarray) -> float:
-    """E_X[ln E_Y e^{-f}] - ln E_Y[e^{-E_X f}] for finite discrete (X, Y, f).
-
-    Nonnegative for f >= 0 (in fact for any bounded f, by convexity); the
-    returned gap lets property tests assert it never dips below -1e-12.
-    """
-    px = np.asarray(px, dtype=float)
-    py = np.asarray(py, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if f.shape != (px.size, py.size):
-        raise ConfigError("f must have shape (len(px), len(py))")
-    lhs = float(px @ np.log(np.exp(-f) @ py))
-    rhs = float(np.log(np.exp(-(px @ f)) @ py))
-    return lhs - rhs
-
-
 # --------------------------------------------------------------------------
 # Hyperbola distance and distance to the exact-representation set
 # --------------------------------------------------------------------------
@@ -961,42 +944,3 @@ def one_change_bounds(
         assumptions_ok=not violated,
         violated=violated,
     )
-
-
-# --------------------------------------------------------------------------
-# Product density (claimed closed form + MC diagnostic)
-# --------------------------------------------------------------------------
-
-
-def product_density_claimed(a0: float, sigma_w_sq: float) -> float:
-    """Claimed density of w1*w2 at a0 for iid N(0, sigma_w_sq) factors:
-    (1/sqrt(2 pi sigma_w_sq)) * exp(-|a0|/sigma_w_sq), reproduced verbatim.
-
-    The companion diagnostic product_density_mc estimates the actual density
-    so reports can show the discrepancy; neither value is asserted correct.
-    """
-    if sigma_w_sq <= 0:
-        raise ConfigError(f"sigma_w_sq must be > 0, got {sigma_w_sq}")
-    return math.exp(-abs(a0) / sigma_w_sq) / math.sqrt(2.0 * math.pi * sigma_w_sq)
-
-
-def product_density_mc(
-    a0: float,
-    sigma_w_sq: float,
-    n: int,
-    rng: SeededRng,
-    bandwidth: float | None = None,
-) -> tuple[float, float]:
-    """Gaussian kernel-density estimate (value, std_err) of the density of
-    w1*w2 at a0."""
-    if sigma_w_sq <= 0:
-        raise ConfigError(f"sigma_w_sq must be > 0, got {sigma_w_sq}")
-    gen = rng.generator()
-    sw = math.sqrt(sigma_w_sq)
-    prod = gen.normal(0.0, sw, size=n) * gen.normal(0.0, sw, size=n)
-    if bandwidth is None:
-        bandwidth = 1.06 * float(prod.std()) * n ** (-0.2)
-    kernel = np.exp(-0.5 * ((prod - a0) / bandwidth) ** 2) / (
-        bandwidth * math.sqrt(2.0 * math.pi)
-    )
-    return float(kernel.mean()), float(kernel.std() / math.sqrt(n))

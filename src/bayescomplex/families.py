@@ -20,15 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .models import (
-    BasisSpec,
-    LinearModelParams,
-    ShallowNetParams,
-    basis_matrix,
-    min_norm_realization,
-)
+from .models import BasisSpec, basis_matrix, min_norm_realization
 from .priors import LinearPriorSpec, NnPriorSpec
-from .pwl import PwlFunction
+from .pwl import PwlFunction, _integral_sq
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -105,18 +99,8 @@ class LinearFamily:
     def predict_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return thetas @ self.design(xs).T
 
-    def forward_and_jac(self, theta: np.ndarray, xs: np.ndarray):
-        J = self.design(xs)
-        return J @ theta, J
-
     def grad_log_prior(self, theta: np.ndarray) -> np.ndarray:
         return -theta / self.prior.sigma_w_sq
-
-    def reflect(self, theta: np.ndarray) -> np.ndarray:
-        return theta  # unbounded support
-
-    def params_from_vector(self, theta: np.ndarray) -> LinearModelParams:
-        return LinearModelParams(tuple(np.asarray(theta, dtype=float)))
 
 
 # --------------------------------------------------------------------------
@@ -141,7 +125,7 @@ class PwlMoments:
         a, b = vals[:-1], vals[1:]
         # E[g], E[g^2] over U([0,1]) (density 1 on the unit interval).
         self.mean = float(np.sum(seg * (a + b) / 2.0))
-        self.mean_sq = float(np.sum(seg * (a * a + a * b + b * b) / 3.0))
+        self.mean_sq = _integral_sq(pts, vals)
         self._pts = pts
         self._g_at = vals
         self._slope = (b - a) / seg
@@ -209,9 +193,6 @@ class ShallowNetFamily:
             thetas[:, 2 * k : 3 * k],
             thetas[:, 3 * k],
         )
-
-    def params_from_vector(self, theta: np.ndarray) -> ShallowNetParams:
-        return ShallowNetParams.from_flat(theta, self.k)
 
     # -- prior ----------------------------------------------------------------
 

@@ -74,14 +74,6 @@ def eval_linear(p: LinearModelParams, basis: BasisSpec, x) -> float:
     return float(vals[0]) if np.isscalar(x) else vals
 
 
-def linear_l2_distance_sq(w: LinearModelParams, w_target: LinearModelParams) -> float:
-    """E_{x~U([-1,1])}[(f_w - f_target)^2] = 0.5 * ||w - w_target||^2."""
-    if w.d != w_target.d:
-        raise ConfigError("coefficient length mismatch")
-    diff = w.array() - w_target.array()
-    return 0.5 * float(diff @ diff)
-
-
 @dataclass(frozen=True)
 class LinearFunction:
     """A linear-model element as a plain callable on [-1, 1]."""

@@ -185,11 +185,8 @@ def true_loss_of_Q(
         raise ConfigError("true_loss_of_Q needs at least one posterior draw")
     if n_x < 2:
         raise ConfigError(f"n_x must be >= 2, got {n_x}")
-    gen = rng.generator()
-    xs = gen.uniform(measure.lo, measure.hi, size=n_x)
-    ys = np.asarray(g(xs), dtype=float)
-    if sigma_e_sq > 0:
-        ys = ys + gen.normal(0.0, math.sqrt(sigma_e_sq), size=n_x)
+    fresh = generate_dataset(g, n_x, sigma_e_sq, measure, rng)
+    xs, ys = fresh.xs, fresh.ys
     # Chunk over draws so the (draws, n_x) loss matrix never exceeds a few
     # hundred megabytes; the per-draw and per-point means accumulate exactly.
     n_draws = draws.shape[0]
@@ -522,9 +519,10 @@ def find_sigma_alg(
     sigma_e_sq: float,
     dataset_generator: Callable[[SeededRng], Dataset],
     family,
-    cfg: SgldConfig,
     tol: float,
     rng: SeededRng,
+    *,
+    sgld_cfg: SgldConfig | None = None,
     loss_spec: LossSpec | None = None,
     n_replicas: int = 32,
     bracket: tuple[float, float] = (1e-6, 1e6),
@@ -534,8 +532,10 @@ def find_sigma_alg(
     (1 + beta) sigma_e_sq, using a fixed set of dataset replicas so the
     objective is monotone and deterministic across iterations. The linear
     family uses the exact conjugate expected loss; other families fall back
-    to SGLD draws. Replica i's dataset comes from rng.stream(i) and its SGLD
-    chain from rng.stream(i).stream(0), so the two never share a stream.
+    to SGLD draws with the chain settings sgld_cfg (its sigma_y_sq is
+    replaced at every bisection step), which they require. Replica i's
+    dataset comes from rng.stream(i) and its SGLD chain from
+    rng.stream(i).stream(0), so the two never share a stream.
 
     Returns (sigma_y_sq, achieved objective).
     """
@@ -543,9 +543,11 @@ def find_sigma_alg(
         raise ConfigError(f"beta must lie in (0, 1], got {beta}")
     if tol <= 0:
         raise ConfigError(f"tol must be > 0, got {tol}")
+    conjugate = isinstance(family, LinearFamily)
+    if not conjugate and sgld_cfg is None:
+        raise ConfigError(f"find_sigma_alg needs sgld_cfg for {type(family).__name__}")
     spec = loss_spec if loss_spec is not None else LossSpec()
     replicas = [dataset_generator(rng.stream(i)) for i in range(n_replicas)]
-    conjugate = isinstance(family, LinearFamily)
 
     def mean_loss(sigma_y_sq: float) -> float:
         losses = []
@@ -555,7 +557,7 @@ def find_sigma_alg(
                 losses.append(conjugate_empirical_loss(S, post, family.basis, spec))
             else:
                 draws = run_sgld(
-                    S, family, replace(cfg, sigma_y_sq=sigma_y_sq), rng.stream(i).stream(0)
+                    S, family, replace(sgld_cfg, sigma_y_sq=sigma_y_sq), rng.stream(i).stream(0)
                 )
                 losses.append(empirical_loss_of_Q(draws, S, spec, family).value)
         return float(np.mean(losses))

@@ -8,9 +8,6 @@ piecewise-linear target (augmented difference network with pinned target
 nodes). Movement is measured in the (u, b1, b2) coordinates, where
 u_i = w1_i * w2_i is a node's effective weight; weight changes are realized
 on the factor with the smaller magnitude.
-
-The module also exposes the two scalar inequalities the movement proofs
-rest on, as checked helpers returning both sides.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, SmallnessError
 from .models import ShallowNetParams
-from .pwl import PwlFunction
+from .pwl import PwlFunction, _integral_sq
 
 BiasMove = tuple[int, float, float]
 WeightChange = tuple[int, float, float]
@@ -57,10 +54,7 @@ def _norm_sq_nodes(u: np.ndarray, b: np.ndarray, b2: float) -> float:
     with all biases >= 0."""
     interior = b[(b > 0.0) & (b < 1.0)]
     pts = np.unique(np.concatenate([[0.0, 1.0], interior]))
-    vals = _eval_nodes(u, b, b2, pts)
-    seg = np.diff(pts)
-    a, c = vals[:-1], vals[1:]
-    return float(np.sum(seg * (a * a + a * c + c * c) / 3.0))
+    return _integral_sq(pts, _eval_nodes(u, b, b2, pts))
 
 
 def movement_between(theta: ShallowNetParams, theta_star: ShallowNetParams) -> float:
@@ -467,32 +461,3 @@ def project_to_target(
         bound=bound,
         phases=ProjectionPhases(real_moves, real_changes, notes + tuple(assignment)),
     )
-
-
-# --------------------------------------------------------------------------
-# Checked inequality helpers
-# --------------------------------------------------------------------------
-
-
-def prefix_sum_bound(x) -> tuple[float, float]:
-    """(sum of squared prefix sums, (1/8) sum of squares); the first is
-    never smaller than the second."""
-    x = np.asarray(x, dtype=float)
-    prefix = np.cumsum(x)
-    return float(prefix @ prefix), float(x @ x) / 8.0
-
-
-def l2_slope_lower_bound(u, b) -> tuple[float, float]:
-    """For f(x) = sum u_i [x - b_i]_+ with biases in [0, 1):
-    (||f||^2 over [0,1], (1/12) sum_j W_j^2 (d_{j+1} - d_j)^3) with W the
-    prefix-sum slopes over distinct biases and d_{m+1} = 1."""
-    u = np.asarray(u, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(b < 0.0) or np.any(b >= 1.0):
-        raise ConfigError("biases must lie in [0, 1)")
-    norm_sq = _norm_sq_nodes(u, b, 0.0)
-    locs = np.unique(b)
-    w = np.array([u[b <= loc].sum() for loc in locs])
-    gaps = np.diff(np.append(locs, 1.0))
-    rhs = float(np.sum(w * w * gaps**3)) / 12.0
-    return norm_sq, rhs

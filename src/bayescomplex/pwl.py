@@ -12,7 +12,7 @@ operations here use numerical quadrature.
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,39 +24,23 @@ from .errors import ConfigError
 # is the acceptance threshold for "exact".
 CANONICAL_TOL = 1e-12
 
-# Knots closer than this are treated as the same location when canonicalizing.
-_MERGE_TOL = 0.0  # exact location match only; callers quantize if they need fuzz
-
-
-class MeasureKind(enum.Enum):
-    UNIFORM_UNIT = "uniform_unit"  # U([0, 1])
-    UNIFORM_SYM = "uniform_sym"  # U([-1, 1])
-
 
 @dataclass(frozen=True)
 class L2Measure:
-    """Uniform input distribution over a fixed interval."""
+    """Uniform input distribution over the interval [lo, hi]."""
 
-    kind: MeasureKind
+    lo: float
+    hi: float
 
-    @property
-    def lo(self) -> float:
-        return 0.0 if self.kind is MeasureKind.UNIFORM_UNIT else -1.0
-
-    @property
-    def hi(self) -> float:
-        return 1.0
-
-    @property
-    def density(self) -> float:
-        width = self.hi - self.lo
-        if width <= 0:
-            raise ConfigError("degenerate measure domain")
-        return 1.0 / width
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ConfigError(
+                f"measure domain [{self.lo}, {self.hi}] must be finite with lo < hi"
+            )
 
 
-UNIFORM_UNIT = L2Measure(MeasureKind.UNIFORM_UNIT)
-UNIFORM_SYM = L2Measure(MeasureKind.UNIFORM_SYM)
+UNIFORM_UNIT = L2Measure(0.0, 1.0)
+UNIFORM_SYM = L2Measure(-1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -97,9 +81,6 @@ class PwlFunction:
 
     def locations(self) -> np.ndarray:
         return np.array([t for t, _ in self.knots], dtype=float)
-
-    def slope_changes(self) -> np.ndarray:
-        return np.array([v for _, v in self.knots], dtype=float)
 
     def breakpoints(self) -> np.ndarray:
         """Domain endpoints plus knot locations, sorted."""
@@ -147,34 +128,26 @@ def _check_shared_domain(f: PwlFunction, g: PwlFunction, mu: L2Measure) -> None:
             )
 
 
-def l2_distance_sq(f: PwlFunction, g: PwlFunction, mu: L2Measure) -> float:
-    """E_{x~mu}[(f(x) - g(x))^2], exact segment-by-segment.
+def _integral_sq(pts: np.ndarray, vals: np.ndarray) -> float:
+    """Exact integral of h^2 for h linear between the sorted points pts,
+    with h(pts) = vals: each segment of length L contributes
+    L * (a^2 + a*b + b^2) / 3, with a, b its endpoint values."""
+    seg = np.diff(pts)
+    a, b = vals[:-1], vals[1:]
+    return float(np.sum(seg * (a * a + a * b + b * b) / 3.0))
 
-    On each segment between consecutive breakpoints the difference h = f - g
-    is linear, so the integral of h^2 is L * (a^2 + a*b + b^2) / 3 with a, b
-    the endpoint values.
-    """
+
+def l2_distance_sq(f: PwlFunction, g: PwlFunction, mu: L2Measure) -> float:
+    """E_{x~mu}[(f(x) - g(x))^2], exact segment-by-segment."""
     _check_shared_domain(f, g, mu)
     pts = np.unique(np.concatenate([f.breakpoints(), g.breakpoints()]))
-    h = f(pts) - g(pts)
-    seg = np.diff(pts)
-    a, b = h[:-1], h[1:]
-    total = float(np.sum(seg * (a * a + a * b + b * b) / 3.0))
-    return total * mu.density
+    return _integral_sq(pts, f(pts) - g(pts)) / (mu.hi - mu.lo)
 
 
 def l2_norm_sq(f: PwlFunction) -> float:
     """Unnormalized squared L2 norm over the function's own domain."""
     pts = f.breakpoints()
-    h = f(pts)
-    seg = np.diff(pts)
-    a, b = h[:-1], h[1:]
-    return float(np.sum(seg * (a * a + a * b + b * b) / 3.0))
-
-
-def variational_complexity(g: PwlFunction) -> float:
-    """Total variation of g': sum of |v_i|, counting a knot at the left endpoint."""
-    return float(np.sum(np.abs(g.slope_changes()))) if g.knots else 0.0
+    return _integral_sq(pts, f(pts))
 
 
 def periodize(g0: PwlFunction, l: int) -> PwlFunction:

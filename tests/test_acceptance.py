@@ -19,7 +19,6 @@ from bayescomplex.complexity import (
     exponential_complexity_mc,
     limiting_complexity,
     limiting_complexity_closed_form,
-    megaineq_gap,
     one_change_bounds,
     q_closed_form,
     sharp_complexity_mc,
@@ -49,14 +48,13 @@ from bayescomplex.posterior import (
 )
 from bayescomplex.priors import LinearPriorSpec, NnPriorSpec, sample_linear_prior
 from bayescomplex.projection import (
-    l2_slope_lower_bound,
-    prefix_sum_bound,
     project_to_target,
     project_to_zero,
     project_to_zero_with_bias,
 )
 from bayescomplex.pwl import UNIFORM_SYM, PwlFunction, canonical_equal, l2_norm_sq
 from bayescomplex.rng import SeededRng
+from paper_checks import l2_slope_lower_bound, megaineq_gap, prefix_sum_bound
 
 EPS_GRID_LOG = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 
@@ -410,13 +408,12 @@ def test_criterion_11_pac_bayes_validity():
     target = LinearTarget(w=tuple(w))
     g = LinearFunction(LinearModelParams(tuple(w)), basis)
     spec = LossSpec(clip_C=C)
-    sgld_cfg = SgldConfig(eta=1e-3, steps=2, burn_in=1, thin=1, sigma_y_sq=1.0)
 
     def make_dataset(r):
         return generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM, r)
 
     sigma_alg_sq, achieved = find_sigma_alg(
-        beta, sigma_e_sq, make_dataset, family, sgld_cfg, 1e-3, rng.stream(1),
+        beta, sigma_e_sq, make_dataset, family, 1e-3, rng.stream(1),
         loss_spec=spec, n_replicas=32,
     )
     check_rng = SeededRng(42).stream(1)

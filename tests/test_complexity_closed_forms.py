@@ -14,10 +14,7 @@ from bayescomplex.complexity import (
     fit_limiting_slope,
     hyperbola_distance,
     limiting_complexity_closed_form,
-    megaineq_gap,
     one_change_bounds,
-    product_density_claimed,
-    product_density_mc,
     q_closed_form,
     sharp_with_noise,
 )
@@ -26,6 +23,7 @@ from bayescomplex.models import ShallowNetParams, min_norm_realization
 from bayescomplex.priors import NnPriorSpec
 from bayescomplex.pwl import PwlFunction
 from bayescomplex.rng import SeededRng
+from paper_checks import megaineq_gap, product_density_claimed, product_density_mc
 
 
 class TestQClosedForm:

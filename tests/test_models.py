@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bayescomplex.errors import ConfigError
+from bayescomplex.families import LinearFamily, LinearTarget
 from bayescomplex.models import (
     BasisSpec,
     LinearModelParams,
@@ -13,11 +14,12 @@ from bayescomplex.models import (
     build_periodic_deep_net,
     eval_linear,
     interior_knot_count,
-    linear_l2_distance_sq,
     min_norm_realization,
     shallow_to_pwl,
 )
-from bayescomplex.pwl import PwlFunction, canonical_equal, periodize, variational_complexity
+from bayescomplex.priors import LinearPriorSpec
+from bayescomplex.pwl import PwlFunction, canonical_equal, periodize
+from paper_checks import variational_complexity
 
 
 class TestBasis:
@@ -47,11 +49,13 @@ class TestBasis:
         nodes, weights = np.polynomial.legendre.leggauss(12)
         gap = eval_linear(w, basis, nodes) - eval_linear(v, basis, nodes)
         quad = 0.5 * float(weights @ gap**2)  # density 1/2 on [-1, 1]
-        assert linear_l2_distance_sq(w, v) == pytest.approx(quad, rel=1e-12)
+        family = LinearFamily(basis, LinearPriorSpec(1.0))
+        dist = family.dist_sq(LinearTarget(v.w), w.array()[None, :])
+        assert float(dist[0]) == pytest.approx(quad, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            linear_l2_distance_sq(LinearModelParams((1.0,)), LinearModelParams((1.0, 2.0)))
+            eval_linear(LinearModelParams((1.0,)), BasisSpec(2), 0.5)
 
 
 class TestShallowNet:

@@ -225,12 +225,11 @@ class TestDesignMemo:
     def test_find_sigma_alg_matches_recomputed_design(self, d, seed, monkeypatch):
         basis, _, family = _linear_setup(d)
         g = LinearFunction(LinearModelParams((0.7,) + (-0.3,) * (d - 1)), basis)
-        cfg = SgldConfig(eta=1e-3, steps=2, burn_in=1, thin=1, sigma_y_sq=1.0)
 
         def search():
             return find_sigma_alg(
                 1.0, 0.04, lambda r: generate_dataset(g, 40, 0.04, UNIFORM_SYM, r),
-                family, cfg, 1e-3, SeededRng(seed).stream(1), n_replicas=8,
+                family, 1e-3, SeededRng(seed).stream(1), n_replicas=8,
             )
 
         memoized = search()
@@ -769,9 +768,8 @@ class TestFindSigmaAlg:
         def make(r):
             return generate_dataset(g, 40, 0.04, UNIFORM_SYM, r)
 
-        cfg = SgldConfig(eta=1e-3, steps=2, burn_in=1, thin=1, sigma_y_sq=1.0)
         spec = LossSpec(clip_C=4.0)
-        sigma_alg_sq, achieved = find_sigma_alg(1.0, 0.04, make, family, cfg, 1e-3,
+        sigma_alg_sq, achieved = find_sigma_alg(1.0, 0.04, make, family, 1e-3,
                                                 rng.stream(1), loss_spec=spec,
                                                 n_replicas=16)
         # Recompute the search objective on the same replica set.
@@ -793,9 +791,8 @@ class TestFindSigmaAlg:
         def make(r):
             return generate_dataset(g, 40, 0.04, UNIFORM_SYM, r)
 
-        cfg = SgldConfig(eta=1e-3, steps=2, burn_in=1, thin=1, sigma_y_sq=1.0)
         with pytest.raises(CheckFailure, match="bracket"):
-            find_sigma_alg(1.0, 0.04, make, family, cfg, 1e-3,
+            find_sigma_alg(1.0, 0.04, make, family, 1e-3,
                            SeededRng(5).stream(1), loss_spec=LossSpec(),
                            n_replicas=4, bracket=(1e-6, 1e-4))
 
@@ -820,20 +817,26 @@ class TestFindSigmaAlg:
         family = ShallowNetFamily(1, NnPriorSpec.default_for(1))
         cfg = SgldConfig(eta=1e-3, steps=2, burn_in=1, thin=1, sigma_y_sq=1.0)
         with pytest.raises(CheckFailure, match="bracket"):
-            find_sigma_alg(1.0, 0.04, make, family, cfg, 1e-3, SeededRng(5).stream(1),
-                           n_replicas=1001)
+            find_sigma_alg(1.0, 0.04, make, family, 1e-3, SeededRng(5).stream(1),
+                           sgld_cfg=cfg, n_replicas=1001)
         assert len(dataset_ids) == 1001 and len(chain_ids) == 1001
         assert dataset_ids.isdisjoint(chain_ids)
 
     def test_validation(self):
         basis, prior, family = _linear_setup(1)
-        cfg = SgldConfig(eta=1e-3, steps=2, burn_in=1, thin=1, sigma_y_sq=1.0)
         with pytest.raises(ConfigError):
-            find_sigma_alg(0.0, 0.04, lambda r: None, family, cfg, 1e-3,
-                           SeededRng(0))
+            find_sigma_alg(0.0, 0.04, lambda r: None, family, 1e-3, SeededRng(0))
         with pytest.raises(ConfigError):
-            find_sigma_alg(1.0, 0.04, lambda r: None, family, cfg, 0.0,
-                           SeededRng(0))
+            find_sigma_alg(1.0, 0.04, lambda r: None, family, 0.0, SeededRng(0))
+
+    def test_sgld_family_needs_sgld_cfg(self):
+        """Only the conjugate linear family can search without SGLD chain
+        settings; any other family is refused before a dataset is drawn."""
+        drawn = []
+        family = ShallowNetFamily(1, NnPriorSpec.default_for(1))
+        with pytest.raises(ConfigError, match="sgld_cfg"):
+            find_sigma_alg(1.0, 0.04, drawn.append, family, 1e-3, SeededRng(0))
+        assert drawn == []
 
 
 class TestBatchMeansSe:

@@ -12,14 +12,13 @@ from bayescomplex.cli import _random_admissible_theta
 from bayescomplex.errors import ConfigError, SmallnessError
 from bayescomplex.models import ShallowNetParams, min_norm_realization, shallow_to_pwl
 from bayescomplex.projection import (
-    l2_slope_lower_bound,
     movement_between,
-    prefix_sum_bound,
     project_to_target,
     project_to_zero,
     project_to_zero_with_bias,
 )
 from bayescomplex.pwl import PwlFunction, canonical_equal, l2_norm_sq
+from paper_checks import l2_slope_lower_bound, prefix_sum_bound
 
 ZERO_FN = PwlFunction(bias=0.0)
 

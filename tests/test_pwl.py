@@ -13,14 +13,15 @@ from bayescomplex.pwl import (
     CANONICAL_TOL,
     UNIFORM_SYM,
     UNIFORM_UNIT,
+    L2Measure,
     PwlFunction,
     canonical_equal,
     canonicalize,
     l2_distance_sq,
     l2_norm_sq,
     periodize,
-    variational_complexity,
 )
+from paper_checks import variational_complexity
 
 
 def _quad_oracle(fn, lo, hi, n=200_001):
@@ -157,6 +158,21 @@ class TestL2Geometry:
         g = PwlFunction(bias=0.0, knots=(), domain_lo=-1.0, domain_hi=1.0)
         with pytest.raises(ConfigError):
             l2_distance_sq(f, g, UNIFORM_UNIT)
+
+    def test_measure_is_its_interval(self):
+        assert (UNIFORM_UNIT.lo, UNIFORM_UNIT.hi) == (0.0, 1.0)
+        assert (UNIFORM_SYM.lo, UNIFORM_SYM.hi) == (-1.0, 1.0)
+        assert L2Measure(-1.0, 1.0) == UNIFORM_SYM
+        f = PwlFunction(bias=1.0, knots=(), domain_lo=0.0, domain_hi=4.0)
+        g = PwlFunction(bias=0.0, knots=(), domain_lo=0.0, domain_hi=4.0)
+        assert l2_distance_sq(f, g, L2Measure(0.0, 4.0)) == 1.0
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(1.0, 1.0), (1.0, 0.0), (-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)]
+    )
+    def test_degenerate_measure_rejected(self, lo, hi):
+        with pytest.raises(ConfigError):
+            L2Measure(lo, hi)
 
     @given(
         st.lists(
