@@ -13,7 +13,7 @@ B_R (hidden biases in [0, M]) uniformly and counting tube hits.
 """
 
 from bayescomplex.complexity import CodimQuery, codim_estimate
-from bayescomplex.priors import NnPriorSpec
+from bayescomplex.families import NnPriorSpec
 from bayescomplex.pwl import PwlFunction
 from bayescomplex.rng import SeededRng
 

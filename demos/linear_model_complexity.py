@@ -19,9 +19,8 @@ from bayescomplex.complexity import (
     limiting_complexity_closed_form,
     sharp_complexity_mc,
 )
-from bayescomplex.families import LinearFamily, LinearTarget
+from bayescomplex.families import LinearFamily, LinearPriorSpec, LinearTarget
 from bayescomplex.models import BasisSpec
-from bayescomplex.priors import LinearPriorSpec
 from bayescomplex.rng import SeededRng
 
 # The slope of chi against ln(1/eps) counts parameters.

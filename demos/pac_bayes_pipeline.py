@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from bayescomplex.complexity import chi_from_q
-from bayescomplex.families import LinearFamily, LinearTarget
-from bayescomplex.models import BasisSpec, LinearFunction, LinearModelParams
+from bayescomplex.families import LinearFamily, LinearPriorSpec, LinearTarget
+from bayescomplex.models import BasisSpec, LinearFunction
 from bayescomplex.posterior import (
     GaussianPosterior,
     LossSpec,
@@ -34,7 +34,6 @@ from bayescomplex.posterior import (
     pac_bayes_rhs,
     theorem_bound,
 )
-from bayescomplex.priors import LinearPriorSpec, sample_linear_prior
 from bayescomplex.pwl import UNIFORM_SYM
 from bayescomplex.rng import SeededRng
 
@@ -45,9 +44,9 @@ prior = LinearPriorSpec(1.0)
 family = LinearFamily(basis, prior)
 spec = LossSpec(clip_C=C)
 
-w = sample_linear_prior(prior, d, rng.stream(0)).w
+w = family.sample_matrix(1, rng.stream(0).generator())[0]
 target = LinearTarget(w=tuple(w))
-g = LinearFunction(LinearModelParams(tuple(w)), basis)
+g = LinearFunction(tuple(w), basis)
 print(f"target kappa = {target.kappa:.4f}, noise sigma_e^2 = {sigma_e_sq}")
 
 # Step 1: calibrate the temperature.

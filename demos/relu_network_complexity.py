@@ -14,8 +14,7 @@ exact representation of the target and reweights by the prior density.
 """
 
 from bayescomplex.complexity import limiting_complexity
-from bayescomplex.families import ShallowNetFamily
-from bayescomplex.priors import NnPriorSpec
+from bayescomplex.families import NnPriorSpec, ShallowNetFamily
 from bayescomplex.pwl import PwlFunction
 from bayescomplex.rng import SeededRng
 

@@ -12,8 +12,8 @@ objective.
 
 import numpy as np
 
-from bayescomplex.families import LinearFamily
-from bayescomplex.models import BasisSpec, LinearFunction, LinearModelParams
+from bayescomplex.families import LinearFamily, LinearPriorSpec
+from bayescomplex.models import BasisSpec, LinearFunction
 from bayescomplex.posterior import (
     SgldConfig,
     batch_means_se,
@@ -21,7 +21,6 @@ from bayescomplex.posterior import (
     generate_dataset,
     run_sgld,
 )
-from bayescomplex.priors import LinearPriorSpec
 from bayescomplex.pwl import UNIFORM_SYM
 from bayescomplex.rng import SeededRng
 
@@ -29,7 +28,7 @@ rng = SeededRng(42)
 basis = BasisSpec(d=1)
 prior = LinearPriorSpec(1.0)
 family = LinearFamily(basis, prior)
-g = LinearFunction(LinearModelParams((0.8,)), basis)
+g = LinearFunction((0.8,), basis)
 S = generate_dataset(g, 20, 0.04, UNIFORM_SYM, rng.stream(0))
 
 post = conjugate_posterior_linear(S, prior, basis, 0.04)

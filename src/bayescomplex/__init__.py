@@ -35,16 +35,21 @@ from .errors import (
     NumericalError,
     SmallnessError,
 )
-from .families import LinearFamily, LinearTarget, PwlMoments, ShallowNetFamily
+from .families import (
+    LinearFamily,
+    LinearPriorSpec,
+    LinearTarget,
+    NnPriorSpec,
+    PwlMoments,
+    ShallowNetFamily,
+)
 from .models import (
     BasisSpec,
     DeepNetParams,
     LinearFunction,
-    LinearModelParams,
     ShallowNetParams,
     basis_matrix,
     build_periodic_deep_net,
-    eval_linear,
     min_norm_realization,
     shallow_to_pwl,
 )
@@ -55,11 +60,9 @@ from .posterior import (
     LossSpec,
     SgldConfig,
     batch_means_se,
-    clipped_loss,
     conjugate_empirical_loss,
     conjugate_posterior_linear,
     conjugate_true_loss,
-    empirical_loss_of_Q,
     expected_clipped_loss_gaussian,
     find_sigma_alg,
     generate_dataset,
@@ -67,12 +70,6 @@ from .posterior import (
     pac_bayes_rhs,
     run_sgld,
     theorem_bound,
-    true_loss_of_Q,
-)
-from .priors import (
-    LinearPriorSpec,
-    NnPriorSpec,
-    sample_linear_prior,
 )
 from .projection import (
     ProjectionPhases,
@@ -80,7 +77,6 @@ from .projection import (
     movement_between,
     project_to_target,
     project_to_zero,
-    project_to_zero_with_bias,
 )
 from .pwl import (
     CANONICAL_TOL,

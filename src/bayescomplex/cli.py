@@ -42,11 +42,16 @@ from .complexity import (
     sharp_complexity_mc,
 )
 from .errors import CheckFailure, ConfigError, NumericalError
-from .families import LinearFamily, LinearTarget, ShallowNetFamily
+from .families import (
+    LinearFamily,
+    LinearPriorSpec,
+    LinearTarget,
+    NnPriorSpec,
+    ShallowNetFamily,
+)
 from .models import (
     BasisSpec,
     LinearFunction,
-    LinearModelParams,
     ShallowNetParams,
     build_periodic_deep_net,
     interior_knot_count,
@@ -67,7 +72,6 @@ from .posterior import (
     run_sgld,
     theorem_bound,
 )
-from .priors import LinearPriorSpec, NnPriorSpec, sample_linear_prior
 from .projection import movement_between, project_to_zero
 from .pwl import UNIFORM_SYM, PwlFunction, l2_norm_sq, periodize
 from .rng import SeededRng
@@ -570,9 +574,9 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
             raise ConfigError(f"target_w must have d={d} entries")
         w = cfg["target_w"]
     else:
-        w = sample_linear_prior(prior, d, rng.stream(0)).w
+        w = family.sample_matrix(1, rng.stream(0).generator())[0]
     target = LinearTarget(w=tuple(w))
-    g_fn = LinearFunction(LinearModelParams(tuple(w)), basis)
+    g_fn = LinearFunction(tuple(w), basis)
     loss_spec = LossSpec(clip_C=C)
 
     def make_dataset(r: SeededRng):
@@ -651,7 +655,7 @@ def cmd_sgld_check(cfg: dict) -> CsvReport:
     family = LinearFamily(basis, prior)
     if len(cfg["target_w"]) != d:
         raise ConfigError(f"target_w must have d={d} entries")
-    g_fn = LinearFunction(LinearModelParams(tuple(cfg["target_w"])), basis)
+    g_fn = LinearFunction(tuple(cfg["target_w"]), basis)
     S = generate_dataset(g_fn, N, cfg["sigma_e_sq"], UNIFORM_SYM, rng.stream(0))
     post = conjugate_posterior_linear(S, prior, basis, cfg["sigma_y_sq"])
     chain_cfg = SgldConfig(

@@ -25,8 +25,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import ConfigError, InsufficientSamplesError, NumericalError
-from .families import PwlMoments, ShallowNetFamily
-from .priors import NnPriorSpec
+from .families import NnPriorSpec, ShallowNetFamily
 from .pwl import PwlFunction
 from .rng import SeededRng, partition_counts
 
@@ -155,19 +154,6 @@ def chi_from_q(
 # --------------------------------------------------------------------------
 
 
-def _prepare(family, target):
-    if isinstance(family, ShallowNetFamily) and isinstance(target, PwlFunction):
-        return PwlMoments(target)
-    return target
-
-
-def _batch_rows(family) -> int:
-    # Fixes RNG consumption per batch: changing it changes every report's bytes.
-    if isinstance(family, ShallowNetFamily):
-        return min(200_000, max(4096, int(4_000_000 / (family.k * family.k))))
-    return 1_000_000
-
-
 def _rule_of_three(n: int, eps_sq: float, method: str) -> ComplexityEstimate:
     return ComplexityEstimate(
         chi=math.log(n / 3.0),
@@ -287,13 +273,13 @@ def sharp_complexity_mc(
     """Naive Monte Carlo estimate of chi#."""
     if eps_sq <= 0:
         raise ConfigError(f"eps_sq must be > 0, got {eps_sq}")
-    prepared = _prepare(family, target)
+    prepared = family.prepare(target)
 
     def batch(gen, m):
         hit = family.within(prepared, family.sample_matrix(m, gen), eps_sq)
         return int(np.count_nonzero(hit))
 
-    hits = sum(_map_batches(rng, n, workers, _batch_rows(family), batch))
+    hits = sum(_map_batches(rng, n, workers, family.batch_rows, batch))
     return _naive_estimate(hits, n, eps_sq)
 
 
@@ -319,7 +305,7 @@ def sharp_complexity_is(
         raise ConfigError(f"eps_sq must be > 0, got {eps_sq}")
     center = family.is_center(target)
     scale = cloud_width * math.sqrt(eps_sq)
-    prepared = _prepare(family, target)
+    prepared = family.prepare(target)
     log_half = math.log(0.5)
     tile = family.tile_rows
 
@@ -352,7 +338,7 @@ def sharp_complexity_is(
     s1 = 0.0
     s2 = 0.0
     hits = 0
-    for b1, b2, b_hits in _map_batches(rng, n, workers, _batch_rows(family), batch):
+    for b1, b2, b_hits in _map_batches(rng, n, workers, family.batch_rows, batch):
         s1 += b1
         s2 += b2
         hits += b_hits
@@ -514,9 +500,9 @@ def exponential_complexity_mc(
     """
     if sigma_y_sq <= 0:
         raise ConfigError(f"sigma_y_sq must be > 0, got {sigma_y_sq}")
-    prepared = _prepare(family, target)
+    prepared = family.prepare(target)
     d2 = np.concatenate(_map_batches(
-        rng, n, workers, _batch_rows(family),
+        rng, n, workers, family.batch_rows,
         lambda gen, m: family.dist_sq(prepared, family.sample_matrix(m, gen)),
     ))
     return _logmean_estimate(-(d2 + sigma_e_sq) / (2.0 * sigma_y_sq))
@@ -547,7 +533,7 @@ def empirical_complexity_mc(
     big_n = xs.size
     ys = (g(xs) if callable(g) else np.asarray(g, dtype=float)) + noise
     denom = 2.0 * sigma_y_sq_over_N * big_n
-    rows = max(256, min(_batch_rows(family), int(4_000_000 / big_n)))
+    rows = max(256, min(family.batch_rows, int(4_000_000 / big_n)))
 
     def batch(gen, m):
         resid = family.predict_batch(family.sample_matrix(m, gen), xs) - ys[None, :]

@@ -1,11 +1,19 @@
 """Model + prior bundles with vectorized kernels.
 
+Priors (NnPriorSpec, LinearPriorSpec): the shallow network's weights are
+i.i.d. N(0, sigma_w^2), its hidden biases i.i.d. U([0, M]) and its output
+bias N(0, sigma_b^2); the linear model's basis coefficients are isotropic
+N(0, sigma_w^2). Defaults follow the k-node convention M = k,
+sigma_w^2 = 1/k, sigma_b^2 = 1.
+
 The complexity estimators and the posterior machinery are generic over a
 "family": something that can sample parameters from its prior, measure the
-exact mean-squared distance between a parameter's function and a target,
+exact mean-squared distance between a parameter's function and a target
+(after ``prepare`` has put the target in the form its kernels take),
 evaluate prior log-densities, and provide an importance-sampling center for
-a realizable target. Two families exist: the orthonormal-basis linear model
-and the shallow ReLU network in the product parametrization.
+a realizable target; ``batch_rows`` sets the estimators' draws per batch.
+Two families exist: the orthonormal-basis linear model and the shallow ReLU
+network in the product parametrization.
 
 All batch kernels work on plain (n, dim) parameter matrices; the distance
 kernels are closed-form exact (no quadrature) so that ten-million-draw Monte
@@ -21,7 +29,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import BasisSpec, basis_matrix, min_norm_realization
-from .priors import LinearPriorSpec, NnPriorSpec
 from .pwl import PwlFunction, _integral_sq
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -32,6 +39,40 @@ def _scale_shift(z: np.ndarray, scale, shift) -> np.ndarray:
     z *= scale
     z += shift
     return z
+
+
+# --------------------------------------------------------------------------
+# Prior specifications
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class NnPriorSpec:
+    sigma_w_sq: float
+    M: float
+    sigma_b_sq: float
+
+    def __post_init__(self):
+        if not (0 < self.sigma_w_sq < math.inf and 0 < self.sigma_b_sq < math.inf):
+            raise ConfigError(
+                "prior variances must be finite and > 0, got "
+                f"sigma_w_sq={self.sigma_w_sq}, sigma_b_sq={self.sigma_b_sq}"
+            )
+        if not 1 <= self.M < math.inf:
+            raise ConfigError(f"hidden-bias range M must be finite and >= 1, got {self.M}")
+
+    @staticmethod
+    def default_for(k: int) -> "NnPriorSpec":
+        return NnPriorSpec(sigma_w_sq=1.0 / k, M=float(k), sigma_b_sq=1.0)
+
+
+@dataclass(frozen=True)
+class LinearPriorSpec:
+    sigma_w_sq: float
+
+    def __post_init__(self):
+        if not 0 < self.sigma_w_sq < math.inf:
+            raise ConfigError(f"prior variance must be finite and > 0, got {self.sigma_w_sq}")
 
 
 # --------------------------------------------------------------------------
@@ -60,6 +101,13 @@ class LinearFamily:
         self.dim = basis.d
         # Rows per tile of the IS weight pass: about 2**15 elements.
         self.tile_rows = max(256, 32768 // self.dim)
+        # Rows per estimator batch. Fixes RNG consumption per batch: changing
+        # it changes every report's bytes.
+        self.batch_rows = 1_000_000
+
+    def prepare(self, target: LinearTarget) -> LinearTarget:
+        """The form dist_sq and within take the target in: as given."""
+        return target
 
     def sample_matrix(self, n: int, gen: np.random.Generator) -> np.ndarray:
         return gen.normal(0.0, math.sqrt(self.prior.sigma_w_sq), size=(n, self.dim))
@@ -182,6 +230,9 @@ class ShallowNetFamily:
         # Rows per kernel tile (dist_sq, and the IS weight pass): the
         # scratch is a few (rows, k) arrays, so keep rows * k near 2**15.
         self.tile_rows = max(256, 32768 // k)
+        # Rows per estimator batch. Fixes RNG consumption per batch: changing
+        # it changes every report's bytes.
+        self.batch_rows = min(200_000, max(4096, int(4_000_000 / (k * k))))
 
     # -- layout helpers ------------------------------------------------------
 
@@ -218,8 +269,13 @@ class ShallowNetFamily:
 
     # -- exact distance to a piecewise-linear target --------------------------
 
+    def prepare(self, target) -> PwlMoments:
+        """The moments dist_sq and within work from; a PwlMoments passes
+        through, so a target prepared once is reused across calls."""
+        return target if isinstance(target, PwlMoments) else PwlMoments(target)
+
     def dist_sq(self, target, thetas: np.ndarray) -> np.ndarray:
-        moments = target if isinstance(target, PwlMoments) else PwlMoments(target)
+        moments = self.prepare(target)
         n = thetas.shape[0]
         out = np.empty(n)
         for lo in range(0, n, self.tile_rows):
@@ -236,7 +292,7 @@ class ShallowNetFamily:
         kernels, so a dropped row has a computed dist_sq above eps_sq too.
         Rows where the bound is nan, or its margin overflows, are kept.
         """
-        mo = target if isinstance(target, PwlMoments) else PwlMoments(target)
+        mo = self.prepare(target)
         n = thetas.shape[0]
         keep = np.empty(n, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,5 +1,7 @@
-"""Hypothesis classes: orthonormal-basis linear models, shallow ReLU networks
-in the product parametrization, and the deep periodic construction.
+"""Hypothesis classes: the orthonormal-basis linear model (LinearFunction),
+shallow ReLU networks in the product parametrization (ShallowNetParams) and
+the deep periodic construction (DeepNetParams). Priors over their parameters
+live with the batch kernels in ``families``.
 
 The linear family uses Legendre polynomials normalized against the plain
 (unweighted) inner product on [-1, 1]:
@@ -34,18 +36,6 @@ class BasisSpec:
             raise ConfigError("basis size must be >= 1")
 
 
-@dataclass(frozen=True)
-class LinearModelParams:
-    w: tuple[float, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.w)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.w, dtype=float)
-
-
 def basis_matrix(basis: BasisSpec, xs) -> np.ndarray:
     """Evaluate the orthonormal basis at xs; shape (len(xs), d).
 
@@ -66,23 +56,20 @@ def basis_matrix(basis: BasisSpec, xs) -> np.ndarray:
     return P * norm
 
 
-def eval_linear(p: LinearModelParams, basis: BasisSpec, x) -> float:
-    """f_w(x) = sum_i w_i b_i(x)."""
-    if p.d != basis.d:
-        raise ConfigError("coefficient length does not match basis size")
-    vals = basis_matrix(basis, x) @ p.array()
-    return float(vals[0]) if np.isscalar(x) else vals
-
-
 @dataclass(frozen=True)
 class LinearFunction:
-    """A linear-model element as a plain callable on [-1, 1]."""
+    """The linear model f_w(x) = sum_i w_i b_i(x) as a callable on [-1, 1];
+    returns an array of shape (len(atleast_1d(x)),)."""
 
-    params: LinearModelParams
+    w: tuple[float, ...]
     basis: BasisSpec
 
+    def __post_init__(self):
+        if len(self.w) != self.basis.d:
+            raise ConfigError("coefficient length does not match basis size")
+
     def __call__(self, x):
-        return eval_linear(self.params, self.basis, np.asarray(x, dtype=float))
+        return basis_matrix(self.basis, x) @ np.asarray(self.w, dtype=float)
 
 
 # --------------------------------------------------------------------------

@@ -22,9 +22,8 @@ from scipy import linalg, special
 
 from .complexity import ComplexityEstimate
 from .errors import CheckFailure, ConfigError, NumericalError
-from .families import LinearFamily, LinearTarget
+from .families import LinearFamily, LinearPriorSpec, LinearTarget
 from .models import BasisSpec, basis_matrix
-from .priors import LinearPriorSpec
 from .pwl import L2Measure
 from .rng import SeededRng
 
@@ -474,14 +473,13 @@ def kl_gaussians(q: GaussianPosterior, p: GaussianPosterior) -> float:
     if q.d != p.d:
         raise ConfigError("dimension mismatch between posteriors")
     d = q.d
-    chol_p = np.linalg.cholesky(p.covariance)
+    chol_p = p._chol
     solved = linalg.cho_solve((chol_p, True), q.covariance)
     trace = float(np.trace(solved))
     diff = p.mean - q.mean
     quad = float(diff @ linalg.cho_solve((chol_p, True), diff))
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(chol_p))))
-    chol_q = np.linalg.cholesky(q.covariance)
-    logdet_q = 2.0 * float(np.sum(np.log(np.diag(chol_q))))
+    logdet_q = 2.0 * float(np.sum(np.log(np.diag(q._chol))))
     return 0.5 * (trace + quad - d + logdet_p - logdet_q)
 
 

@@ -59,10 +59,8 @@ def _norm_sq_nodes(u: np.ndarray, b: np.ndarray, b2: float) -> float:
 
 def movement_between(theta: ShallowNetParams, theta_star: ShallowNetParams) -> float:
     """Squared distance in effective-weight coordinates (u, b1, b2)."""
-    u0 = np.asarray(theta.w1) * np.asarray(theta.w2)
-    u1 = np.asarray(theta_star.w1) * np.asarray(theta_star.w2)
+    du = theta.effective_weights() - theta_star.effective_weights()
     db = np.asarray(theta.b1) - np.asarray(theta_star.b1)
-    du = u0 - u1
     return float(du @ du + db @ db + (theta.b2 - theta_star.b2) ** 2)
 
 
@@ -90,6 +88,21 @@ def _realize_factors(w1, w2, u_new):
             w1[i] = 1.0
             w2[i] = target
     return w1, w2
+
+
+def _result(theta, u_new, b_new, b2_new, bound, phases) -> ProjectionResult:
+    """Realize the new effective weights on theta's factors and measure the
+    movement from theta to the projected parameters."""
+    w1, w2 = _realize_factors(theta.w1, theta.w2, u_new)
+    theta_star = ShallowNetParams(
+        w1=tuple(w1), w2=tuple(w2), b1=tuple(b_new), b2=float(b2_new)
+    )
+    return ProjectionResult(
+        theta_star=theta_star,
+        movement_sq=movement_between(theta, theta_star),
+        bound=bound,
+        phases=phases,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -224,22 +237,14 @@ def project_to_zero(theta: ShallowNetParams) -> ProjectionResult:
     b2 = 0, with movement_sq <= 96 k^{13/5} ||f||^{4/5}."""
     if theta.b2 != 0.0:
         raise ConfigError(f"project_to_zero requires b2 = 0, got {theta.b2}")
-    u = np.asarray(theta.w1) * np.asarray(theta.w2)
+    u = theta.effective_weights()
     b = np.asarray(theta.b1, dtype=float)
     u_new, b_new, moves, changes, norm_sq = _zero_project_core(
         u, b, pin_zero=None, frozen=frozenset(), context="project_to_zero"
     )
-    w1, w2 = _realize_factors(theta.w1, theta.w2, u_new)
-    theta_star = ShallowNetParams(
-        w1=tuple(w1), w2=tuple(w2), b1=tuple(b_new), b2=0.0
-    )
     bound = 96.0 * theta.k ** (13.0 / 5.0) * norm_sq ** (2.0 / 5.0)
-    return ProjectionResult(
-        theta_star=theta_star,
-        movement_sq=movement_between(theta, theta_star),
-        bound=bound,
-        phases=ProjectionPhases(tuple(moves), tuple(changes), ()),
-    )
+    return _result(theta, u_new, b_new, 0.0, bound,
+                   ProjectionPhases(tuple(moves), tuple(changes), ()))
 
 
 # --------------------------------------------------------------------------
@@ -375,7 +380,7 @@ def project_to_zero_with_bias(
     if R <= 0:
         raise ConfigError(f"R must be > 0, got {R}")
     k = theta.k
-    u = np.asarray(theta.w1) * np.asarray(theta.w2)
+    u = theta.effective_weights()
     b = np.asarray(theta.b1, dtype=float)
     if np.any(b < 0.0):
         raise ConfigError("projection requires nonnegative biases")
@@ -386,17 +391,9 @@ def project_to_zero_with_bias(
     u_new, b_new, b2_new, moves, changes, notes = _with_bias_core(
         u, b, theta.b2, norm_sq, frozenset(), "project_to_zero_with_bias"
     )
-    w1, w2 = _realize_factors(theta.w1, theta.w2, u_new)
-    theta_star = ShallowNetParams(
-        w1=tuple(w1), w2=tuple(w2), b1=tuple(b_new), b2=float(b2_new)
-    )
     bound = k**5 * R ** (4.0 / 5.0) * norm_sq ** (1.0 / 5.0)
-    return ProjectionResult(
-        theta_star=theta_star,
-        movement_sq=movement_between(theta, theta_star),
-        bound=bound,
-        phases=ProjectionPhases(tuple(moves), tuple(changes), notes),
-    )
+    return _result(theta, u_new, b_new, b2_new, bound,
+                   ProjectionPhases(tuple(moves), tuple(changes), notes))
 
 
 # --------------------------------------------------------------------------
@@ -416,7 +413,7 @@ def project_to_target(
     c = len(g.knots)
     if c > k:
         raise ConfigError(f"target has c={c} knots but the network has only k={k} nodes")
-    u_real = np.asarray(theta.w1) * np.asarray(theta.w2)
+    u_real = theta.effective_weights()
     b_real = np.asarray(theta.b1, dtype=float)
     if np.any(b_real < 0.0):
         raise ConfigError("projection requires nonnegative biases")
@@ -445,19 +442,8 @@ def project_to_target(
     for j, t in enumerate(knot_t):
         cluster = [int(i) for i in range(k) if b_new[i] == t]
         assignment.append(f"knot {j} at t={t:.6g} <- nodes {cluster}")
-    w1, w2 = _realize_factors(theta.w1, theta.w2, u_new[:k])
-    theta_star = ShallowNetParams(
-        w1=tuple(w1),
-        w2=tuple(w2),
-        b1=tuple(b_new[:k]),
-        b2=float(b2_new + g.bias),
-    )
     bound = k**7 * R ** (4.0 / 5.0) * norm_sq ** (1.0 / 5.0)
     real_moves = tuple(m for m in moves if m[0] < k)
     real_changes = tuple(ch for ch in changes if ch[0] < k)
-    return ProjectionResult(
-        theta_star=theta_star,
-        movement_sq=movement_between(theta, theta_star),
-        bound=bound,
-        phases=ProjectionPhases(real_moves, real_changes, notes + tuple(assignment)),
-    )
+    return _result(theta, u_new[:k], b_new[:k], b2_new + g.bias, bound,
+                   ProjectionPhases(real_moves, real_changes, notes + tuple(assignment)))

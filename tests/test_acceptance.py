@@ -24,11 +24,16 @@ from bayescomplex.complexity import (
     sharp_complexity_mc,
     sharp_with_noise,
 )
-from bayescomplex.families import LinearFamily, LinearTarget, ShallowNetFamily
+from bayescomplex.families import (
+    LinearFamily,
+    LinearPriorSpec,
+    LinearTarget,
+    NnPriorSpec,
+    ShallowNetFamily,
+)
 from bayescomplex.models import (
     BasisSpec,
     LinearFunction,
-    LinearModelParams,
     ShallowNetParams,
     build_periodic_deep_net,
     interior_knot_count,
@@ -46,7 +51,6 @@ from bayescomplex.posterior import (
     run_sgld,
     theorem_bound,
 )
-from bayescomplex.priors import LinearPriorSpec, NnPriorSpec, sample_linear_prior
 from bayescomplex.projection import (
     project_to_target,
     project_to_zero,
@@ -367,7 +371,7 @@ def test_criterion_10_sgld_correctness():
     basis = BasisSpec(d=1)
     prior = LinearPriorSpec(1.0)
     family = LinearFamily(basis, prior)
-    g = LinearFunction(LinearModelParams((0.8,)), basis)
+    g = LinearFunction((0.8,), basis)
     S = generate_dataset(g, 20, 0.04, UNIFORM_SYM, rng.stream(0))
     post = conjugate_posterior_linear(S, prior, basis, 0.04)
     cfg = SgldConfig(eta=3e-4, steps=205_000, burn_in=5_000, thin=20,
@@ -404,9 +408,9 @@ def test_criterion_11_pac_bayes_validity():
     basis = BasisSpec(d=d)
     prior = LinearPriorSpec(1.0)
     family = LinearFamily(basis, prior)
-    w = sample_linear_prior(prior, d, rng.stream(0)).w
+    w = family.sample_matrix(1, rng.stream(0).generator())[0]
     target = LinearTarget(w=tuple(w))
-    g = LinearFunction(LinearModelParams(tuple(w)), basis)
+    g = LinearFunction(tuple(w), basis)
     spec = LossSpec(clip_C=C)
 
     def make_dataset(r):

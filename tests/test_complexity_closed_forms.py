@@ -19,8 +19,8 @@ from bayescomplex.complexity import (
     sharp_with_noise,
 )
 from bayescomplex.errors import ConfigError, InsufficientSamplesError, NumericalError
+from bayescomplex.families import NnPriorSpec
 from bayescomplex.models import ShallowNetParams, min_norm_realization
-from bayescomplex.priors import NnPriorSpec
 from bayescomplex.pwl import PwlFunction
 from bayescomplex.rng import SeededRng
 from paper_checks import megaineq_gap, product_density_claimed, product_density_mc

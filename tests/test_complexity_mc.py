@@ -28,9 +28,14 @@ from bayescomplex.complexity import (
     sharp_with_noise,
 )
 from bayescomplex.errors import ConfigError, InsufficientSamplesError
-from bayescomplex.families import LinearFamily, LinearTarget, ShallowNetFamily
-from bayescomplex.models import BasisSpec, LinearFunction, LinearModelParams
-from bayescomplex.priors import LinearPriorSpec, NnPriorSpec
+from bayescomplex.families import (
+    LinearFamily,
+    LinearPriorSpec,
+    LinearTarget,
+    NnPriorSpec,
+    ShallowNetFamily,
+)
+from bayescomplex.models import BasisSpec, LinearFunction
 from bayescomplex.pwl import PwlFunction
 from bayescomplex.rng import SeededRng, partition_counts
 
@@ -202,7 +207,7 @@ def _weigh_every_row(family, target, eps_sq, n, rng, workers, cloud_width=3.0):
     and dist_sq on every row, the weight masked by the hit afterwards."""
     center = family.is_center(target)
     scale = cloud_width * math.sqrt(eps_sq)
-    prepared = complexity._prepare(family, target)
+    prepared = family.prepare(target)
     tile = family.tile_rows
 
     def hit_weights(thetas):
@@ -228,7 +233,7 @@ def _weigh_every_row(family, target, eps_sq, n, rng, workers, cloud_width=3.0):
 
     s1 = s2 = 0.0
     hits = 0
-    for b1, b2, b_hits in _map_batches(rng, n, workers, complexity._batch_rows(family), batch):
+    for b1, b2, b_hits in _map_batches(rng, n, workers, family.batch_rows, batch):
         s1 += b1
         s2 += b2
         hits += b_hits
@@ -451,7 +456,7 @@ class TestEmpiricalComplexity:
         family = _linear(d)
         w_t = (0.7, -0.4)
         target = LinearTarget(w_t)
-        lin = LinearFunction(LinearModelParams(w_t), BasisSpec(d))
+        lin = LinearFunction(w_t, BasisSpec(d))
         root = SeededRng(42)
         chis = []
         for s in range(50):
@@ -476,7 +481,7 @@ class TestEmpiricalComplexity:
         by rare draws near the representation set; small budgets miss that
         mass and overestimate, so the mean estimate decreases in n."""
         family = _linear(2)
-        lin = LinearFunction(LinearModelParams((0.5, 0.5)), BasisSpec(2))
+        lin = LinearFunction((0.5, 0.5), BasisSpec(2))
         gen = SeededRng(7).generator()
         xs = gen.uniform(-1.0, 1.0, size=4)
         noise = np.zeros(4)

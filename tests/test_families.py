@@ -5,9 +5,8 @@ integrate the squared difference segment by segment."""
 import numpy as np
 import pytest
 
-from bayescomplex.families import PwlMoments, ShallowNetFamily
+from bayescomplex.families import NnPriorSpec, PwlMoments, ShallowNetFamily
 from bayescomplex.models import ShallowNetParams, shallow_to_pwl
-from bayescomplex.priors import NnPriorSpec
 from bayescomplex.pwl import UNIFORM_UNIT, PwlFunction, l2_distance_sq
 
 TARGETS = {
@@ -153,3 +152,26 @@ def test_within_keeps_a_row_whose_margin_overflows():
     assert np.isfinite(d[0])
     assert fam.within(g, row, d[0])[0]
     assert not fam.within(g, row, np.nextafter(d[0], -np.inf))[0]
+
+
+# -- target preparation ------------------------------------------------------
+
+
+def test_prepare_passes_prepared_moments_through():
+    fam = _family(4)
+    moments = fam.prepare(TARGETS["2knots"])
+    assert isinstance(moments, PwlMoments)
+    assert fam.prepare(moments) is moments
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+@pytest.mark.parametrize("k", [1, 8])
+def test_prepared_target_gives_the_same_bits(k, name):
+    """dist_sq and within on g and on prepare(g) agree bit for bit."""
+    fam, g = _family(k), TARGETS[name]
+    rows = _rows(k, np.random.default_rng(3000 + k))
+    prepared = fam.prepare(g)
+    d = fam.dist_sq(g, rows)
+    np.testing.assert_array_equal(fam.dist_sq(prepared, rows), d)
+    e = float(np.median(d))
+    np.testing.assert_array_equal(fam.within(prepared, rows, e), fam.within(g, rows, e))

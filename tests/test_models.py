@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 
 from bayescomplex.errors import ConfigError
-from bayescomplex.families import LinearFamily, LinearTarget
+from bayescomplex.families import LinearFamily, LinearPriorSpec, LinearTarget
 from bayescomplex.models import (
     BasisSpec,
-    LinearModelParams,
+    LinearFunction,
     ShallowNetParams,
     basis_matrix,
     build_periodic_deep_net,
-    eval_linear,
     interior_knot_count,
     min_norm_realization,
     shallow_to_pwl,
 )
-from bayescomplex.priors import LinearPriorSpec
 from bayescomplex.pwl import PwlFunction, canonical_equal, periodize
 from paper_checks import variational_complexity
 
@@ -44,18 +42,19 @@ class TestBasis:
         """0.5 ||dw||^2 equals the mean squared gap under uniform inputs."""
         rng = np.random.default_rng(42)
         basis = BasisSpec(4)
-        w = LinearModelParams(tuple(rng.normal(size=4)))
-        v = LinearModelParams(tuple(rng.normal(size=4)))
+        w = LinearFunction(tuple(rng.normal(size=4)), basis)
+        v = LinearFunction(tuple(rng.normal(size=4)), basis)
         nodes, weights = np.polynomial.legendre.leggauss(12)
-        gap = eval_linear(w, basis, nodes) - eval_linear(v, basis, nodes)
+        gap = w(nodes) - v(nodes)
         quad = 0.5 * float(weights @ gap**2)  # density 1/2 on [-1, 1]
         family = LinearFamily(basis, LinearPriorSpec(1.0))
-        dist = family.dist_sq(LinearTarget(v.w), w.array()[None, :])
+        dist = family.dist_sq(LinearTarget(v.w), np.asarray(w.w)[None, :])
         assert float(dist[0]) == pytest.approx(quad, rel=1e-12)
 
     def test_dimension_mismatch(self):
+        # Raised when the function is built, before it is ever called.
         with pytest.raises(ConfigError):
-            eval_linear(LinearModelParams((1.0,)), BasisSpec(2), 0.5)
+            LinearFunction((1.0,), BasisSpec(2))
 
 
 class TestShallowNet:

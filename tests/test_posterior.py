@@ -15,11 +15,16 @@ from scipy.stats import ks_2samp, multivariate_normal, norm
 from bayescomplex import cli
 from bayescomplex.complexity import empirical_complexity_mc
 from bayescomplex.errors import CheckFailure, ConfigError, NumericalError
-from bayescomplex.families import LinearFamily, LinearTarget, ShallowNetFamily
+from bayescomplex.families import (
+    LinearFamily,
+    LinearPriorSpec,
+    LinearTarget,
+    NnPriorSpec,
+    ShallowNetFamily,
+)
 from bayescomplex.models import (
     BasisSpec,
     LinearFunction,
-    LinearModelParams,
     ShallowNetParams,
     basis_matrix,
 )
@@ -45,7 +50,6 @@ from bayescomplex.posterior import (
     theorem_bound,
     true_loss_of_Q,
 )
-from bayescomplex.priors import LinearPriorSpec, NnPriorSpec
 from bayescomplex.pwl import UNIFORM_SYM, UNIFORM_UNIT, PwlFunction
 from bayescomplex.rng import SeededRng
 
@@ -61,26 +65,26 @@ class TestDataset:
 
     def test_noiseless_data_equals_target(self):
         basis, _, _ = _linear_setup(2)
-        g = LinearFunction(LinearModelParams((0.9, -0.4)), basis)
+        g = LinearFunction((0.9, -0.4), basis)
         S = generate_dataset(g, 50, 0.0, UNIFORM_SYM, SeededRng(3))
         np.testing.assert_array_equal(S.ys, np.asarray(g(S.xs)))
 
     def test_residual_variance_matches_noise_level(self):
         basis, _, _ = _linear_setup(1)
-        g = LinearFunction(LinearModelParams((0.8,)), basis)
+        g = LinearFunction((0.8,), basis)
         S = generate_dataset(g, 100_000, 0.09, UNIFORM_SYM, SeededRng(42))
         resid = S.ys - np.asarray(g(S.xs))
         assert abs(resid.var() - 0.09) <= 0.03 * 0.09
 
     def test_inputs_stay_inside_measure_support(self):
         basis, _, _ = _linear_setup(1)
-        g = LinearFunction(LinearModelParams((0.8,)), basis)
+        g = LinearFunction((0.8,), basis)
         S = generate_dataset(g, 10_000, 0.01, UNIFORM_SYM, SeededRng(0))
         assert S.xs.min() >= -1.0 and S.xs.max() <= 1.0
 
     def test_fixed_seed_reproduces_dataset(self):
         basis, _, _ = _linear_setup(2)
-        g = LinearFunction(LinearModelParams((0.9, -0.4)), basis)
+        g = LinearFunction((0.9, -0.4), basis)
         S1 = generate_dataset(g, 200, 0.04, UNIFORM_SYM, SeededRng(9))
         S2 = generate_dataset(g, 200, 0.04, UNIFORM_SYM, SeededRng(9))
         np.testing.assert_array_equal(S1.xs, S2.xs)
@@ -88,7 +92,7 @@ class TestDataset:
 
     def test_validation(self):
         basis, _, _ = _linear_setup(1)
-        g = LinearFunction(LinearModelParams((0.8,)), basis)
+        g = LinearFunction((0.8,), basis)
         with pytest.raises(ConfigError):
             generate_dataset(g, 0, 0.01, UNIFORM_SYM, SeededRng(0))
         with pytest.raises(ConfigError):
@@ -224,7 +228,7 @@ class TestDesignMemo:
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_find_sigma_alg_matches_recomputed_design(self, d, seed, monkeypatch):
         basis, _, family = _linear_setup(d)
-        g = LinearFunction(LinearModelParams((0.7,) + (-0.3,) * (d - 1)), basis)
+        g = LinearFunction((0.7,) + (-0.3,) * (d - 1), basis)
 
         def search():
             return find_sigma_alg(
@@ -291,7 +295,7 @@ class TestConjugatePosterior:
 
     def test_infinite_temperature_returns_prior(self):
         basis, prior, _ = _linear_setup(2)
-        g = LinearFunction(LinearModelParams((0.9, -0.4)), basis)
+        g = LinearFunction((0.9, -0.4), basis)
         S = generate_dataset(g, 100, 0.04, UNIFORM_SYM, SeededRng(1))
         post = conjugate_posterior_linear(S, prior, basis, 1e12)
         np.testing.assert_allclose(post.mean, np.zeros(2), atol=1e-6)
@@ -313,7 +317,7 @@ class TestConjugatePosterior:
 
     def test_matches_dense_inverse(self):
         basis, prior, _ = _linear_setup(4, sigma_w_sq=0.5)
-        g = LinearFunction(LinearModelParams((0.2, -0.1, 0.4, 0.05)), basis)
+        g = LinearFunction((0.2, -0.1, 0.4, 0.05), basis)
         S = generate_dataset(g, 30, 0.04, UNIFORM_SYM, SeededRng(8))
         sigma_y_sq = 0.1
         post = conjugate_posterior_linear(S, prior, basis, sigma_y_sq)
@@ -362,7 +366,7 @@ def conjugate_chain():
     stationarity tests."""
     rng = SeededRng(42)
     basis, prior, family = _linear_setup(1)
-    g = LinearFunction(LinearModelParams((0.8,)), basis)
+    g = LinearFunction((0.8,), basis)
     S = generate_dataset(g, 20, 0.04, UNIFORM_SYM, rng.stream(0))
     post = conjugate_posterior_linear(S, prior, basis, 0.04)
     cfg = SgldConfig(eta=3e-4, steps=205_000, burn_in=5_000, thin=20,
@@ -426,7 +430,7 @@ class TestSgld:
 
     def test_divergence_guard(self):
         basis, _, family = _linear_setup(1)
-        g = LinearFunction(LinearModelParams((0.8,)), basis)
+        g = LinearFunction((0.8,), basis)
         S = generate_dataset(g, 50, 0.04, UNIFORM_SYM, SeededRng(1))
         cfg = SgldConfig(eta=50.0, steps=2_000, burn_in=100, thin=1,
                          sigma_y_sq=1e-6)
@@ -488,7 +492,7 @@ class TestLinearSgldRecursion:
         if N == 0:
             return Dataset(xs=np.zeros(0), ys=np.zeros(0), sigma_e_sq=0.0), family
         w = (0.8, -0.5, 0.3)[:d]
-        g = LinearFunction(LinearModelParams(w), basis)
+        g = LinearFunction(w, basis)
         return generate_dataset(g, N, 0.04, UNIFORM_SYM, SeededRng(11).stream(d)), family
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -529,7 +533,7 @@ class TestLosses:
 
     def test_single_draw_equals_direct_average(self):
         basis, _, family = _linear_setup(2)
-        g = LinearFunction(LinearModelParams((0.9, -0.4)), basis)
+        g = LinearFunction((0.9, -0.4), basis)
         S = generate_dataset(g, 40, 0.04, UNIFORM_SYM, SeededRng(2))
         w = np.array([[0.5, 0.1]])
         spec = LossSpec(clip_C=0.5)
@@ -541,7 +545,7 @@ class TestLosses:
 
     def test_concentrated_posterior_hits_noise_floor(self):
         basis, _, family = _linear_setup(2)
-        g = LinearFunction(LinearModelParams((0.9, -0.4)), basis)
+        g = LinearFunction((0.9, -0.4), basis)
         spec = LossSpec(clip_C=1.0)
         est = true_loss_of_Q(np.array([[0.9, -0.4]]), g, 0.01, UNIFORM_SYM,
                              spec, 100_000, SeededRng(11).stream(0), family)
@@ -551,7 +555,7 @@ class TestLosses:
         # A unit Gaussian prior sits far from this target, so its true loss
         # clears the 2 sigma_e^2 threshold the main bound assumes.
         basis, _, family = _linear_setup(2)
-        g = LinearFunction(LinearModelParams((0.9, -0.4)), basis)
+        g = LinearFunction((0.9, -0.4), basis)
         gen = SeededRng(11).stream(1).generator()
         draws = gen.standard_normal((2_000, 2))
         est = true_loss_of_Q(draws, g, 0.01, UNIFORM_SYM, LossSpec(clip_C=4.0),
@@ -560,7 +564,7 @@ class TestLosses:
 
     def test_losses_bounded_by_clip(self):
         basis, _, family = _linear_setup(2)
-        g = LinearFunction(LinearModelParams((0.9, -0.4)), basis)
+        g = LinearFunction((0.9, -0.4), basis)
         S = generate_dataset(g, 50, 0.04, UNIFORM_SYM, SeededRng(3))
         gen = SeededRng(3).stream(1).generator()
         draws = 3.0 * gen.standard_normal((500, 2))
@@ -573,7 +577,7 @@ class TestLosses:
 
     def test_conjugate_empirical_loss_matches_mc(self):
         basis, prior, family = _linear_setup(1)
-        g = LinearFunction(LinearModelParams((0.8,)), basis)
+        g = LinearFunction((0.8,), basis)
         S = generate_dataset(g, 50, 0.04, UNIFORM_SYM, SeededRng(42).stream(1))
         post = conjugate_posterior_linear(S, prior, basis, 0.1)
         spec = LossSpec(clip_C=1.0)
@@ -585,7 +589,7 @@ class TestLosses:
     def test_conjugate_true_loss_matches_mc(self):
         basis, prior, family = _linear_setup(2)
         w = (0.9, -0.4)
-        g = LinearFunction(LinearModelParams(w), basis)
+        g = LinearFunction(w, basis)
         S = generate_dataset(g, 60, 0.01, UNIFORM_SYM, SeededRng(13).stream(0))
         post = conjugate_posterior_linear(S, prior, basis, 0.05)
         spec = LossSpec(clip_C=1.0)
@@ -598,7 +602,7 @@ class TestLosses:
 
     def test_validation(self):
         basis, prior, family = _linear_setup(1)
-        g = LinearFunction(LinearModelParams((0.8,)), basis)
+        g = LinearFunction((0.8,), basis)
         S = generate_dataset(g, 5, 0.0, UNIFORM_SYM, SeededRng(0))
         empty = np.zeros((0, 1))
         with pytest.raises(ConfigError):
@@ -672,7 +676,7 @@ class TestPacBayesPieces:
         rng = SeededRng(7)
         d, N, sigma_y_sq = 2, 6, 0.5
         basis, prior, family = _linear_setup(d)
-        g = LinearFunction(LinearModelParams((0.9, -0.4)), basis)
+        g = LinearFunction((0.9, -0.4), basis)
         prior_gauss = GaussianPosterior(np.zeros(d), np.eye(d))
         for trial in range(20):
             S = generate_dataset(g, N, 0.01, UNIFORM_SYM, rng.stream(100 + trial))
@@ -694,7 +698,7 @@ class TestPacBayesPieces:
     def test_divergence_bound_floors_at_zero(self):
         est = empirical_complexity_mc(
             _linear_setup(1)[2],
-            LinearFunction(LinearModelParams((0.8,)), BasisSpec(d=1)),
+            LinearFunction((0.8,), BasisSpec(d=1)),
             np.array([0.1, 0.2]), np.zeros(2), 10.0, 1_000, SeededRng(0),
         )
         assert divergence_upper_bound(est, 2, 10.0, 1e6) == 0.0
@@ -702,7 +706,7 @@ class TestPacBayesPieces:
     def test_divergence_bound_validation(self):
         est = empirical_complexity_mc(
             _linear_setup(1)[2],
-            LinearFunction(LinearModelParams((0.8,)), BasisSpec(d=1)),
+            LinearFunction((0.8,), BasisSpec(d=1)),
             np.array([0.1]), np.zeros(1), 1.0, 100, SeededRng(0),
         )
         with pytest.raises(ConfigError):
@@ -715,7 +719,7 @@ class TestPacBayesPieces:
         d, N, sigma_e_sq, C = 3, 200, 0.01, 1.0
         basis, prior, family = _linear_setup(d)
         w = (0.8, -0.5, 0.3)
-        g = LinearFunction(LinearModelParams(w), basis)
+        g = LinearFunction(w, basis)
         target = LinearTarget(w=w)
         spec = LossSpec(clip_C=C)
         prior_gauss = GaussianPosterior(np.zeros(d), np.eye(d))
@@ -763,7 +767,7 @@ class TestFindSigmaAlg:
     def test_conjugate_search_hits_target(self):
         rng = SeededRng(21)
         basis, prior, family = _linear_setup(1)
-        g = LinearFunction(LinearModelParams((0.7,)), basis)
+        g = LinearFunction((0.7,), basis)
 
         def make(r):
             return generate_dataset(g, 40, 0.04, UNIFORM_SYM, r)
@@ -786,7 +790,7 @@ class TestFindSigmaAlg:
 
     def test_bracket_failure_reports_endpoint_losses(self):
         basis, prior, family = _linear_setup(1)
-        g = LinearFunction(LinearModelParams((0.7,)), basis)
+        g = LinearFunction((0.7,), basis)
 
         def make(r):
             return generate_dataset(g, 40, 0.04, UNIFORM_SYM, r)

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from bayescomplex.errors import ConfigError
-from bayescomplex.families import ShallowNetFamily
-from bayescomplex.models import ShallowNetParams
-from bayescomplex.priors import LinearPriorSpec, NnPriorSpec, sample_linear_prior
+from bayescomplex.families import LinearFamily, LinearPriorSpec, NnPriorSpec, ShallowNetFamily
+from bayescomplex.models import BasisSpec, ShallowNetParams
 from bayescomplex.rng import SeededRng, partition_counts
 
 
@@ -101,9 +100,10 @@ class TestNnPrior:
 
 class TestLinearPrior:
     def test_sample_covariance(self):
-        spec = LinearPriorSpec(sigma_w_sq=2.0)
+        family = LinearFamily(BasisSpec(3), LinearPriorSpec(sigma_w_sq=2.0))
         rows = np.array(
-            [sample_linear_prior(spec, 3, SeededRng(42).stream(i)).w for i in range(30_000)]
+            [family.sample_matrix(1, SeededRng(42).stream(i).generator())[0]
+             for i in range(30_000)]
         )
         np.testing.assert_allclose(rows.mean(axis=0), np.zeros(3), atol=0.05)
         np.testing.assert_allclose(np.cov(rows.T), 2.0 * np.eye(3), atol=0.08)
@@ -113,4 +113,4 @@ class TestLinearPrior:
             with pytest.raises(ConfigError):
                 LinearPriorSpec(sigma_w_sq=bad)
         with pytest.raises(ConfigError):
-            sample_linear_prior(LinearPriorSpec(1.0), 0, SeededRng(1))
+            LinearFamily(BasisSpec(0), LinearPriorSpec(1.0))
