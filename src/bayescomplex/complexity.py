@@ -22,12 +22,15 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import ConfigError, InsufficientSamplesError, NumericalError
 from .families import NnPriorSpec, ShallowNetFamily
 from .pwl import PwlFunction
 from .rng import SeededRng, partition_counts
+
+# scipy is imported inside q_closed_form, its only caller here: loading
+# scipy.integrate and scipy.special at module level cost every process about
+# half a second, and most commands never reach them.
 
 #: Default geometric grid of eps radii for slope fits.
 DEFAULT_EPS_GRID = (0.3, 0.2, 0.14, 0.1, 0.07, 0.05)
@@ -107,6 +110,8 @@ def q_closed_form(kappa: float, sigma_w: float, eps: float, d: int) -> float:
         raise ConfigError(f"eps must lie in (0, 1], got {eps}")
     if d < 1:
         raise ConfigError(f"d must be >= 1, got {d}")
+    from scipy import integrate, special
+
     s2 = sigma_w * sigma_w
     r = math.sqrt(2.0) * eps
     shape = (d - 1) / 2.0

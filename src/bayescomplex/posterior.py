@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import linalg, special
 
 from .complexity import ComplexityEstimate
 from .errors import CheckFailure, ConfigError, NumericalError
@@ -26,6 +25,10 @@ from .families import LinearFamily, LinearPriorSpec, LinearTarget
 from .models import BasisSpec, basis_matrix
 from .pwl import L2Measure
 from .rng import SeededRng
+
+# scipy.linalg and scipy.special are imported inside the functions that call
+# them: at module level they cost every process about half a second, and five
+# of the eight commands never call them.
 
 
 # --------------------------------------------------------------------------
@@ -40,8 +43,9 @@ class Dataset:
     The conjugate formulas need the design phi = basis_matrix(basis, xs),
     phi'phi and phi'ys; the bisection in find_sigma_alg asks for them once
     per replica at every step. Each dataset therefore memoizes them per basis
-    size (_design). xs and ys are stored as read-only float copies, so the
-    memo cannot go stale and the caller's arrays stay writable.
+    size (_design), after checking once that phi is finite. xs and ys are
+    stored as read-only float copies, so the memo (and that check) cannot go
+    stale and the caller's arrays stay writable.
     """
 
     xs: np.ndarray
@@ -66,6 +70,8 @@ class Dataset:
         cached = self._designs.get(basis.d)
         if cached is None:
             phi = basis_matrix(basis, self.xs)
+            if not np.all(np.isfinite(phi)):
+                raise NumericalError("design matrix contains non-finite entries")
             cached = (phi, phi.T @ phi, phi.T @ self.ys)
             for arr in cached:
                 arr.flags.writeable = False
@@ -113,7 +119,8 @@ class GaussianPosterior:
         self.covariance = np.asarray(covariance, dtype=float)
         if self.covariance.shape != (self.mean.size, self.mean.size):
             raise ConfigError("covariance shape does not match mean")
-        if not np.allclose(self.covariance, self.covariance.T, atol=1e-10):
+        cov = self.covariance
+        if not (np.array_equal(cov, cov.T) or np.allclose(cov, cov.T, atol=1e-10)):
             raise NumericalError("covariance is not symmetric")
         try:
             self._chol = np.linalg.cholesky(self.covariance)
@@ -216,17 +223,38 @@ def conjugate_posterior_linear(
     d = basis.d
     if S.n == 0:
         return GaussianPosterior(np.zeros(d), prior.sigma_w_sq * np.eye(d))
-    phi, gram, rhs = S._design(basis)
-    if not np.all(np.isfinite(phi)):
-        raise NumericalError("design matrix contains non-finite entries")
-    precision = gram / sigma_y_sq + np.eye(d) / prior.sigma_w_sq
-    try:
-        cho = linalg.cho_factor(precision)
-    except linalg.LinAlgError as exc:
-        raise NumericalError(f"posterior precision not positive definite: {exc}") from exc
-    cov = linalg.cho_solve(cho, np.eye(d))
-    mean = linalg.cho_solve(cho, rhs / sigma_y_sq)
+    _, gram, rhs = S._design(basis)
+    with np.errstate(over="ignore"):
+        precision = gram / sigma_y_sq + np.eye(d) / prior.sigma_w_sq
+        scaled_rhs = rhs / sigma_y_sq
+    if not (np.all(np.isfinite(precision)) and np.all(np.isfinite(scaled_rhs))):
+        raise NumericalError(
+            f"posterior precision or data term not finite at sigma_y_sq={sigma_y_sq}, "
+            f"sigma_w_sq={prior.sigma_w_sq}"
+        )
+    # The LAPACK calls scipy.linalg.cho_factor/cho_solve make, without their
+    # per-call wrappers and finiteness checks (both inputs were checked above).
+    from scipy.linalg import lapack
+
+    factor, info = lapack.dpotrf(precision, lower=0, clean=0)
+    if info != 0:
+        raise NumericalError(
+            f"posterior precision not positive definite (LAPACK dpotrf info={info})"
+        )
+    cov = _cho_solve(factor, np.eye(d), lower=0)
+    mean = _cho_solve(factor, scaled_rhs, lower=0)
     return GaussianPosterior(mean, (cov + cov.T) / 2.0)
+
+
+def _cho_solve(factor: np.ndarray, b: np.ndarray, lower: int) -> np.ndarray:
+    """Solve A x = b given A's Cholesky factor (upper, or lower if lower=1),
+    by LAPACK dpotrs as scipy.linalg.cho_solve does."""
+    from scipy.linalg import lapack
+
+    x, info = lapack.dpotrs(factor, b, lower=lower)
+    if info != 0:
+        raise NumericalError(f"Cholesky solve failed (LAPACK dpotrs info={info})")
+    return x
 
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
@@ -248,6 +276,8 @@ def expected_clipped_loss_gaussian(mu, s_sq, C: float):
     and the cdf is scipy.special.ndtr, the calls scipy.stats.norm makes at
     loc=0, scale=1, so the result is bit for bit the same without the cost
     of scipy.stats (its import and its per-call argument handling)."""
+    from scipy import special
+
     mu = np.asarray(mu, dtype=float)
     s = np.sqrt(np.asarray(s_sq, dtype=float))
     root = math.sqrt(C)
@@ -406,6 +436,8 @@ def _linear_sgld(
     inject_noise: bool,
 ) -> np.ndarray:
     """run_sgld's exact affine recursion for the linear family."""
+    from scipy.linalg import lapack
+
     n, d = S.n, theta.size
     n_eff = max(n, 1)
     hess = np.eye(d) / (family.prior.sigma_w_sq * n_eff)
@@ -432,7 +464,7 @@ def _linear_sgld(
         u[:, 0] += decay * psi
         for i in range(d):
             band = np.vstack([np.ones(m), np.full(m, -decay[i])])
-            x, info = linalg.lapack.dtbtrs(band, u[i][:, None], uplo="L", diag="U")
+            x, info = lapack.dtbtrs(band, u[i][:, None], uplo="L", diag="U")
             if info != 0:
                 raise NumericalError(f"SGLD block solve failed (LAPACK info={info})")
             u[i] = x[:, 0]
@@ -474,10 +506,10 @@ def kl_gaussians(q: GaussianPosterior, p: GaussianPosterior) -> float:
         raise ConfigError("dimension mismatch between posteriors")
     d = q.d
     chol_p = p._chol
-    solved = linalg.cho_solve((chol_p, True), q.covariance)
+    solved = _cho_solve(chol_p, q.covariance, lower=1)
     trace = float(np.trace(solved))
     diff = p.mean - q.mean
-    quad = float(diff @ linalg.cho_solve((chol_p, True), diff))
+    quad = float(diff @ _cho_solve(chol_p, diff, lower=1))
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(chol_p))))
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(q._chol))))
     return 0.5 * (trace + quad - d + logdet_p - logdet_q)

@@ -2,6 +2,7 @@
 codes, deterministic CSV output, and golden-file regression."""
 
 import importlib
+import json
 import math
 import os
 import shutil
@@ -219,6 +220,22 @@ class TestExitCodes:
         assert err.startswith(f"config error: {message}, got ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, variances", [
+        (["sgld_check", "sigma_y_sq=1e-320"], "sigma_y_sq=1e-320, sigma_w_sq=1.0"),
+        (["sgld_check", "sigma_w_sq=1e-320"], "sigma_y_sq=0.04, sigma_w_sq=1e-320"),
+        (["pacbayes", "sigma_w_sq=1e-320"], "sigma_y_sq=1e-06, sigma_w_sq=1e-320"),
+    ])
+    def test_tiny_variance_is_three(self, argv, variances, capsys):
+        """A variance whose reciprocal overflows float64 makes the posterior
+        precision infinite: a numerical error naming both variances, with no
+        RuntimeWarning (an error under this repo's pytest config)."""
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 3
+        assert out == ""
+        assert err == (
+            f"numerical error: posterior precision or data term not finite at {variances}\n"
+        )
+
     def test_numerical_error_is_three(self, capsys):
         rc, _, err = run_cli(
             ["sgld_check", "eta=50.0", "steps=100", "burn_in=10"], capsys
@@ -435,20 +452,57 @@ class TestEntryPoints:
         assert result.returncode == 0, result.stderr
         assert_report_matches(result.stdout, (GOLDEN_DIR / "periodic.csv").read_text())
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        """scipy.stats adds about 0.6 s and 18 MiB to every process that
-        imports it, and no command needs it."""
+    # Loading these costs a process about half a second and 50 MiB. No code
+    # uses scipy.stats; the other three are imported only inside the
+    # functions that call them.
+    SCIPY_SUBMODULES = ("scipy.stats", "scipy.linalg", "scipy.special", "scipy.integrate")
+
+    @staticmethod
+    def _run_fresh(code: str) -> str:
+        """Run code in a new interpreter that finds this source tree's
+        package; return its stdout."""
         package_parent = str(Path(bayescomplex.__file__).resolve().parents[1])
         result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, bayescomplex.cli; print('scipy.stats' in sys.modules)"],
+            [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": package_parent},
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\n"
+        return result.stdout
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        """Importing the package or its CLI loads none of SCIPY_SUBMODULES
+        (scipy.stats is not used at all)."""
+        for module in ("bayescomplex", "bayescomplex.cli"):
+            out = self._run_fresh(
+                f"import sys, {module}\n"
+                f"print([m for m in {self.SCIPY_SUBMODULES!r} if m in sys.modules])"
+            )
+            assert out == "[]\n", module
+
+    def test_commands_without_scipy_leave_it_unloaded(self):
+        """nn_complexity, one_change, codim, projection_check and periodic
+        never call scipy, so a process that runs them never loads it."""
+        argvs = [
+            ["nn_complexity", "eps_grid=0.2,0.14,0.1", "n_per_eps=5000"],
+            ["one_change", "n_samples=20000"],
+            ["codim", "n_samples=20000"],
+            ["projection_check", "n_trials=10"],
+            ["periodic", "n_grid=1000"],
+        ]
+        out = self._run_fresh(
+            "import contextlib, io, json, sys\n"
+            "from bayescomplex.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {argvs!r}]\n"
+            f"loaded = [m for m in {self.SCIPY_SUBMODULES!r} if m in sys.modules]\n"
+            "print(json.dumps([codes, loaded]))"
+        )
+        codes, loaded = json.loads(out)
+        assert all(code in (0, 1) for code in codes), codes
+        assert loaded == []
 
     @pytest.mark.skipif(
         shutil.which("bayescomplex") is None,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 from scipy.stats import ks_2samp, multivariate_normal, norm
 
 from bayescomplex import cli
@@ -333,6 +334,43 @@ class TestConjugatePosterior:
         S = Dataset(xs=np.array([0.1]), ys=np.array([0.2]), sigma_e_sq=0.0)
         with pytest.raises(ConfigError):
             conjugate_posterior_linear(S, prior, basis, 0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("d", [1, 3, 5, 8])
+    def test_bits_match_scipy_cho_solve(self, d, seed):
+        """The direct LAPACK calls give scipy.linalg.cho_factor/cho_solve's
+        mean and covariance bit for bit, on random data (n < d included, so
+        some grams are singular and only the prior makes the precision SPD)."""
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(1, 40))
+        S = Dataset(xs=gen.uniform(-1.0, 1.0, n), ys=gen.normal(size=n), sigma_e_sq=0.04)
+        sigma_y_sq, sigma_w_sq = 10.0 ** gen.uniform(-3.0, 1.0, size=2)
+        basis, prior, _ = _linear_setup(d, sigma_w_sq=float(sigma_w_sq))
+        post = conjugate_posterior_linear(S, prior, basis, float(sigma_y_sq))
+        phi = basis_matrix(basis, S.xs)
+        cho = linalg.cho_factor(phi.T @ phi / sigma_y_sq + np.eye(d) / sigma_w_sq)
+        cov = linalg.cho_solve(cho, np.eye(d))
+        np.testing.assert_array_equal(post.covariance, (cov + cov.T) / 2.0)
+        np.testing.assert_array_equal(
+            post.mean, linalg.cho_solve(cho, phi.T @ S.ys / sigma_y_sq)
+        )
+
+    def test_non_finite_design_raises(self):
+        basis, prior, _ = _linear_setup(3)
+        S = Dataset(xs=np.array([0.1, np.nan]), ys=np.zeros(2), sigma_e_sq=0.0)
+        with pytest.raises(NumericalError, match="design matrix contains non-finite entries"):
+            conjugate_posterior_linear(S, prior, basis, 0.5)
+
+    def test_non_positive_definite_precision_raises(self):
+        """Four copies of x = 1 give a rank-one gram of size ~1e3; its 1e-20
+        ridge is lost to rounding, so the second pivot is not positive."""
+        basis, prior, _ = _linear_setup(2, sigma_w_sq=1e20)
+        S = Dataset(xs=np.ones(4), ys=np.ones(4), sigma_e_sq=0.0)
+        with pytest.raises(
+            NumericalError,
+            match=r"posterior precision not positive definite \(LAPACK dpotrf info=2\)",
+        ):
+            conjugate_posterior_linear(S, prior, basis, 1e-3)
 
 
 class TestGaussianPosterior:
@@ -662,6 +700,22 @@ class TestPacBayesPieces:
         )
         se = log_ratio.std() / math.sqrt(log_ratio.size)
         assert abs(kl_gaussians(q, p) - log_ratio.mean()) <= 3.0 * se
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 8])
+    def test_kl_bits_match_scipy_cho_solve(self, d):
+        gen = np.random.default_rng(d)
+        a, b = gen.standard_normal((2, d, d))
+        q = GaussianPosterior(gen.normal(size=d), a @ a.T + 0.2 * np.eye(d))
+        p = GaussianPosterior(gen.normal(size=d), b @ b.T + 0.2 * np.eye(d))
+        diff = p.mean - q.mean
+        want = 0.5 * (
+            float(np.trace(linalg.cho_solve((p._chol, True), q.covariance)))
+            + float(diff @ linalg.cho_solve((p._chol, True), diff))
+            - d
+            + 2.0 * float(np.sum(np.log(np.diag(p._chol))))
+            - 2.0 * float(np.sum(np.log(np.diag(q._chol))))
+        )
+        assert kl_gaussians(q, p) == want
 
     def test_kl_dimension_mismatch(self):
         q = GaussianPosterior(np.zeros(1), np.eye(1))
