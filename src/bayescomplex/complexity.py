@@ -43,7 +43,7 @@ DEFAULT_EPS_GRID = (0.3, 0.2, 0.14, 0.1, 0.07, 0.05)
 
 @dataclass(frozen=True)
 class ComplexityEstimate:
-    """A single complexity number with its provenance.
+    """A single complexity number with its sample counts and flags.
 
     ``chi`` is -log_prob for probability-based methods and the negative log
     of the relevant expectation for the exponential family of definitions.
@@ -58,7 +58,6 @@ class ComplexityEstimate:
     n_samples: int
     n_hits: int
     epsilon_sq: float | None
-    method: str
     zero_hits: bool = False
     infinite: bool = False
 
@@ -66,7 +65,6 @@ class ComplexityEstimate:
 @dataclass(frozen=True)
 class SlopeEstimate:
     slope: float
-    intercept: float
     ci_halfwidth: float
     eps_grid: tuple[float, ...]
     per_eps: tuple[ComplexityEstimate, ...]
@@ -141,7 +139,7 @@ def chi_from_q(
     """
     eff = eps_sq - perp_sq
     if eff <= 0.0:
-        return _impossible(eps_sq, "ClosedFormQ")
+        return _impossible(eps_sq)
     q = q_closed_form(kappa, sigma_w, math.sqrt(eff), d)
     return ComplexityEstimate(
         chi=-math.log(q),
@@ -150,7 +148,6 @@ def chi_from_q(
         n_samples=0,
         n_hits=0,
         epsilon_sq=eps_sq,
-        method="ClosedFormQ",
     )
 
 
@@ -159,7 +156,7 @@ def chi_from_q(
 # --------------------------------------------------------------------------
 
 
-def _rule_of_three(n: int, eps_sq: float, method: str) -> ComplexityEstimate:
+def _rule_of_three(n: int, eps_sq: float) -> ComplexityEstimate:
     return ComplexityEstimate(
         chi=math.log(n / 3.0),
         log_prob=math.log(3.0 / n),
@@ -167,12 +164,11 @@ def _rule_of_three(n: int, eps_sq: float, method: str) -> ComplexityEstimate:
         n_samples=n,
         n_hits=0,
         epsilon_sq=eps_sq,
-        method=method,
         zero_hits=True,
     )
 
 
-def _impossible(eps_sq: float, method: str) -> ComplexityEstimate:
+def _impossible(eps_sq: float) -> ComplexityEstimate:
     return ComplexityEstimate(
         chi=math.inf,
         log_prob=-math.inf,
@@ -180,7 +176,6 @@ def _impossible(eps_sq: float, method: str) -> ComplexityEstimate:
         n_samples=0,
         n_hits=0,
         epsilon_sq=eps_sq,
-        method=method,
         infinite=True,
     )
 
@@ -189,7 +184,7 @@ def _naive_estimate(hits: int, n: int, eps_sq: float) -> ComplexityEstimate:
     """Hit fraction p = hits/n with delta-method std_err sqrt((1-p)/(p n));
     zero hits give the rule-of-three lower bound."""
     if hits == 0:
-        return _rule_of_three(n, eps_sq, "NaiveMC")
+        return _rule_of_three(n, eps_sq)
     p = hits / n
     return ComplexityEstimate(
         chi=-math.log(p),
@@ -198,7 +193,6 @@ def _naive_estimate(hits: int, n: int, eps_sq: float) -> ComplexityEstimate:
         n_samples=n,
         n_hits=hits,
         epsilon_sq=eps_sq,
-        method="NaiveMC",
     )
 
 
@@ -217,9 +211,8 @@ def _streams(rng: SeededRng, n: int, workers: int) -> list[tuple[np.random.Gener
     ]
 
 
-# One pool for the process, created on first use with workers > 1 (and again
-# in a forked child, which inherits no threads). A pool per call would start
-# and stop threads for every estimate.
+# One pool per process, made on first use with workers > 1 (again in a forked
+# child, which inherits no threads), so no estimate starts and stops threads.
 _POOL: tuple[int, object] | None = None
 _POOL_LOCK = threading.Lock()
 
@@ -238,6 +231,9 @@ def _pool():
         if _POOL is None or _POOL[0] != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
 
+            # Freeing a mapped block raises glibc's mmap threshold to its size (cap 32 MiB); make
+            # the last raise here, not in a race of pool threads that moved peak RSS by 4-5 MiB.
+            np.empty(31 << 17)
             pool = ThreadPoolExecutor(max_workers=_cpu_cap(), thread_name_prefix="bayescomplex")
             _POOL = (os.getpid(), pool)
         return _POOL[1]
@@ -348,7 +344,7 @@ def sharp_complexity_is(
         s2 += b2
         hits += b_hits
     if hits == 0 or s1 <= 0.0:
-        return _rule_of_three(n, eps_sq, "ImportanceSampling")
+        return _rule_of_three(n, eps_sq)
     p = s1 / n
     var = max(s2 / n - p * p, 0.0)
     se_chi = math.sqrt(var / n) / p
@@ -359,7 +355,6 @@ def sharp_complexity_is(
         n_samples=n,
         n_hits=hits,
         epsilon_sq=eps_sq,
-        method="ImportanceSampling",
     )
 
 
@@ -397,11 +392,9 @@ def fit_limiting_slope(
     sxy = (w * x * y).sum()
     det = sw * sxx - sx * sx
     slope = (sw * sxy - sx * sy) / det
-    intercept = (sxx * sy - sx * sxy) / det
     ci = 1.96 * math.sqrt(sw / det)
     return SlopeEstimate(
         slope=float(slope),
-        intercept=float(intercept),
         ci_halfwidth=float(ci),
         eps_grid=tuple(float(e) for e in eps_grid),
         per_eps=tuple(per_eps),
@@ -484,7 +477,6 @@ def _logmean_estimate(a: np.ndarray) -> ComplexityEstimate:
         n_samples=n,
         n_hits=n,
         epsilon_sq=None,
-        method="LogSumExpMC",
     )
 
 
@@ -558,7 +550,7 @@ def sharp_with_noise(
     if sigma_e_sq < 0:
         raise ConfigError(f"sigma_e_sq must be >= 0, got {sigma_e_sq}")
     if eps_sq <= sigma_e_sq:
-        return _impossible(eps_sq, "ShiftedSharp")
+        return _impossible(eps_sq)
     inner = chi_sharp_fn(eps_sq - sigma_e_sq)
     return replace(inner, epsilon_sq=eps_sq)
 
@@ -892,8 +884,8 @@ def one_change_bounds(
     k: int,
     spec: NnPriorSpec,
     eps: float,
-    n: int = 200_000,
-    rng: SeededRng | None = None,
+    n: int,
+    rng: SeededRng,
     cloud_width: float = 3.0,
     workers: int = 1,
 ) -> OneChangeResult:
@@ -905,8 +897,6 @@ def one_change_bounds(
     assumptions (with all suppressed constants read as 1) are checked and
     reported, never enforced.
     """
-    if rng is None:
-        rng = SeededRng(0)
     if not 0.0 < t < 1.0:
         raise ConfigError(f"knot t must lie in (0, 1), got {t}")
     g1 = PwlFunction(bias=b, knots=((t, a),))

@@ -166,7 +166,6 @@ class PwlMoments:
     def __init__(self, g: PwlFunction):
         if abs(g.domain_lo) > 1e-12 or abs(g.domain_hi - 1.0) > 1e-12:
             raise ConfigError("target must live on [0, 1]")
-        self.g = g
         pts = np.unique(g.breakpoints())
         vals = g(pts)
         seg = np.diff(pts)

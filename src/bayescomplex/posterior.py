@@ -440,12 +440,18 @@ def _linear_sgld(
 
     n, d = S.n, theta.size
     n_eff = max(n, 1)
-    hess = np.eye(d) / (family.prior.sigma_w_sq * n_eff)
-    drift = np.zeros(d)
-    if n:
-        jac = family.design(S.xs)
-        hess = hess + jac.T @ jac / (n * cfg.sigma_y_sq)
-        drift = jac.T @ S.ys / (n * cfg.sigma_y_sq)
+    with np.errstate(over="ignore"):
+        hess = np.eye(d) / (family.prior.sigma_w_sq * n_eff)
+        drift = np.zeros(d)
+        if n:
+            jac = family.design(S.xs)
+            hess = hess + jac.T @ jac / (n * cfg.sigma_y_sq)
+            drift = jac.T @ S.ys / (n * cfg.sigma_y_sq)
+    if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(drift))):
+        raise NumericalError(
+            f"SGLD Hessian or drift not finite at sigma_y_sq={cfg.sigma_y_sq}, "
+            f"sigma_w_sq={family.prior.sigma_w_sq}"
+        )
     lam, Q = np.linalg.eigh(hess)
     decay = 1.0 - cfg.eta * lam
     shift = cfg.eta * drift @ Q

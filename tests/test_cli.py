@@ -482,6 +482,16 @@ class TestEntryPoints:
             )
             assert out == "[]\n", module
 
+    def test_package_import_loads_no_submodule(self):
+        """The package binds no names of its own: importing it loads none of
+        its submodules, and not numpy."""
+        out = self._run_fresh(
+            "import json, sys, bayescomplex\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "    if m.startswith('bayescomplex.') or m.split('.')[0] == 'numpy')))"
+        )
+        assert json.loads(out) == []
+
     def test_commands_without_scipy_leave_it_unloaded(self):
         """nn_complexity, one_change, codim, projection_check and periodic
         never call scipy, so a process that runs them never loads it."""

@@ -245,7 +245,6 @@ def _weigh_every_row(family, target, eps_sq, n, rng, workers, cloud_width=3.0):
         n_samples=n,
         n_hits=hits,
         epsilon_sq=eps_sq,
-        method="ImportanceSampling",
     )
 
 

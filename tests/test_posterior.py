@@ -475,6 +475,21 @@ class TestSgld:
         with pytest.raises(NumericalError, match="diverged"):
             run_sgld(S, family, cfg, SeededRng(5))
 
+    @pytest.mark.parametrize("sigma_y_sq, sigma_w_sq", [(1e-320, 1.0), (0.04, 1e-320)])
+    def test_overflowing_variance_names_both_variances(self, sigma_y_sq, sigma_w_sq):
+        """A variance whose reciprocal overflows is a NumericalError naming
+        both variances, raised before any step and with no RuntimeWarning."""
+        basis, _, family = _linear_setup(1, sigma_w_sq)
+        g = LinearFunction((0.8,), basis)
+        S = generate_dataset(g, 50, 0.04, UNIFORM_SYM, SeededRng(1))
+        cfg = SgldConfig(eta=1e-3, steps=200, burn_in=100, thin=1, sigma_y_sq=sigma_y_sq)
+        message = (
+            f"SGLD Hessian or drift not finite at sigma_y_sq={sigma_y_sq}, "
+            f"sigma_w_sq={sigma_w_sq}"
+        )
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            run_sgld(S, family, cfg, SeededRng(5))
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SgldConfig(eta=0.0, steps=10, burn_in=1, thin=1, sigma_y_sq=1.0)
