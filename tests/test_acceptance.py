@@ -19,8 +19,8 @@ from bayescomplex.complexity import (
     exponential_complexity_mc,
     limiting_complexity,
     limiting_complexity_closed_form,
+    log_q_closed_form,
     one_change_bounds,
-    q_closed_form,
     sharp_complexity_mc,
     sharp_with_noise,
 )
@@ -99,8 +99,8 @@ def test_criterion_02_q_scaling_and_monotonicity():
     for i, kappa in enumerate(kappas):
         for j, sw in enumerate(sigmas):
             for m, eps in enumerate(epss):
-                val = q_closed_form(kappa, sw, eps, d)
-                scaled = q_closed_form(kappa / sw, 1.0, eps / sw, d)
+                val = math.exp(log_q_closed_form(kappa, sw, eps, d))
+                scaled = math.exp(log_q_closed_form(kappa / sw, 1.0, eps / sw, d))
                 worst_rel = max(worst_rel, abs(val - scaled) / val)
                 grid[i, j, m] = val
     mono_eps = bool(np.all(np.diff(grid, axis=2) > 0))

@@ -1,6 +1,7 @@
 """End-to-end tests for the experiment driver: config resolution, exit
 codes, deterministic CSV output, and golden-file regression."""
 
+import csv
 import importlib
 import json
 import math
@@ -156,6 +157,19 @@ class TestExitCodes:
         assert rc == 1
         assert "check failed" in err
         assert out.count("\n") > 5  # header + rows emitted before the failure
+
+    def test_deep_tail_target_prints_every_closed_form(self, capsys):
+        """At kappa = 40, q is e^-805 to e^-821, below float64: every
+        closed-form chi is still finite, the CSV is whole, and the one
+        failure is the slope check (the slope is pre-asymptotic there)."""
+        rc, out, err = run_cli(["linear_complexity", "kappa=40", "mc_samples=2000"], capsys)
+        assert rc == 1
+        assert err == "check failed: fitted slope 3.4422 deviates from d=3 by more than 10%\n"
+        rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+        chis = [float(row["chi_closed"]) for row in rows if row["row"] == "point"]
+        assert len(chis) == 5 and rows[-1]["row"] == "fit"
+        assert all(745 < chi < math.inf for chi in chis), chis
+        assert chis[-2:] == pytest.approx([817.55, 821.01], abs=5e-3)
 
     def test_assumption_violation_is_one(self, capsys):
         rc, _, err = run_cli(
@@ -493,15 +507,29 @@ class TestEntryPoints:
         assert json.loads(out) == []
 
     def test_commands_without_scipy_leave_it_unloaded(self):
-        """nn_complexity, one_change, codim, projection_check and periodic
-        never call scipy, so a process that runs them never loads it."""
-        argvs = [
+        """nn_complexity, one_change, codim, linear_complexity,
+        projection_check and periodic never call scipy, so a process that
+        runs them never loads it."""
+        assert self._scipy_loaded_by([
+            ["linear_complexity", "mc_samples=20000"],
             ["nn_complexity", "eps_grid=0.2,0.14,0.1", "n_per_eps=5000"],
             ["one_change", "n_samples=20000"],
             ["codim", "n_samples=20000"],
             ["projection_check", "n_trials=10"],
             ["periodic", "n_grid=1000"],
-        ]
+        ]) == []
+
+    def test_posterior_commands_leave_integrate_unloaded(self):
+        """pacbayes and sgld_check load scipy.linalg and scipy.special but
+        never scipy.integrate (q is a series in math alone) or scipy.stats."""
+        assert self._scipy_loaded_by([
+            ["pacbayes", "n_trials=3", "n_replicas=4"],
+            ["sgld_check", "steps=3000", "burn_in=500"],
+        ]) == ["scipy.linalg", "scipy.special"]
+
+    def _scipy_loaded_by(self, argvs) -> list[str]:
+        """SCIPY_SUBMODULES loaded by a fresh process that runs each argv
+        through main; each must exit 0 or 1."""
         out = self._run_fresh(
             "import contextlib, io, json, sys\n"
             "from bayescomplex.cli import main\n"
@@ -512,7 +540,7 @@ class TestEntryPoints:
         )
         codes, loaded = json.loads(out)
         assert all(code in (0, 1) for code in codes), codes
-        assert loaded == []
+        return loaded
 
     @pytest.mark.skipif(
         shutil.which("bayescomplex") is None,

@@ -14,8 +14,8 @@ from bayescomplex.complexity import (
     fit_limiting_slope,
     hyperbola_distance,
     limiting_complexity_closed_form,
+    log_q_closed_form,
     one_change_bounds,
-    q_closed_form,
     sharp_with_noise,
 )
 from bayescomplex.errors import ConfigError, InsufficientSamplesError, NumericalError
@@ -24,6 +24,11 @@ from bayescomplex.models import ShallowNetParams, min_norm_realization
 from bayescomplex.pwl import PwlFunction
 from bayescomplex.rng import SeededRng
 from paper_checks import megaineq_gap, product_density_claimed, product_density_mc
+
+
+def _q(kappa, sigma_w, eps, d):
+    """q in linear space, for the assertions written against it."""
+    return math.exp(log_q_closed_form(kappa, sigma_w, eps, d))
 
 
 class TestQClosedForm:
@@ -38,7 +43,7 @@ class TestQClosedForm:
             for sigma_w in (0.5, 1.0, 2.0):
                 for eps in (0.05, 0.3, 1.0):
                     for d in (1, 2, 3, 5):
-                        got = q_closed_form(kappa, sigma_w, eps, d)
+                        got = _q(kappa, sigma_w, eps, d)
                         want = stats.ncx2.cdf(
                             2.0 * eps**2 / sigma_w**2, df=d, nc=kappa**2 / sigma_w**2
                         )
@@ -48,7 +53,7 @@ class TestQClosedForm:
 
     def test_centered_case_is_chisquare(self):
         for d in (1, 3, 7):
-            got = q_closed_form(0.0, 1.3, 0.4, d)
+            got = _q(0.0, 1.3, 0.4, d)
             want = stats.chi2.cdf(2.0 * 0.4**2 / 1.3**2, df=d)
             assert got == pytest.approx(want, rel=1e-9)
 
@@ -58,27 +63,27 @@ class TestQClosedForm:
         for kappa in (0.5, 1.0, 2.0):
             for sigma_w in (0.6, 1.1):
                 for eps in (0.08, 0.25):
-                    lhs = q_closed_form(kappa, sigma_w, eps, 3)
-                    rhs = q_closed_form(1.0, sigma_w / kappa, eps / kappa, 3)
+                    lhs = _q(kappa, sigma_w, eps, 3)
+                    rhs = _q(1.0, sigma_w / kappa, eps / kappa, 3)
                     assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_scaled_pair_regression(self):
-        ratio = q_closed_form(2.0, 0.5, 0.1, 3) / q_closed_form(1.0, 0.25, 0.05, 3)
+        ratio = _q(2.0, 0.5, 0.1, 3) / _q(1.0, 0.25, 0.05, 3)
         assert ratio == pytest.approx(1.0, rel=1e-10)
 
     def test_monotone_in_eps_and_kappa(self):
-        qs = [q_closed_form(1.0, 1.0, e, 3) for e in (0.05, 0.1, 0.2, 0.4)]
+        qs = [_q(1.0, 1.0, e, 3) for e in (0.05, 0.1, 0.2, 0.4)]
         assert all(a < b for a, b in zip(qs, qs[1:]))
-        qs = [q_closed_form(k, 1.0, 0.2, 3) for k in (0.0, 0.5, 1.0, 2.0)]
+        qs = [_q(k, 1.0, 0.2, 3) for k in (0.0, 0.5, 1.0, 2.0)]
         assert all(a > b for a, b in zip(qs, qs[1:]))
 
     def test_sigma_w_monotone_only_above_peak(self):
         """q peaks near sigma_w = kappa/sqrt(d) and decreases beyond it; below
         the peak it increases, so the monotone claim needs the regime guard."""
         peak = 1.0 / math.sqrt(3.0)
-        q_small = q_closed_form(1.0, 0.3, 0.1, 3)
-        q_peak = q_closed_form(1.0, peak, 0.1, 3)
-        q_large = q_closed_form(1.0, 1.2, 0.1, 3)
+        q_small = _q(1.0, 0.3, 0.1, 3)
+        q_peak = _q(1.0, peak, 0.1, 3)
+        q_large = _q(1.0, 1.2, 0.1, 3)
         assert q_peak > q_small
         assert q_peak > q_large
 
@@ -86,19 +91,127 @@ class TestQClosedForm:
         for kappa, sigma_w in ((-0.1, 1.0), (math.nan, 1.0), (math.inf, 1.0),
                                (1.0, 0.0), (1.0, math.nan), (1.0, math.inf)):
             with pytest.raises(ConfigError):
-                q_closed_form(kappa, sigma_w, 0.1, 3)
+                log_q_closed_form(kappa, sigma_w, 0.1, 3)
         with pytest.raises(ConfigError):
-            q_closed_form(1.0, 1.0, 0.0, 3)
+            log_q_closed_form(1.0, 1.0, 0.0, 3)
         with pytest.raises(ConfigError):
-            q_closed_form(1.0, 1.0, 1.2, 3)
+            log_q_closed_form(1.0, 1.0, 1.2, 3)
         with pytest.raises(ConfigError):
-            q_closed_form(1.0, 1.0, 0.1, 0)
+            log_q_closed_form(1.0, 1.0, 0.1, 0)
+
+
+def _mp_log_q(kappa, sigma_w, eps, d):
+    """log q at 50 digits from the finite Poisson-mixture sum.
+
+    P(a + 1, z) <= P(a, z) z / (a + 1), so from j on the terms shrink by at
+    least r = mu z / ((j + 1)(a + j + 1)) each and the tail after term t is
+    at most t r / (1 - r); the sum stops once that bound is 1e-40 of it.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a, mu = mp.mpf(d) / 2, (mp.mpf(kappa) / sigma_w) ** 2 / 2
+        z = (mp.mpf(eps) / sigma_w) ** 2
+        total, j = mp.mpf(0), 0
+        while True:
+            t = mp.exp(j * mp.log(mu) - mu - mp.loggamma(j + 1)) * mp.gammainc(
+                a + j, 0, z, regularized=True
+            )
+            total += t
+            j += 1
+            r = mu * z / (j * (a + j))
+            if r < 0.5 and t * r / (1 - r) < total * mp.mpf(10) ** -40:
+                return float(mp.log(total))
+
+
+def _mp_log_q_odd(kappa, sigma_w, eps, d):
+    """Exact log q for d = 1 and d = 3 from normal CDFs at 50 digits. At
+    radius r = sqrt(2) eps and u = (r - kappa) / sigma_w, v = (r + kappa) /
+    sigma_w, q = Phi(u) - Phi(-v), less (sigma_w / kappa)(phi(u) - phi(v))
+    for d = 3."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        k, s, r = mp.mpf(kappa), mp.mpf(sigma_w), mp.sqrt(2) * eps
+        u, v = (r - k) / s, (r + k) / s
+        q = mp.ncdf(u) - mp.ncdf(-v)
+        if d == 3:
+            q -= s / k * (mp.npdf(u) - mp.npdf(v))
+        return float(mp.log(q))
+
+
+class TestLogQ:
+    """log_q_closed_form against independent oracles, in every regime of
+    its gamma function and its walk over mixture terms."""
+
+    def test_matches_scipy_logcdf(self):
+        """2 eps^2 / sigma_w^2 is the argument of the noncentral chi-square
+        CDF (chi-square at kappa = 0). Above noncentrality 100, scipy's
+        ncx2.cdf underflows to 0 from about chi = 140 on (logcdf -inf), so
+        those points are left to the mpmath tests. Near q = 1, log q is tiny
+        and both sides are good to a few 1e-17 absolute."""
+        n = 0
+        for d in (1, 2, 3, 5, 10, 30, 100):
+            for kappa in (0.0, 0.25, 1.0, 2.5, 5.0, 10.0):
+                for sigma_w in (0.3, 1.0, 2.0):
+                    if (kappa / sigma_w) ** 2 > 100:
+                        continue
+                    for eps in (0.001, 0.01, 0.05, 0.2, 0.5, 1.0):
+                        x = 2.0 * eps**2 / sigma_w**2
+                        want = (stats.ncx2.logcdf(x, df=d, nc=(kappa / sigma_w) ** 2)
+                                if kappa else stats.chi2.logcdf(x, df=d))
+                        if want < -380:
+                            continue
+                        got = log_q_closed_form(kappa, sigma_w, eps, d)
+                        assert got == pytest.approx(want, rel=1e-13, abs=1e-16), (
+                            f"kappa={kappa} sigma_w={sigma_w} eps={eps} d={d}"
+                        )
+                        n += 1
+        assert n > 450
+
+    @pytest.mark.parametrize("kappa,sigma_w", [(30.0, 0.9), (40.0, 1.0), (60.0, 1.0)])
+    def test_deep_tail_matches_mpmath(self, kappa, sigma_w):
+        """chi of 500-2000 nats, where q underflows float64 (below about
+        e^-745) and scipy's ncx2.logcdf returns -inf (already at kappa = 40,
+        eps = 0.1, d = 3)."""
+        for d in (1, 3, 10):
+            for eps in (0.001, 0.1, 1.0):
+                want = _mp_log_q(kappa, sigma_w, eps, d)
+                assert 500 < -want < 2000
+                got = log_q_closed_form(kappa, sigma_w, eps, d)
+                assert got == pytest.approx(want, rel=1e-14), f"eps={eps} d={d}"
+
+    @pytest.mark.parametrize("sigma_w", [0.01, 0.05])
+    def test_large_z_finishes_and_matches(self, sigma_w):
+        """eps = 1 puts z = eps^2 / sigma_w^2 at 10^4 and 400, with the
+        largest mixture term near j = mu (up to 2 * 10^4): the continued
+        fraction and the walk around that term keep this to thousands of
+        terms. q spans 1 - 1e-16 (kappa = 1) to e^-1720 (kappa = 2)."""
+        for kappa in (0.5, 1.0, 1.4, 1.5, 2.0):
+            for d in (1, 3):
+                want = _mp_log_q_odd(kappa, sigma_w, 1.0, d)
+                got = log_q_closed_form(kappa, sigma_w, 1.0, d)
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-16), (
+                    f"kappa={kappa} d={d}"
+                )
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(complexity, "_Q_MAX_ITER", 1)
+        for kappa, eps in ((0.0, 0.1), (1.0, 0.1), (1.0, 1.0)):
+            with pytest.raises(NumericalError, match="did not converge"):
+                log_q_closed_form(kappa, 1.0, eps, 3)
+
+    def test_out_of_reach_raises(self):
+        """mu = 5e5 with eps near kappa needs a walk past the cap, and
+        kappa / sigma_w = 1e100 is past float resolution."""
+        with pytest.raises(NumericalError, match="needs over"):
+            log_q_closed_form(1.0, 0.001, 1.0, 3)
+        with pytest.raises(NumericalError, match="out of range"):
+            log_q_closed_form(1.0, 1e-100, 0.5, 3)
 
 
 class TestChiFromQ:
     def test_negative_log_of_q(self):
         est = chi_from_q(1.0, 1.0, 0.01, 3)
-        assert est.chi == pytest.approx(-math.log(q_closed_form(1.0, 1.0, 0.1, 3)))
+        assert est.chi == pytest.approx(-math.log(_q(1.0, 1.0, 0.1, 3)))
         assert est.std_err == 0.0
         assert not est.infinite
 
@@ -107,6 +220,10 @@ class TestChiFromQ:
         base = chi_from_q(1.0, 1.0, 0.01, 3)
         assert est.chi == pytest.approx(base.chi)
         assert est.epsilon_sq == 0.02
+
+    def test_holds_past_the_float_range_of_q(self):
+        """q = e^-804.8 underflows float64; chi comes from log q directly."""
+        assert chi_from_q(40.0, 1.0, 0.01, 3).chi == pytest.approx(804.798, abs=5e-4)
 
     def test_unreachable_radius_is_infinite(self):
         est = chi_from_q(1.0, 1.0, 0.01, 3, perp_sq=0.02)

@@ -5,8 +5,15 @@ integrate the squared difference segment by segment."""
 import numpy as np
 import pytest
 
-from bayescomplex.families import NnPriorSpec, PwlMoments, ShallowNetFamily
-from bayescomplex.models import ShallowNetParams, shallow_to_pwl
+from bayescomplex.families import (
+    LinearFamily,
+    LinearPriorSpec,
+    LinearTarget,
+    NnPriorSpec,
+    PwlMoments,
+    ShallowNetFamily,
+)
+from bayescomplex.models import BasisSpec, ShallowNetParams, shallow_to_pwl
 from bayescomplex.pwl import UNIFORM_UNIT, PwlFunction, l2_distance_sq
 
 TARGETS = {
@@ -124,6 +131,19 @@ def test_within_is_exactly_the_thresholded_distance(k, name):
                 np.testing.assert_array_equal(
                     fam.within(g, rows, e), d <= e, err_msg=f"{set_name} row {i} e={e!r}"
                 )
+
+
+def test_linear_within_tiles_give_the_thresholded_distance():
+    """LinearFamily.within tests hits tile by tile; with 7-row tiles (the
+    last one short) its mask is dist_sq <= e bit for bit, e at a row's
+    computed distance and one ulp below it."""
+    fam = LinearFamily(BasisSpec(d=3), LinearPriorSpec(1.0))
+    target = LinearTarget((1.0, 0.0, 0.0), perp_sq=0.01)
+    rows = fam.sample_matrix(100, np.random.default_rng(7))
+    d = fam.dist_sq(target, rows)
+    fam.tile_rows = 7
+    for e in (d[13], np.nextafter(d[13], -np.inf), np.median(d)):
+        np.testing.assert_array_equal(fam.within(target, rows, e), d <= e)
 
 
 @pytest.mark.parametrize("name", sorted(TARGETS))
