@@ -92,6 +92,12 @@ class OneChangeResult:
 
 #: Cap of each loop in log_q_closed_form.
 _Q_MAX_ITER = 10_000
+#: Cap of the gamma-function iterations summed over one log_q_closed_form
+#: call (checked after each gamma function): 1.25 times the most a tested
+#: point takes (599,365, at kappa = 1.5, sigma_w = 0.01, eps = 1, d = 1), so
+#: a call past its reach fails in a fraction of a second instead of running
+#: 10^4 walk terms of up to 10^4 iterations each.
+_Q_MAX_GAMMA_TERMS = 750_000
 #: How far below the largest mixture term the sum stops.
 _Q_WINDOW_NATS = 40.0
 
@@ -114,10 +120,11 @@ def _log_pois(x: float, lam: float) -> float:
     return -stirling - bd0 - 0.5 * math.log(2.0 * math.pi * x)
 
 
-def _log_gamma_p(a: float, z: float) -> float:
-    """log P(a, z), the regularized lower incomplete gamma function: its
-    series for z < a + 1, else log1p(-Q) with Q < 1/2 from its continued
-    fraction (Lentz; there its denominators stay above b / 2, never 0)."""
+def _log_gamma_p(a: float, z: float) -> tuple[float, int]:
+    """(log P(a, z), the loop iterations it took), P the regularized lower
+    incomplete gamma function: its series for z < a + 1, else log1p(-Q) with
+    Q < 1/2 from its continued fraction (Lentz; there its denominators stay
+    above b / 2, never 0)."""
     log_front = _log_pois(a, z)
     if z < a + 1.0:
         term = total = 1.0
@@ -125,7 +132,7 @@ def _log_gamma_p(a: float, z: float) -> float:
             term *= z / (a + n)
             total += term
             if term < total * 2.0**-53:
-                return log_front + math.log(total)
+                return log_front + math.log(total), n
     else:
         b = z + 1.0 - a
         c, inv_d = math.inf, 1.0 / b
@@ -136,7 +143,7 @@ def _log_gamma_p(a: float, z: float) -> float:
             c = b + n * (a - n) / c
             h *= c * inv_d
             if abs(c * inv_d - 1.0) < 2.0**-53:
-                return math.log1p(-a * h * math.exp(log_front))
+                return math.log1p(-a * h * math.exp(log_front)), n
     raise NumericalError(f"gamma P({a:g}, {z:g}) did not converge in {_Q_MAX_ITER} terms")
 
 
@@ -150,8 +157,9 @@ def log_q_closed_form(kappa: float, sigma_w: float, eps: float, d: int) -> float
     about 1e-15 max(1, |log q|) against scipy's ncx2.logcdf and 50-digit
     sums, chi of thousands of nats included. Domain: finite kappa >= 0 and
     sigma_w > 0, eps in (0, 1], d >= 1 (else ConfigError). NumericalError
-    where mu + z >= 2^52 or a loop passes _Q_MAX_ITER (kappa / sigma_w in
-    the hundreds, eps near kappa).
+    where mu + z >= 2^52, a loop passes _Q_MAX_ITER or the gamma functions
+    together pass _Q_MAX_GAMMA_TERMS iterations (kappa / sigma_w in the
+    hundreds, eps near kappa).
     """
     if not 0 <= kappa < math.inf:
         raise ConfigError(f"kappa must be finite and >= 0, got {kappa}")
@@ -166,10 +174,18 @@ def log_q_closed_form(kappa: float, sigma_w: float, eps: float, d: int) -> float
     if not mu + z < 2.0**52:
         raise NumericalError(f"q out of range at kappa/sigma_w={r:g}, eps/sigma_w={s:g}")
     if mu == 0.0:
-        return _log_gamma_p(a, z)
+        return _log_gamma_p(a, z)[0]
+    spent = 0
 
     def term(j: int) -> float:
-        return _log_pois(float(j), mu) + _log_gamma_p(a + j, z)
+        nonlocal spent
+        log_p, n = _log_gamma_p(a + j, z)
+        spent += n
+        if spent > _Q_MAX_GAMMA_TERMS:
+            raise NumericalError(
+                f"q at mu={mu:g}, z={z:g} needs over {_Q_MAX_GAMMA_TERMS} gamma-function terms"
+            )
+        return _log_pois(float(j), mu) + log_p
 
     lo, hi = 0, int(mu)
     while lo < hi:

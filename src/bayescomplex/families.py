@@ -6,14 +6,15 @@ bias N(0, sigma_b^2); the linear model's basis coefficients are isotropic
 N(0, sigma_w^2). Defaults follow the k-node convention M = k,
 sigma_w^2 = 1/k, sigma_b^2 = 1.
 
-The complexity estimators and the posterior machinery are generic over a
-"family": something that can sample parameters from its prior, measure the
-exact mean-squared distance between a parameter's function and a target
-(after ``prepare`` has put the target in the form its kernels take),
-evaluate prior log-densities, and provide an importance-sampling center for
-a realizable target; ``batch_rows`` sets the estimators' draws per batch.
-Two families exist: the orthonormal-basis linear model and the shallow ReLU
-network in the product parametrization.
+The complexity estimators are generic over a "family": something that can
+sample parameters from its prior, measure the exact mean-squared distance
+between a parameter's function and a target (after ``prepare`` has put the
+target in the form its kernels take), evaluate prior log-densities, and
+provide an importance-sampling center for a realizable target;
+``batch_rows`` sets the estimators' draws per batch. Two families exist: the
+orthonormal-basis linear model and the shallow ReLU network in the product
+parametrization. The posterior machinery (conjugate posteriors, SGLD,
+temperature search) takes the linear family only.
 
 All batch kernels work on plain (n, dim) parameter matrices; the distance
 kernels are closed-form exact (no quadrature) so that ten-million-draw Monte
@@ -150,9 +151,6 @@ class LinearFamily:
 
     def predict_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return thetas @ self.design(xs).T
-
-    def grad_log_prior(self, theta: np.ndarray) -> np.ndarray:
-        return -theta / self.prior.sigma_w_sq
 
 
 # --------------------------------------------------------------------------
@@ -414,34 +412,6 @@ class ShallowNetFamily:
             u = w1 * w2
             acts = np.maximum(0.0, xs[None, None, :] - b1[:, :, None])
             out[lo:hi] = np.einsum("ij,ijn->in", u, acts) + b2[:, None]
-        return out
-
-    def forward_and_jac(self, theta: np.ndarray, xs: np.ndarray):
-        k = self.k
-        w1, w2, b1, b2 = theta[:k], theta[k : 2 * k], theta[2 * k : 3 * k], theta[3 * k]
-        ramps = np.maximum(0.0, xs[:, None] - b1[None, :])  # (N, k)
-        active = (xs[:, None] > b1[None, :]).astype(float)
-        preds = ramps @ (w1 * w2) + b2
-        J = np.empty((xs.size, self.dim))
-        J[:, :k] = ramps * w2[None, :]
-        J[:, k : 2 * k] = ramps * w1[None, :]
-        J[:, 2 * k : 3 * k] = -active * (w1 * w2)[None, :]
-        J[:, 3 * k] = 1.0
-        return preds, J
-
-    def grad_log_prior(self, theta: np.ndarray) -> np.ndarray:
-        k, p = self.k, self.prior
-        g = np.zeros_like(theta)
-        g[: 2 * k] = -theta[: 2 * k] / p.sigma_w_sq
-        g[3 * k] = -theta[3 * k] / p.sigma_b_sq
-        return g
-
-    def reflect(self, theta: np.ndarray) -> np.ndarray:
-        """Fold hidden biases back into [0, M] (reflecting boundaries)."""
-        k, M = self.k, self.prior.M
-        out = theta.copy()
-        b = np.remainder(out[2 * k : 3 * k], 2.0 * M)
-        out[2 * k : 3 * k] = np.where(b > M, 2.0 * M - b, b)
         return out
 
     def expected_prior_norm_sq(self) -> float:

@@ -2,19 +2,20 @@
 
 The Gibbs posterior at temperature sigma_y_sq reweights the prior by
 exp(-sum (y_n - f_theta(x_n))^2 / (2 sigma_y_sq)); for the linear family it
-is Gaussian and computed in closed form, otherwise SGLD samples it. Losses
-reported anywhere are the clipped quadratic min((h(x) - y)^2, C). The module
-also provides the PAC-Bayes right-hand side, the Gaussian KL, the
-divergence upper bound through the dataset-conditional complexity, the main
-generalization bound, and the bisection search for the temperature at which
-the expected empirical loss equals (1 + beta) sigma_e_sq.
+is Gaussian and computed in closed form, and SGLD chains sample it exactly
+as an affine recursion. Losses reported anywhere are the clipped quadratic
+min((h(x) - y)^2, C). The module also provides the PAC-Bayes right-hand
+side, the Gaussian KL, the divergence upper bound through the
+dataset-conditional complexity, the main generalization bound, and the
+bisection search for the temperature at which the expected empirical loss
+equals (1 + beta) sigma_e_sq.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -89,12 +90,6 @@ class LossSpec:
 
 
 @dataclass(frozen=True)
-class LossEstimate:
-    value: float
-    std_err: float
-
-
-@dataclass(frozen=True)
 class SgldConfig:
     eta: float
     steps: int
@@ -136,7 +131,7 @@ class GaussianPosterior:
 
 
 # --------------------------------------------------------------------------
-# Data generation and losses
+# Data generation
 # --------------------------------------------------------------------------
 
 
@@ -154,60 +149,6 @@ def generate_dataset(
     if sigma_e_sq > 0:
         ys = ys + gen.normal(0.0, math.sqrt(sigma_e_sq), size=N)
     return Dataset(xs=xs, ys=ys, sigma_e_sq=sigma_e_sq)
-
-
-def clipped_loss(pred, y, spec: LossSpec):
-    return np.minimum((np.asarray(pred) - np.asarray(y)) ** 2, spec.clip_C)
-
-
-def empirical_loss_of_Q(
-    draws: np.ndarray, S: Dataset, spec: LossSpec, family
-) -> LossEstimate:
-    """L_S(Q) = E_{h~Q}[(1/N) sum_i min((h(x_i) - y_i)^2, C)] over posterior
-    draws; the standard error covers the h-sampling only (S is fixed)."""
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    if draws.shape[0] == 0:
-        raise ConfigError("empirical_loss_of_Q needs at least one posterior draw")
-    preds = family.predict_batch(draws, S.xs)
-    per_draw = clipped_loss(preds, S.ys[None, :], spec).mean(axis=1)
-    n = per_draw.size
-    return LossEstimate(float(per_draw.mean()), float(per_draw.std() / math.sqrt(n)))
-
-
-def true_loss_of_Q(
-    draws: np.ndarray,
-    g,
-    sigma_e_sq: float,
-    measure: L2Measure,
-    spec: LossSpec,
-    n_x: int,
-    rng: SeededRng,
-    family,
-) -> LossEstimate:
-    """L_D(Q) estimated on fresh (x, y) pairs; the standard error combines
-    the h-draw and the fresh-data axes conservatively."""
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    if draws.shape[0] == 0:
-        raise ConfigError("true_loss_of_Q needs at least one posterior draw")
-    if n_x < 2:
-        raise ConfigError(f"n_x must be >= 2, got {n_x}")
-    fresh = generate_dataset(g, n_x, sigma_e_sq, measure, rng)
-    xs, ys = fresh.xs, fresh.ys
-    # Chunk over draws so the (draws, n_x) loss matrix never exceeds a few
-    # hundred megabytes; the per-draw and per-point means accumulate exactly.
-    n_draws = draws.shape[0]
-    rows = max(1, int(4_000_000 / n_x))
-    per_draw = np.empty(n_draws)
-    point_sums = np.zeros(n_x)
-    for start in range(0, n_draws, rows):
-        block = draws[start : start + rows]
-        losses = clipped_loss(family.predict_batch(block, xs), ys[None, :], spec)
-        per_draw[start : start + block.shape[0]] = losses.mean(axis=1)
-        point_sums += losses.sum(axis=0)
-    per_point = point_sums / n_draws
-    se_h = per_draw.std() / math.sqrt(per_draw.size)
-    se_x = per_point.std() / math.sqrt(per_point.size)
-    return LossEstimate(float(per_draw.mean()), float(math.hypot(se_h, se_x)))
 
 
 # --------------------------------------------------------------------------
@@ -356,88 +297,43 @@ _SGLD_BLOCK = 8192
 
 def run_sgld(
     S: Dataset,
-    family,
+    family: LinearFamily,
     cfg: SgldConfig,
     rng: SeededRng,
     inject_noise: bool = True,
     init: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Stochastic gradient Langevin chain targeting the Gibbs posterior.
+    """Stochastic gradient Langevin chain targeting the linear model's Gibbs
+    posterior.
 
-    Update: theta <- theta - eta * (grad Lhat_loglik - (1/N) grad ln P)
-    + sqrt(2 eta / N) N(0, I), with Lhat_loglik the full-sample mean of
-    (y - f_theta(x))^2 / (2 sigma_y_sq) and N read as max(N, 1). Hidden
-    biases reflect at their uniform-prior boundaries. With
-    inject_noise=False the chain is plain gradient descent to the MAP
-    (diagnostic mode). Returns the post-burn-in, thinned draws (steps
-    burn_in, burn_in + thin, ...) as an (n_draws, dim) array.
+    Update: theta <- theta - eta (H theta - r) + s z, z ~ N(0, I), the
+    gradient step on the full-sample mean of (y - f_theta(x))^2 /
+    (2 sigma_y_sq) minus (1/N) ln P, with N read as max(N, 1):
+    H = J'J / (N sigma_y_sq) + I / (sigma_w_sq max(N, 1)), r = J'y /
+    (N sigma_y_sq) (J and r zero when N = 0) and s = sqrt(2 eta / max(N, 1)).
+    With inject_noise=False the chain is plain gradient descent to the MAP
+    (diagnostic mode). The chain starts at init, or at a prior draw. Returns
+    the post-burn-in, thinned draws (steps burn_in, burn_in + thin, ...) as
+    an (n_draws, dim) array.
 
-    For LinearFamily the update is affine, theta <- theta - eta (H theta - r)
-    + s z, with H = J'J / (N sigma_y_sq) + I / (sigma_w_sq max(N, 1)),
-    r = J'y / (N sigma_y_sq) (J and r zero when N = 0) and
-    s = sqrt(2 eta / max(N, 1)), and the chain is solved exactly rather
-    than stepped: with H = Q diag(lambda) Q', each coordinate of psi = Q'theta
-    is a scalar AR(1), psi_i <- (1 - eta lambda_i) psi_i + u_i, run in
-    compiled code as a unit lower-bidiagonal solve (LAPACK dtbtrs) over
-    blocks of _SGLD_BLOCK steps. Each block's noise is one (m, dim)
-    standard-normal draw, the same stream as m per-step draws of size dim,
-    so the draws equal the stepped chain's up to rounding. Other families
-    are stepped one update at a time.
+    The update is affine, so the chain is solved exactly rather than
+    stepped: with H = Q diag(lambda) Q', each coordinate of psi = Q'theta is
+    a scalar AR(1), psi_i <- (1 - eta lambda_i) psi_i + u_i, run in compiled
+    code as a unit lower-bidiagonal solve (LAPACK dtbtrs) over blocks of
+    _SGLD_BLOCK steps. Each block's noise is one (m, dim) standard-normal
+    draw, the same stream as m per-step draws of size dim, so the draws
+    equal the stepped chain's up to rounding.
 
     Raises NumericalError at the first step whose ||theta|| is above 1e6
     or not finite, naming that step.
     """
+    from scipy.linalg import lapack
+
     gen = rng.generator()
     if init is not None:
         theta = np.asarray(init, dtype=float).copy()
     else:
         theta = family.sample_matrix(1, gen)[0]
-    if isinstance(family, LinearFamily):
-        return _linear_sgld(S, family, cfg, gen, theta, inject_noise)
-    n = S.n
-    n_eff = max(n, 1)
-    noise_scale = math.sqrt(2.0 * cfg.eta / n_eff)
-    draws = []
-    for step in range(cfg.steps):
-        if n:
-            preds, jac = family.forward_and_jac(theta, S.xs)
-            grad = jac.T @ (preds - S.ys) / (n * cfg.sigma_y_sq)
-        else:
-            grad = np.zeros_like(theta)
-        grad -= family.grad_log_prior(theta) / n_eff
-        theta = theta - cfg.eta * grad
-        if inject_noise:
-            theta = theta + noise_scale * gen.standard_normal(theta.size)
-        theta = family.reflect(theta)
-        _check_sgld_norm(np.linalg.norm(theta, keepdims=True), step, cfg)
-        if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
-            draws.append(theta.copy())
-    return np.array(draws)
-
-
-def _check_sgld_norm(norms: np.ndarray, start: int, cfg: SgldConfig) -> None:
-    """Raise at the first of norms (for steps start, start + 1, ...) that is
-    above 1e6 or not finite."""
-    bad = ~(norms <= 1e6)
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise NumericalError(
-            f"SGLD diverged at step {start + first}: ||theta|| = {norms[first]:.3g} "
-            f"(eta={cfg.eta}, sigma_y_sq={cfg.sigma_y_sq})"
-        )
-
-
-def _linear_sgld(
-    S: Dataset,
-    family: LinearFamily,
-    cfg: SgldConfig,
-    gen: np.random.Generator,
-    theta: np.ndarray,
-    inject_noise: bool,
-) -> np.ndarray:
-    """run_sgld's exact affine recursion for the linear family."""
-    from scipy.linalg import lapack
-
     n, d = S.n, theta.size
     n_eff = max(n, 1)
     with np.errstate(over="ignore"):
@@ -475,7 +371,14 @@ def _linear_sgld(
                 raise NumericalError(f"SGLD block solve failed (LAPACK info={info})")
             u[i] = x[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):
-            _check_sgld_norm(np.linalg.norm(u, axis=0), start, cfg)
+            norms = np.linalg.norm(u, axis=0)
+            bad = ~(norms <= 1e6)
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise NumericalError(
+                f"SGLD diverged at step {start + first}: ||theta|| = {norms[first]:.3g} "
+                f"(eta={cfg.eta}, sigma_y_sq={cfg.sigma_y_sq})"
+            )
         psi = u[:, -1]
         steps = np.arange(start, start + m)
         keep = (steps >= cfg.burn_in) & ((steps - cfg.burn_in) % cfg.thin == 0)
@@ -554,11 +457,10 @@ def find_sigma_alg(
     beta: float,
     sigma_e_sq: float,
     dataset_generator: Callable[[SeededRng], Dataset],
-    family,
+    family: LinearFamily,
     tol: float,
     rng: SeededRng,
     *,
-    sgld_cfg: SgldConfig | None = None,
     loss_spec: LossSpec | None = None,
     n_replicas: int = 32,
     bracket: tuple[float, float] = (1e-6, 1e6),
@@ -566,12 +468,9 @@ def find_sigma_alg(
 ) -> tuple[float, float]:
     """Bisection on ln sigma_y_sq for E_S E_{h~Q(sigma_y_sq)}[L_S(h)] =
     (1 + beta) sigma_e_sq, using a fixed set of dataset replicas so the
-    objective is monotone and deterministic across iterations. The linear
-    family uses the exact conjugate expected loss; other families fall back
-    to SGLD draws with the chain settings sgld_cfg (its sigma_y_sq is
-    replaced at every bisection step), which they require. Replica i's
-    dataset comes from rng.stream(i) and its SGLD chain from
-    rng.stream(i).stream(0), so the two never share a stream.
+    objective is monotone and deterministic across iterations. Each
+    replica's loss is the exact expected loss under its conjugate posterior;
+    replica i's dataset comes from rng.stream(i).
 
     Returns (sigma_y_sq, achieved objective).
     """
@@ -579,23 +478,14 @@ def find_sigma_alg(
         raise ConfigError(f"beta must lie in (0, 1], got {beta}")
     if tol <= 0:
         raise ConfigError(f"tol must be > 0, got {tol}")
-    conjugate = isinstance(family, LinearFamily)
-    if not conjugate and sgld_cfg is None:
-        raise ConfigError(f"find_sigma_alg needs sgld_cfg for {type(family).__name__}")
     spec = loss_spec if loss_spec is not None else LossSpec()
     replicas = [dataset_generator(rng.stream(i)) for i in range(n_replicas)]
 
     def mean_loss(sigma_y_sq: float) -> float:
         losses = []
-        for i, S in enumerate(replicas):
-            if conjugate:
-                post = conjugate_posterior_linear(S, family.prior, family.basis, sigma_y_sq)
-                losses.append(conjugate_empirical_loss(S, post, family.basis, spec))
-            else:
-                draws = run_sgld(
-                    S, family, replace(sgld_cfg, sigma_y_sq=sigma_y_sq), rng.stream(i).stream(0)
-                )
-                losses.append(empirical_loss_of_Q(draws, S, spec, family).value)
+        for S in replicas:
+            post = conjugate_posterior_linear(S, family.prior, family.basis, sigma_y_sq)
+            losses.append(conjugate_empirical_loss(S, post, family.basis, spec))
         return float(np.mean(losses))
 
     target = (1.0 + beta) * sigma_e_sq

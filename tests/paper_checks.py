@@ -1,21 +1,26 @@
-"""Checkers of the paper's side inequalities and claimed closed forms.
+"""Checkers of the paper's side inequalities and claimed closed forms, and
+Monte Carlo references for the posterior losses.
 
 None of these feeds an estimator or a CLI report. They exist so the tests
 (acceptance criterion 07 among them) can assert the scalar inequalities the
 movement proofs and the complexity chain rest on, check the minimum-norm
-realization's cost against the variational complexity, and show the claimed
-product density next to a Monte Carlo estimate of the true one.
+realization's cost against the variational complexity, show the claimed
+product density next to a Monte Carlo estimate of the true one, and compare
+the exact conjugate clipped losses with their Monte Carlo estimates over
+posterior draws (empirical_loss_of_Q, true_loss_of_Q).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from bayescomplex.errors import ConfigError
+from bayescomplex.posterior import Dataset, LossSpec, generate_dataset
 from bayescomplex.projection import _norm_sq_nodes
-from bayescomplex.pwl import PwlFunction
+from bayescomplex.pwl import L2Measure, PwlFunction
 from bayescomplex.rng import SeededRng
 
 
@@ -96,3 +101,68 @@ def product_density_mc(
         bandwidth * math.sqrt(2.0 * math.pi)
     )
     return float(kernel.mean()), float(kernel.std() / math.sqrt(n))
+
+
+# --------------------------------------------------------------------------
+# Monte Carlo posterior losses
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LossEstimate:
+    value: float
+    std_err: float
+
+
+def clipped_loss(pred, y, spec: LossSpec):
+    return np.minimum((np.asarray(pred) - np.asarray(y)) ** 2, spec.clip_C)
+
+
+def empirical_loss_of_Q(
+    draws: np.ndarray, S: Dataset, spec: LossSpec, family
+) -> LossEstimate:
+    """L_S(Q) = E_{h~Q}[(1/N) sum_i min((h(x_i) - y_i)^2, C)] over posterior
+    draws; the standard error covers the h-sampling only (S is fixed)."""
+    draws = np.atleast_2d(np.asarray(draws, dtype=float))
+    if draws.shape[0] == 0:
+        raise ConfigError("empirical_loss_of_Q needs at least one posterior draw")
+    preds = family.predict_batch(draws, S.xs)
+    per_draw = clipped_loss(preds, S.ys[None, :], spec).mean(axis=1)
+    n = per_draw.size
+    return LossEstimate(float(per_draw.mean()), float(per_draw.std() / math.sqrt(n)))
+
+
+def true_loss_of_Q(
+    draws: np.ndarray,
+    g,
+    sigma_e_sq: float,
+    measure: L2Measure,
+    spec: LossSpec,
+    n_x: int,
+    rng: SeededRng,
+    family,
+) -> LossEstimate:
+    """L_D(Q) estimated on fresh (x, y) pairs; the standard error combines
+    the h-draw and the fresh-data axes conservatively."""
+    draws = np.atleast_2d(np.asarray(draws, dtype=float))
+    if draws.shape[0] == 0:
+        raise ConfigError("true_loss_of_Q needs at least one posterior draw")
+    if n_x < 2:
+        raise ConfigError(f"n_x must be >= 2, got {n_x}")
+    fresh = generate_dataset(g, n_x, sigma_e_sq, measure, rng)
+    xs, ys = fresh.xs, fresh.ys
+    # Chunk over draws so the (draws, n_x) loss matrix never exceeds a few
+    # hundred megabytes; the per-draw and per-point means accumulate exactly.
+    n_draws = draws.shape[0]
+    rows = max(1, int(4_000_000 / n_x))
+    per_draw = np.empty(n_draws)
+    point_sums = np.zeros(n_x)
+    for start in range(0, n_draws, rows):
+        block = draws[start : start + rows]
+        losses = clipped_loss(family.predict_batch(block, xs), ys[None, :], spec)
+        per_draw[start : start + block.shape[0]] = losses.mean(axis=1)
+        point_sums += losses.sum(axis=0)
+    per_point = point_sums / n_draws
+    se_h = per_draw.std() / math.sqrt(per_draw.size)
+    se_x = per_point.std() / math.sqrt(per_point.size)
+    return LossEstimate(float(per_draw.mean()), float(math.hypot(se_h, se_x)))

@@ -2,6 +2,7 @@
 scaling/monotonicity structure, slope fitting, bounds, and distance oracles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -206,6 +207,35 @@ class TestLogQ:
             log_q_closed_form(1.0, 0.001, 1.0, 3)
         with pytest.raises(NumericalError, match="out of range"):
             log_q_closed_form(1.0, 1e-100, 0.5, 3)
+
+    @pytest.mark.parametrize("sigma_w", [1e-3, 6e-4])
+    def test_past_reach_fails_fast(self, sigma_w):
+        """eps near kappa / sqrt(2) with kappa / sigma_w of 1000-1700 puts
+        the gamma functions near z = a + j at every walk term; the call's
+        iteration budget stops it within half a second."""
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="gamma-function terms"):
+            log_q_closed_form(1.0, sigma_w, 0.7071, 3)
+        assert time.perf_counter() - start < 0.5
+
+    def test_gamma_budget_covers_every_tested_point(self, monkeypatch):
+        """The tested point that takes the most gamma iterations (kappa 1.5,
+        sigma_w 0.01, eps 1, d 1) fits the budget, and a budget one
+        iteration short of it raises."""
+        used = []
+        gamma = complexity._log_gamma_p
+
+        def counting(a, z):
+            value, n = gamma(a, z)
+            used.append(n)
+            return value, n
+
+        monkeypatch.setattr(complexity, "_log_gamma_p", counting)
+        log_q_closed_form(1.5, 0.01, 1.0, 1)
+        assert sum(used) <= complexity._Q_MAX_GAMMA_TERMS
+        monkeypatch.setattr(complexity, "_Q_MAX_GAMMA_TERMS", sum(used) - 1)
+        with pytest.raises(NumericalError, match="gamma-function terms"):
+            log_q_closed_form(1.5, 0.01, 1.0, 1)
 
 
 class TestChiFromQ:

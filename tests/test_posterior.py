@@ -16,32 +16,18 @@ from scipy.stats import ks_2samp, multivariate_normal, norm
 from bayescomplex import cli
 from bayescomplex.complexity import empirical_complexity_mc
 from bayescomplex.errors import CheckFailure, ConfigError, NumericalError
-from bayescomplex.families import (
-    LinearFamily,
-    LinearPriorSpec,
-    LinearTarget,
-    NnPriorSpec,
-    ShallowNetFamily,
-)
-from bayescomplex.models import (
-    BasisSpec,
-    LinearFunction,
-    ShallowNetParams,
-    basis_matrix,
-)
+from bayescomplex.families import LinearFamily, LinearPriorSpec, LinearTarget
+from bayescomplex.models import BasisSpec, LinearFunction, basis_matrix
 from bayescomplex.posterior import (
     Dataset,
     GaussianPosterior,
-    LossEstimate,
     LossSpec,
     SgldConfig,
     batch_means_se,
-    clipped_loss,
     conjugate_empirical_loss,
     conjugate_posterior_linear,
     conjugate_true_loss,
     divergence_upper_bound,
-    empirical_loss_of_Q,
     expected_clipped_loss_gaussian,
     find_sigma_alg,
     generate_dataset,
@@ -49,10 +35,10 @@ from bayescomplex.posterior import (
     pac_bayes_rhs,
     run_sgld,
     theorem_bound,
-    true_loss_of_Q,
 )
-from bayescomplex.pwl import UNIFORM_SYM, UNIFORM_UNIT, PwlFunction
+from bayescomplex.pwl import UNIFORM_SYM
 from bayescomplex.rng import SeededRng
+from paper_checks import clipped_loss, empirical_loss_of_Q, true_loss_of_Q
 
 
 def _linear_setup(d: int, sigma_w_sq: float = 1.0):
@@ -453,19 +439,6 @@ class TestSgld:
         assert abs(chain.mean()) <= 3.0 * batch_means_se(chain)
         assert abs(chain.var() - 1.0) <= 0.10
 
-    def test_shallow_family_respects_bias_support(self):
-        prior = NnPriorSpec.default_for(2)
-        family = ShallowNetFamily(2, prior)
-        g = PwlFunction(0.0, ((0.4, 1.0),))
-        S = generate_dataset(g, 30, 0.01, UNIFORM_UNIT, SeededRng(42).stream(3))
-        cfg = SgldConfig(eta=1e-3, steps=3_000, burn_in=1_000, thin=5,
-                         sigma_y_sq=0.1)
-        draws = run_sgld(S, family, cfg, SeededRng(42).stream(4))
-        assert np.all(np.isfinite(draws))
-        for row in draws[::40]:
-            params = ShallowNetParams.from_flat(row, 2)
-            assert all(0.0 <= b <= prior.M for b in params.b1)
-
     def test_divergence_guard(self):
         basis, _, family = _linear_setup(1)
         g = LinearFunction((0.8,), basis)
@@ -520,7 +493,7 @@ def _stepped_linear_sgld(S, family, cfg, rng, inject_noise=True, init=None):
             grad = design.T @ (design @ theta - S.ys) / (n * cfg.sigma_y_sq)
         else:
             grad = np.zeros_like(theta)
-        grad -= family.grad_log_prior(theta) / n_eff
+        grad += theta / (family.prior.sigma_w_sq * n_eff)
         theta = theta - cfg.eta * grad
         if inject_noise:
             theta = theta + noise_scale * gen.standard_normal(theta.size)
@@ -869,48 +842,12 @@ class TestFindSigmaAlg:
                            SeededRng(5).stream(1), loss_spec=LossSpec(),
                            n_replicas=4, bracket=(1e-6, 1e-4))
 
-    def test_sgld_chains_never_reuse_a_replica_stream(self, monkeypatch):
-        """With more than 1000 replicas, no SGLD chain draws from the stream
-        that generated a replica's dataset."""
-        dataset_ids, chain_ids = set(), set()
-
-        def make(r):
-            dataset_ids.add(r.stream_id)
-            return generate_dataset(lambda x: 0.0 * x, 1, 0.04, UNIFORM_UNIT, r)
-
-        def fake_sgld(S, family, cfg, rng, **kwargs):
-            chain_ids.add(rng.stream_id)
-            return np.zeros((1, family.dim))
-
-        # A constant zero loss stays below the target at both bracket ends, so
-        # the search stops after one pass per endpoint.
-        monkeypatch.setattr("bayescomplex.posterior.run_sgld", fake_sgld)
-        monkeypatch.setattr("bayescomplex.posterior.empirical_loss_of_Q",
-                            lambda *args: LossEstimate(0.0, 0.0))
-        family = ShallowNetFamily(1, NnPriorSpec.default_for(1))
-        cfg = SgldConfig(eta=1e-3, steps=2, burn_in=1, thin=1, sigma_y_sq=1.0)
-        with pytest.raises(CheckFailure, match="bracket"):
-            find_sigma_alg(1.0, 0.04, make, family, 1e-3, SeededRng(5).stream(1),
-                           sgld_cfg=cfg, n_replicas=1001)
-        assert len(dataset_ids) == 1001 and len(chain_ids) == 1001
-        assert dataset_ids.isdisjoint(chain_ids)
-
     def test_validation(self):
         basis, prior, family = _linear_setup(1)
         with pytest.raises(ConfigError):
             find_sigma_alg(0.0, 0.04, lambda r: None, family, 1e-3, SeededRng(0))
         with pytest.raises(ConfigError):
             find_sigma_alg(1.0, 0.04, lambda r: None, family, 0.0, SeededRng(0))
-
-    def test_sgld_family_needs_sgld_cfg(self):
-        """Only the conjugate linear family can search without SGLD chain
-        settings; any other family is refused before a dataset is drawn."""
-        drawn = []
-        family = ShallowNetFamily(1, NnPriorSpec.default_for(1))
-        with pytest.raises(ConfigError, match="sgld_cfg"):
-            find_sigma_alg(1.0, 0.04, drawn.append, family, 1e-3, SeededRng(0))
-        assert drawn == []
-
 
 class TestBatchMeansSe:
     """Chain standard error via batch means."""
