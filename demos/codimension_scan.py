@@ -12,19 +12,17 @@ dead-node alternative), and the volume is estimated by sampling the ball
 B_R (hidden biases in [0, M]) uniformly and counting tube hits.
 """
 
-from bayescomplex.complexity import CodimQuery, codim_estimate
+from bayescomplex.complexity import codim_estimate
 from bayescomplex.families import NnPriorSpec
 from bayescomplex.pwl import PwlFunction
 from bayescomplex.rng import SeededRng
 
 # One kink (c = 1) in a k = 1 network: expect slope 3.
 g1 = PwlFunction(bias=0.0, knots=((0.35, 1.0),))
-fit = codim_estimate(
-    CodimQuery(g=g1, k=1), NnPriorSpec.default_for(1), 300_000, SeededRng(42)
-)
+fit = codim_estimate(g1, 1, NnPriorSpec.default_for(1), 300_000, SeededRng(42))
 print("c = 1 (expect codimension 3):")
-for est in fit.per_eps:
-    print(f"  eps = {est.epsilon_sq**0.5:5.2f}: {est.n_hits:6d} hits")
+for eps, est in zip(fit.eps_grid, fit.per_eps):
+    print(f"  eps = {eps:5.2f}: {est.n_hits:6d} hits")
 print(f"  slope = {fit.slope:.3f} +- {fit.ci_halfwidth:.3f}")
 if fit.note:
     print(f"  note: {fit.note}")
@@ -33,12 +31,15 @@ if fit.note:
 # five are rare, so widen the radii and spend more samples.
 g2 = PwlFunction(bias=0.0, knots=((0.3, 1.0), (0.7, -0.8)))
 fit2 = codim_estimate(
-    CodimQuery(g=g2, k=2, eps_grid=(0.5, 0.4, 0.3, 0.22), radius=4.0),
+    g2,
+    2,
     NnPriorSpec.default_for(2),
     500_000,
     SeededRng(42),
+    eps_grid=(0.5, 0.4, 0.3, 0.22),
+    radius=4.0,
 )
 print("\nc = 2 (expect codimension 5):")
-for est in fit2.per_eps:
-    print(f"  eps = {est.epsilon_sq**0.5:5.2f}: {est.n_hits:6d} hits")
+for eps, est in zip(fit2.eps_grid, fit2.per_eps):
+    print(f"  eps = {eps:5.2f}: {est.n_hits:6d} hits")
 print(f"  slope = {fit2.slope:.3f} +- {fit2.ci_halfwidth:.3f}")

@@ -10,11 +10,16 @@ merged group's total weight (weight changes) -- and this script replays both
 phases move by move.
 
 The same machinery projects onto an arbitrary piecewise-linear target by
-zero-projecting the difference network with the target's nodes pinned.
+zero-projecting the difference network with the target's nodes pinned, and
+onto the zero set with the output bias b2 left free.
 """
 
 from bayescomplex.models import ShallowNetParams, shallow_to_pwl
-from bayescomplex.projection import project_to_target, project_to_zero
+from bayescomplex.projection import (
+    project_to_target,
+    project_to_zero,
+    project_to_zero_with_bias,
+)
 from bayescomplex.pwl import PwlFunction, canonical_equal, l2_norm_sq
 
 # A three-node network computing a function of tiny L2 norm. The first two
@@ -46,3 +51,11 @@ res = project_to_target(theta, g, R=2.0, guard_scale=1.0)
 recovered = canonical_equal(shallow_to_pwl(res.theta_star), g, tol=1e-12)
 print(f"\ntarget recovery: f* == g is {recovered}")
 print(f"movement^2 = {res.movement_sq:.3e}")
+
+# Projection with a free output bias: a small net with b2 != 0 is moved onto
+# the zero set, movement^2 <= k^5 R^(4/5) ||f||^(2/5).
+theta = ShallowNetParams((1.0, 1.0), (1e-3, -5e-4), (0.2, 0.6), 1e-4)
+res = project_to_zero_with_bias(theta, R=1.0)
+zero = canonical_equal(shallow_to_pwl(res.theta_star), PwlFunction(bias=0.0), tol=1e-12)
+print(f"\nwith output bias b2 = {theta.b2:g}: f* == 0 is {zero}")
+print(f"movement^2 = {res.movement_sq:.3e} (bound {res.bound:.3e})")

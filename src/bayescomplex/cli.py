@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from .complexity import (
-    CodimQuery,
     chi_from_q,
     codim_estimate,
     limiting_complexity,
@@ -452,13 +451,12 @@ def cmd_codim(cfg: dict) -> CsvReport:
     g = _pwl_target(cfg)
     c = len(g.knots)
     prior = _nn_prior(cfg, k)
-    query = CodimQuery(
-        g=g,
-        k=k,
+    fit = codim_estimate(
+        g, k, prior, cfg["n_samples"], rng,
         eps_grid=cfg["eps_grid"] if cfg["eps_grid"] else None,
         radius=None if cfg["radius"] == 0 else cfg["radius"],
+        workers=cfg["workers"],
     )
-    fit = codim_estimate(query, prior, cfg["n_samples"], rng, workers=cfg["workers"])
     target = float(2 * c + 1)
     passed = abs(fit.slope - target) <= cfg["tolerance"]
     columns = (

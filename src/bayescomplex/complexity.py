@@ -3,10 +3,9 @@
 Implements the sharp complexity chi#(g, eps^2) = -ln P_theta[E_x[(g - f_theta)^2] <= eps^2]
 via naive Monte Carlo and defensive importance sampling, the limiting
 complexity (weighted log-log slope regression), the closed-form log q for
-the linear model (a series in math: the module imports no scipy), the
-exponential/empirical/with-noise complexity chain, Minkowski codimension
-estimation for shallow-net representation sets, and the one-slope-change
-bounds.
+the linear model (a series in math: the module imports no scipy),
+Minkowski codimension estimation for shallow-net representation sets, and
+the one-slope-change bounds.
 
 Conventions: natural logarithms throughout; eps arguments are radii and
 eps_sq arguments are squared radii; every randomized estimate carries a
@@ -19,8 +18,8 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +53,6 @@ class ComplexityEstimate:
     std_err: float
     n_samples: int
     n_hits: int
-    epsilon_sq: float | None
     zero_hits: bool = False
     infinite: bool = False
 
@@ -66,14 +64,6 @@ class SlopeEstimate:
     eps_grid: tuple[float, ...]
     per_eps: tuple[ComplexityEstimate, ...]
     note: str = ""
-
-
-@dataclass(frozen=True)
-class CodimQuery:
-    g: PwlFunction
-    k: int
-    eps_grid: tuple[float, ...] | None = None
-    radius: float | None = None
 
 
 @dataclass(frozen=True)
@@ -220,7 +210,7 @@ def chi_from_q(
     """
     eff = eps_sq - perp_sq
     if eff <= 0.0:
-        return _impossible(eps_sq)
+        return _impossible()
     log_q = log_q_closed_form(kappa, sigma_w, math.sqrt(eff), d)
     return ComplexityEstimate(
         chi=-log_q,
@@ -228,7 +218,6 @@ def chi_from_q(
         std_err=0.0,
         n_samples=0,
         n_hits=0,
-        epsilon_sq=eps_sq,
     )
 
 
@@ -237,35 +226,33 @@ def chi_from_q(
 # --------------------------------------------------------------------------
 
 
-def _rule_of_three(n: int, eps_sq: float) -> ComplexityEstimate:
+def _rule_of_three(n: int) -> ComplexityEstimate:
     return ComplexityEstimate(
         chi=math.log(n / 3.0),
         log_prob=math.log(3.0 / n),
         std_err=math.inf,
         n_samples=n,
         n_hits=0,
-        epsilon_sq=eps_sq,
         zero_hits=True,
     )
 
 
-def _impossible(eps_sq: float) -> ComplexityEstimate:
+def _impossible() -> ComplexityEstimate:
     return ComplexityEstimate(
         chi=math.inf,
         log_prob=-math.inf,
         std_err=0.0,
         n_samples=0,
         n_hits=0,
-        epsilon_sq=eps_sq,
         infinite=True,
     )
 
 
-def _naive_estimate(hits: int, n: int, eps_sq: float) -> ComplexityEstimate:
+def _naive_estimate(hits: int, n: int) -> ComplexityEstimate:
     """Hit fraction p = hits/n with delta-method std_err sqrt((1-p)/(p n));
     zero hits give the rule-of-three lower bound."""
     if hits == 0:
-        return _rule_of_three(n, eps_sq)
+        return _rule_of_three(n)
     p = hits / n
     return ComplexityEstimate(
         chi=-math.log(p),
@@ -273,7 +260,6 @@ def _naive_estimate(hits: int, n: int, eps_sq: float) -> ComplexityEstimate:
         std_err=math.sqrt((1.0 - p) / (p * n)),
         n_samples=n,
         n_hits=hits,
-        epsilon_sq=eps_sq,
     )
 
 
@@ -362,7 +348,7 @@ def sharp_complexity_mc(
         return int(np.count_nonzero(hit))
 
     hits = sum(_map_batches(rng, n, workers, family.batch_rows, batch))
-    return _naive_estimate(hits, n, eps_sq)
+    return _naive_estimate(hits, n)
 
 
 def sharp_complexity_is(
@@ -425,7 +411,7 @@ def sharp_complexity_is(
         s2 += b2
         hits += b_hits
     if hits == 0 or s1 <= 0.0:
-        return _rule_of_three(n, eps_sq)
+        return _rule_of_three(n)
     p = s1 / n
     var = max(s2 / n - p * p, 0.0)
     se_chi = math.sqrt(var / n) / p
@@ -435,7 +421,6 @@ def sharp_complexity_is(
         std_err=se_chi,
         n_samples=n,
         n_hits=hits,
-        epsilon_sq=eps_sq,
     )
 
 
@@ -536,104 +521,6 @@ def limiting_complexity_closed_form(
     grid = _check_eps_grid(eps_grid)
     per_eps = [chi_from_q(kappa, sigma_w, eps * eps, d, perp_sq) for eps in grid]
     return fit_limiting_slope(per_eps, grid)
-
-
-# --------------------------------------------------------------------------
-# Exponential / empirical / with-noise complexities
-# --------------------------------------------------------------------------
-
-
-def _logmean_estimate(a: np.ndarray) -> ComplexityEstimate:
-    """-ln of the mean of exp(a), with its delta-method standard error."""
-    n = a.size
-    m = float(a.max())
-    y = np.exp(a - m)
-    mean_y = float(y.mean())
-    log_mean = m + math.log(mean_y)
-    se = float(y.std()) / (mean_y * math.sqrt(n))
-    return ComplexityEstimate(
-        chi=-log_mean,
-        log_prob=log_mean,
-        std_err=se,
-        n_samples=n,
-        n_hits=n,
-        epsilon_sq=None,
-    )
-
-
-def exponential_complexity_mc(
-    family,
-    target,
-    sigma_y_sq: float,
-    n: int,
-    rng: SeededRng,
-    sigma_e_sq: float = 0.0,
-    workers: int = 1,
-) -> ComplexityEstimate:
-    """chi = -ln E_theta[ exp(-(E_x[(g - f_theta)^2] + sigma_e_sq)/(2 sigma_y_sq)) ].
-
-    With sigma_e_sq = 0 this is the exponential complexity; a positive
-    sigma_e_sq gives the true-with-noise variant, which exceeds the plain
-    value by exactly sigma_e_sq/(2 sigma_y_sq) on identical draws.
-    """
-    if sigma_y_sq <= 0:
-        raise ConfigError(f"sigma_y_sq must be > 0, got {sigma_y_sq}")
-    prepared = family.prepare(target)
-    d2 = np.concatenate(_map_batches(
-        rng, n, workers, family.batch_rows,
-        lambda gen, m: family.dist_sq(prepared, family.sample_matrix(m, gen)),
-    ))
-    return _logmean_estimate(-(d2 + sigma_e_sq) / (2.0 * sigma_y_sq))
-
-
-def empirical_complexity_mc(
-    family,
-    g,
-    xs: np.ndarray,
-    noise_draws: np.ndarray,
-    sigma_y_sq_over_N: float,
-    n: int,
-    rng: SeededRng,
-    workers: int = 1,
-) -> ComplexityEstimate:
-    """Dataset-conditional complexity:
-    chi = -ln E_theta[ exp(-(1/(2 T N)) sum_n (g(x_n) + eta_n - f_theta(x_n))^2) ]
-    with T = sigma_y_sq_over_N.
-    """
-    xs = np.asarray(xs, dtype=float)
-    noise = np.asarray(noise_draws, dtype=float)
-    if xs.size < 1:
-        raise ConfigError("empirical complexity needs N >= 1 sample points")
-    if xs.size != noise.size:
-        raise ConfigError(f"xs has {xs.size} points but noise_draws has {noise.size}")
-    if sigma_y_sq_over_N <= 0:
-        raise ConfigError("sigma_y_sq_over_N must be > 0")
-    big_n = xs.size
-    ys = (g(xs) if callable(g) else np.asarray(g, dtype=float)) + noise
-    denom = 2.0 * sigma_y_sq_over_N * big_n
-    rows = max(256, min(family.batch_rows, int(4_000_000 / big_n)))
-
-    def batch(gen, m):
-        resid = family.predict_batch(family.sample_matrix(m, gen), xs) - ys[None, :]
-        return -np.einsum("ij,ij->i", resid, resid) / denom
-
-    return _logmean_estimate(np.concatenate(_map_batches(rng, n, workers, rows, batch)))
-
-
-def sharp_with_noise(
-    chi_sharp_fn: Callable[[float], ComplexityEstimate],
-    sigma_e_sq: float,
-    eps_sq: float,
-) -> ComplexityEstimate:
-    """Sharp complexity under observation noise: evaluate the noiseless
-    estimator at the shifted radius eps_sq - sigma_e_sq. A nonpositive shift
-    makes the event impossible and returns a flagged infinite estimate."""
-    if sigma_e_sq < 0:
-        raise ConfigError(f"sigma_e_sq must be >= 0, got {sigma_e_sq}")
-    if eps_sq <= sigma_e_sq:
-        return _impossible(eps_sq)
-    inner = chi_sharp_fn(eps_sq - sigma_e_sq)
-    return replace(inner, epsilon_sq=eps_sq)
 
 
 # --------------------------------------------------------------------------
@@ -843,13 +730,6 @@ def _check_oracle_width(k: int, c: int) -> None:
         raise ConfigError(f"distance oracle supports k <= c + 1, got k={k}, c={c}")
 
 
-def dist_to_representation_set(theta, g: PwlFunction) -> float:
-    """Distance from a single parameter point to A_g = {theta : f_theta = g
-    on [0, 1]}; exact for k = c, an upper bound for k = c + 1."""
-    _check_oracle_width(theta.k, len(g.knots))
-    return float(_dist_batch(g, theta.flat()[None, :], theta.k)[0])
-
-
 # --------------------------------------------------------------------------
 # Codimension estimation
 # --------------------------------------------------------------------------
@@ -889,17 +769,22 @@ def _codim_rows(gen, m: int, need: int, k: int, radius: float, b_hi: float) -> n
 
 
 def codim_estimate(
-    query: CodimQuery,
+    g: PwlFunction,
+    k: int,
     prior: NnPriorSpec,
     n: int,
     rng: SeededRng,
+    *,
+    eps_grid: Sequence[float] | None = None,
+    radius: float | None = None,
     workers: int = 1,
 ) -> SlopeEstimate:
     """Minkowski codimension of A_g inside B_R intersected with the prior
     support: WLS slope of ln vol-fraction{dist <= eps} against ln eps.
 
-    The radius R is query.radius (finite and > 0) or, if None, three prior
-    standard norms. The draws are uniform on S = B_R ∩ {b1 ∈ [0, b_hi]^k},
+    The radius R is ``radius`` (finite and > 0) or, if None, three prior
+    standard norms; the eps grid is ``eps_grid`` or, if None, a default
+    for c knots. The draws are uniform on S = B_R ∩ {b1 ∈ [0, b_hi]^k},
     b_hi = min(M, R), sampled directly (_codim_rows): b1 from its exact
     marginal, proportional to the volume (R² − |b1|²)_+^{(2k+1)/2} of its
     slice of the ball, then (w1, w2, b2) uniform in that slice, a
@@ -912,20 +797,18 @@ def codim_estimate(
     exact: rounding is monotone, so a dropped draw's computed distance is at
     least its computed bound, above every eps of the grid, and every hit
     count is the one the unscreened oracle gives."""
-    g = query.g
-    k = query.k
     c = len(g.knots)
     _check_oracle_width(k, c)
     note = "upper-bound-based" if k > c else ""
     family = ShallowNetFamily(k, prior)
-    if query.radius is None:
+    if radius is None:
         radius = 3.0 * math.sqrt(family.expected_prior_norm_sq())
-    elif math.isfinite(query.radius) and query.radius > 0:
-        radius = float(query.radius)
+    elif math.isfinite(radius) and radius > 0:
+        radius = float(radius)
     else:
-        raise ConfigError(f"radius must be finite and > 0, got {query.radius}")
-    if query.eps_grid is not None:
-        grid = _check_eps_grid(query.eps_grid)
+        raise ConfigError(f"radius must be finite and > 0, got {radius}")
+    if eps_grid is not None:
+        grid = _check_eps_grid(eps_grid)
     elif c >= 2:
         grid = (0.5, 0.4, 0.3, 0.22, 0.15, 0.1)
     else:
@@ -949,7 +832,7 @@ def codim_estimate(
         return hits
 
     hits = sum(_run_streams(rng, n, workers, stream_hits))
-    per_eps = [_naive_estimate(int(h), n, eps * eps) for h, eps in zip(hits, grid)]
+    per_eps = [_naive_estimate(int(h), n) for h in hits]
     return fit_limiting_slope(per_eps, grid, note=note)
 
 

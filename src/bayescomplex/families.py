@@ -149,9 +149,6 @@ class LinearFamily:
     def design(self, xs: np.ndarray) -> np.ndarray:
         return basis_matrix(self.basis, xs)
 
-    def predict_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        return thetas @ self.design(xs).T
-
 
 # --------------------------------------------------------------------------
 # Piecewise-linear target moments (closed-form building blocks)
@@ -399,20 +396,6 @@ class ShallowNetFamily:
         inside = np.all(np.abs(b - cb) <= scale, axis=1)
         logp = logp - k * math.log(2.0 * scale)
         return np.where(inside, logp, -np.inf)
-
-    # -- data-space kernels ----------------------------------------------------
-
-    def predict_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        n = thetas.shape[0]
-        out = np.empty((n, xs.size))
-        chunk = max(256, int(2_000_000 / max(1, self.k * xs.size)))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            w1, w2, b1, b2 = self.split(thetas[lo:hi])
-            u = w1 * w2
-            acts = np.maximum(0.0, xs[None, None, :] - b1[:, :, None])
-            out[lo:hi] = np.einsum("ij,ijn->in", u, acts) + b2[:, None]
-        return out
 
     def expected_prior_norm_sq(self) -> float:
         p = self.prior

@@ -109,15 +109,6 @@ class ShallowNetParams:
         """Parameter vector in the layout [w1, w2, b1, b2]."""
         return np.concatenate([self.w1, self.w2, self.b1, [self.b2]])
 
-    @staticmethod
-    def from_flat(vec: np.ndarray, k: int) -> "ShallowNetParams":
-        vec = np.asarray(vec, dtype=float)
-        if vec.size != 3 * k + 1:
-            raise ConfigError("flat parameter vector has wrong length")
-        return ShallowNetParams(
-            tuple(vec[:k]), tuple(vec[k : 2 * k]), tuple(vec[2 * k : 3 * k]), float(vec[3 * k])
-        )
-
 
 def shallow_to_pwl(theta: ShallowNetParams) -> PwlFunction:
     """Exact conversion to a canonical piecewise-linear function on [0, 1].

@@ -5,9 +5,8 @@ exp(-sum (y_n - f_theta(x_n))^2 / (2 sigma_y_sq)); for the linear family it
 is Gaussian and computed in closed form, and SGLD chains sample it exactly
 as an affine recursion. Losses reported anywhere are the clipped quadratic
 min((h(x) - y)^2, C). The module also provides the PAC-Bayes right-hand
-side, the Gaussian KL, the divergence upper bound through the
-dataset-conditional complexity, the main generalization bound, and the
-bisection search for the temperature at which the expected empirical loss
+side, the Gaussian KL, the main generalization bound, and the bisection
+search for the temperature at which the expected empirical loss
 equals (1 + beta) sigma_e_sq.
 """
 
@@ -20,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .complexity import ComplexityEstimate
 from .errors import CheckFailure, ConfigError, NumericalError
 from .families import LinearFamily, LinearPriorSpec, LinearTarget
 from .models import BasisSpec, basis_matrix
@@ -125,9 +123,6 @@ class GaussianPosterior:
     @property
     def d(self) -> int:
         return self.mean.size
-
-    def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        return self.mean + gen.standard_normal((n, self.d)) @ self._chol.T
 
 
 # --------------------------------------------------------------------------
@@ -422,17 +417,6 @@ def kl_gaussians(q: GaussianPosterior, p: GaussianPosterior) -> float:
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(chol_p))))
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(q._chol))))
     return 0.5 * (trace + quad - d + logdet_p - logdet_q)
-
-
-def divergence_upper_bound(
-    chiE: ComplexityEstimate, N: int, sigma_y_sq: float, L_S_Q: float
-) -> float:
-    """KL(Q || P) <= chi^E - N L_S(Q) / (2 sigma_y_sq), floored at zero."""
-    if not math.isfinite(chiE.chi):
-        raise ConfigError("divergence bound needs a finite complexity estimate")
-    if sigma_y_sq <= 0:
-        raise ConfigError(f"sigma_y_sq must be > 0, got {sigma_y_sq}")
-    return max(0.0, chiE.chi - N * L_S_Q / (2.0 * sigma_y_sq))
 
 
 def theorem_bound(

@@ -39,7 +39,6 @@ class L2Measure:
             )
 
 
-UNIFORM_UNIT = L2Measure(0.0, 1.0)
 UNIFORM_SYM = L2Measure(-1.0, 1.0)
 
 
@@ -119,15 +118,6 @@ def canonical_equal(f: PwlFunction, g: PwlFunction, tol: float = CANONICAL_TOL) 
     return bool(np.max(np.abs(f(pts) - g(pts))) <= tol)
 
 
-def _check_shared_domain(f: PwlFunction, g: PwlFunction, mu: L2Measure) -> None:
-    for h in (f, g):
-        if abs(h.domain_lo - mu.lo) > 1e-12 or abs(h.domain_hi - mu.hi) > 1e-12:
-            raise ConfigError(
-                f"function domain [{h.domain_lo}, {h.domain_hi}] does not match "
-                f"measure domain [{mu.lo}, {mu.hi}]"
-            )
-
-
 def _integral_sq(pts: np.ndarray, vals: np.ndarray) -> float:
     """Exact integral of h^2 for h linear between the sorted points pts,
     with h(pts) = vals: each segment of length L contributes
@@ -135,13 +125,6 @@ def _integral_sq(pts: np.ndarray, vals: np.ndarray) -> float:
     seg = np.diff(pts)
     a, b = vals[:-1], vals[1:]
     return float(np.sum(seg * (a * a + a * b + b * b) / 3.0))
-
-
-def l2_distance_sq(f: PwlFunction, g: PwlFunction, mu: L2Measure) -> float:
-    """E_{x~mu}[(f(x) - g(x))^2], exact segment-by-segment."""
-    _check_shared_domain(f, g, mu)
-    pts = np.unique(np.concatenate([f.breakpoints(), g.breakpoints()]))
-    return _integral_sq(pts, f(pts) - g(pts)) / (mu.hi - mu.lo)
 
 
 def l2_norm_sq(f: PwlFunction) -> float:

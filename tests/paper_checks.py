@@ -1,27 +1,81 @@
-"""Checkers of the paper's side inequalities and claimed closed forms, and
-Monte Carlo references for the posterior losses.
+"""Checkers of the paper's side inequalities and claimed closed forms,
+reference estimators the tests compare against, and the helpers they share.
 
 None of these feeds an estimator or a CLI report. They exist so the tests
-(acceptance criterion 07 among them) can assert the scalar inequalities the
-movement proofs and the complexity chain rest on, check the minimum-norm
-realization's cost against the variational complexity, show the claimed
-product density next to a Monte Carlo estimate of the true one, and compare
-the exact conjugate clipped losses with their Monte Carlo estimates over
-posterior draws (empirical_loss_of_Q, true_loss_of_Q).
+(acceptance criteria 07 and 08 among them) can assert the scalar
+inequalities the movement proofs and the complexity chain rest on, check the
+minimum-norm realization's cost against the variational complexity, show
+the claimed product density next to a Monte Carlo estimate of the true one,
+and compare:
+- the exact conjugate clipped losses with their Monte Carlo estimates over
+  posterior draws (empirical_loss_of_Q, true_loss_of_Q);
+- the sharp complexity with the paper's exponential, noise-shifted and
+  dataset-conditional complexities (exponential_complexity_mc,
+  sharp_with_noise, empirical_complexity_mc) and the divergence bound
+  through the last (divergence_upper_bound);
+- the exact distance kernels with the segment-by-segment L2 distance of two
+  piecewise-linear functions (l2_distance_sq).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from bayescomplex.complexity import ComplexityEstimate, _impossible, _map_batches
 from bayescomplex.errors import ConfigError
-from bayescomplex.posterior import Dataset, LossSpec, generate_dataset
+from bayescomplex.families import LinearFamily
+from bayescomplex.models import ShallowNetParams
+from bayescomplex.posterior import Dataset, GaussianPosterior, LossSpec, generate_dataset
 from bayescomplex.projection import _norm_sq_nodes
-from bayescomplex.pwl import L2Measure, PwlFunction
+from bayescomplex.pwl import L2Measure, PwlFunction, _integral_sq
 from bayescomplex.rng import SeededRng
+
+UNIFORM_UNIT = L2Measure(0.0, 1.0)
+
+
+# --------------------------------------------------------------------------
+# Parameter and prediction helpers
+# --------------------------------------------------------------------------
+
+
+def params_from_flat(vec: np.ndarray, k: int) -> ShallowNetParams:
+    """Inverse of ShallowNetParams.flat()."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.size != 3 * k + 1:
+        raise ConfigError("flat parameter vector has wrong length")
+    return ShallowNetParams(
+        tuple(vec[:k]), tuple(vec[k : 2 * k]), tuple(vec[2 * k : 3 * k]), float(vec[3 * k])
+    )
+
+
+def predict(family, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(n, xs.size) predictions of the n parameter rows of thetas."""
+    if isinstance(family, LinearFamily):
+        return thetas @ family.design(xs).T
+    n = thetas.shape[0]
+    out = np.empty((n, xs.size))
+    chunk = max(256, int(2_000_000 / max(1, family.k * xs.size)))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        w1, w2, b1, b2 = family.split(thetas[lo:hi])
+        u = w1 * w2
+        acts = np.maximum(0.0, xs[None, None, :] - b1[:, :, None])
+        out[lo:hi] = np.einsum("ij,ijn->in", u, acts) + b2[:, None]
+    return out
+
+
+def sample_gaussian(post: GaussianPosterior, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n draws from the posterior, one per row."""
+    return post.mean + gen.standard_normal((n, post.d)) @ post._chol.T
+
+
+# --------------------------------------------------------------------------
+# Side inequalities and closed forms
+# --------------------------------------------------------------------------
 
 
 def megaineq_gap(px: np.ndarray, py: np.ndarray, f: np.ndarray) -> float:
@@ -126,7 +180,7 @@ def empirical_loss_of_Q(
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     if draws.shape[0] == 0:
         raise ConfigError("empirical_loss_of_Q needs at least one posterior draw")
-    preds = family.predict_batch(draws, S.xs)
+    preds = predict(family, draws, S.xs)
     per_draw = clipped_loss(preds, S.ys[None, :], spec).mean(axis=1)
     n = per_draw.size
     return LossEstimate(float(per_draw.mean()), float(per_draw.std() / math.sqrt(n)))
@@ -159,10 +213,138 @@ def true_loss_of_Q(
     point_sums = np.zeros(n_x)
     for start in range(0, n_draws, rows):
         block = draws[start : start + rows]
-        losses = clipped_loss(family.predict_batch(block, xs), ys[None, :], spec)
+        losses = clipped_loss(predict(family, block, xs), ys[None, :], spec)
         per_draw[start : start + block.shape[0]] = losses.mean(axis=1)
         point_sums += losses.sum(axis=0)
     per_point = point_sums / n_draws
     se_h = per_draw.std() / math.sqrt(per_draw.size)
     se_x = per_point.std() / math.sqrt(per_point.size)
     return LossEstimate(float(per_draw.mean()), float(math.hypot(se_h, se_x)))
+
+
+# --------------------------------------------------------------------------
+# Exponential, dataset-conditional and noise-shifted complexities
+# --------------------------------------------------------------------------
+
+
+def _logmean_estimate(a: np.ndarray) -> ComplexityEstimate:
+    """-ln of the mean of exp(a), with its delta-method standard error."""
+    n = a.size
+    m = float(a.max())
+    y = np.exp(a - m)
+    mean_y = float(y.mean())
+    log_mean = m + math.log(mean_y)
+    se = float(y.std()) / (mean_y * math.sqrt(n))
+    return ComplexityEstimate(
+        chi=-log_mean,
+        log_prob=log_mean,
+        std_err=se,
+        n_samples=n,
+        n_hits=n,
+    )
+
+
+def exponential_complexity_mc(
+    family,
+    target,
+    sigma_y_sq: float,
+    n: int,
+    rng: SeededRng,
+    sigma_e_sq: float = 0.0,
+    workers: int = 1,
+) -> ComplexityEstimate:
+    """chi = -ln E_theta[ exp(-(E_x[(g - f_theta)^2] + sigma_e_sq)/(2 sigma_y_sq)) ].
+
+    With sigma_e_sq = 0 this is the exponential complexity; a positive
+    sigma_e_sq gives the true-with-noise variant, which exceeds the plain
+    value by exactly sigma_e_sq/(2 sigma_y_sq) on identical draws.
+    """
+    if sigma_y_sq <= 0:
+        raise ConfigError(f"sigma_y_sq must be > 0, got {sigma_y_sq}")
+    prepared = family.prepare(target)
+    d2 = np.concatenate(_map_batches(
+        rng, n, workers, family.batch_rows,
+        lambda gen, m: family.dist_sq(prepared, family.sample_matrix(m, gen)),
+    ))
+    return _logmean_estimate(-(d2 + sigma_e_sq) / (2.0 * sigma_y_sq))
+
+
+def empirical_complexity_mc(
+    family,
+    g,
+    xs: np.ndarray,
+    noise_draws: np.ndarray,
+    sigma_y_sq_over_N: float,
+    n: int,
+    rng: SeededRng,
+    workers: int = 1,
+) -> ComplexityEstimate:
+    """Dataset-conditional complexity:
+    chi = -ln E_theta[ exp(-(1/(2 T N)) sum_n (g(x_n) + eta_n - f_theta(x_n))^2) ]
+    with T = sigma_y_sq_over_N.
+    """
+    xs = np.asarray(xs, dtype=float)
+    noise = np.asarray(noise_draws, dtype=float)
+    if xs.size < 1:
+        raise ConfigError("empirical complexity needs N >= 1 sample points")
+    if xs.size != noise.size:
+        raise ConfigError(f"xs has {xs.size} points but noise_draws has {noise.size}")
+    if sigma_y_sq_over_N <= 0:
+        raise ConfigError("sigma_y_sq_over_N must be > 0")
+    big_n = xs.size
+    ys = (g(xs) if callable(g) else np.asarray(g, dtype=float)) + noise
+    denom = 2.0 * sigma_y_sq_over_N * big_n
+    rows = max(256, min(family.batch_rows, int(4_000_000 / big_n)))
+
+    def batch(gen, m):
+        resid = predict(family, family.sample_matrix(m, gen), xs) - ys[None, :]
+        return -np.einsum("ij,ij->i", resid, resid) / denom
+
+    return _logmean_estimate(np.concatenate(_map_batches(rng, n, workers, rows, batch)))
+
+
+def sharp_with_noise(
+    chi_sharp_fn: Callable[[float], ComplexityEstimate],
+    sigma_e_sq: float,
+    eps_sq: float,
+) -> ComplexityEstimate:
+    """Sharp complexity under observation noise: evaluate the noiseless
+    estimator at the shifted radius eps_sq - sigma_e_sq. A nonpositive shift
+    makes the event impossible and returns a flagged infinite estimate."""
+    if sigma_e_sq < 0:
+        raise ConfigError(f"sigma_e_sq must be >= 0, got {sigma_e_sq}")
+    if eps_sq <= sigma_e_sq:
+        return _impossible()
+    return chi_sharp_fn(eps_sq - sigma_e_sq)
+
+
+def divergence_upper_bound(
+    chiE: ComplexityEstimate, N: int, sigma_y_sq: float, L_S_Q: float
+) -> float:
+    """KL(Q || P) <= chi^E - N L_S(Q) / (2 sigma_y_sq), floored at zero."""
+    if not math.isfinite(chiE.chi):
+        raise ConfigError("divergence bound needs a finite complexity estimate")
+    if sigma_y_sq <= 0:
+        raise ConfigError(f"sigma_y_sq must be > 0, got {sigma_y_sq}")
+    return max(0.0, chiE.chi - N * L_S_Q / (2.0 * sigma_y_sq))
+
+
+# --------------------------------------------------------------------------
+# L2 distance of two piecewise-linear functions
+# --------------------------------------------------------------------------
+
+
+def _check_shared_domain(f: PwlFunction, g: PwlFunction, mu: L2Measure) -> None:
+    for h in (f, g):
+        if abs(h.domain_lo - mu.lo) > 1e-12 or abs(h.domain_hi - mu.hi) > 1e-12:
+            raise ConfigError(
+                f"function domain [{h.domain_lo}, {h.domain_hi}] does not match "
+                f"measure domain [{mu.lo}, {mu.hi}]"
+            )
+
+
+def l2_distance_sq(f: PwlFunction, g: PwlFunction, mu: L2Measure) -> float:
+    """E_{x~mu}[(f(x) - g(x))^2], exact segment-by-segment."""
+    _check_shared_domain(f, g, mu)
+    pts = np.unique(np.concatenate([f.breakpoints(), g.breakpoints()]))
+    return _integral_sq(pts, f(pts) - g(pts)) / (mu.hi - mu.lo)

@@ -13,16 +13,13 @@ import numpy as np
 
 from bayescomplex.cli import _random_admissible_theta
 from bayescomplex.complexity import (
-    CodimQuery,
     chi_from_q,
     codim_estimate,
-    exponential_complexity_mc,
     limiting_complexity,
     limiting_complexity_closed_form,
     log_q_closed_form,
     one_change_bounds,
     sharp_complexity_mc,
-    sharp_with_noise,
 )
 from bayescomplex.families import (
     LinearFamily,
@@ -58,7 +55,13 @@ from bayescomplex.projection import (
 )
 from bayescomplex.pwl import UNIFORM_SYM, PwlFunction, canonical_equal, l2_norm_sq
 from bayescomplex.rng import SeededRng
-from paper_checks import l2_slope_lower_bound, megaineq_gap, prefix_sum_bound
+from paper_checks import (
+    exponential_complexity_mc,
+    l2_slope_lower_bound,
+    megaineq_gap,
+    prefix_sum_bound,
+    sharp_with_noise,
+)
 
 EPS_GRID_LOG = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 
@@ -157,15 +160,16 @@ def test_criterion_05_codimension_counts_constraints():
     c = 2 -> 5 +- 0.7."""
     t0 = time.perf_counter()
     g1 = PwlFunction(0.0, ((0.35, 1.0),))
-    fit1 = codim_estimate(
-        CodimQuery(g=g1, k=1), NnPriorSpec.default_for(1), 1_000_000, SeededRng(42)
-    )
+    fit1 = codim_estimate(g1, 1, NnPriorSpec.default_for(1), 1_000_000, SeededRng(42))
     g2 = PwlFunction(0.0, ((0.3, 1.0), (0.7, -0.8)))
     fit2 = codim_estimate(
-        CodimQuery(g=g2, k=2, eps_grid=(0.5, 0.4, 0.3, 0.22, 0.15), radius=4.0),
+        g2,
+        2,
         NnPriorSpec.default_for(2),
         2_000_000,
         SeededRng(42),
+        eps_grid=(0.5, 0.4, 0.3, 0.22, 0.15),
+        radius=4.0,
     )
     ok1 = abs(fit1.slope - 3.0) <= 0.5
     ok2 = abs(fit2.slope - 5.0) <= 0.7

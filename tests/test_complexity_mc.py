@@ -1,5 +1,6 @@
 """Monte Carlo complexity estimators: naive/importance-sampling agreement,
-the exponential/empirical complexity chain, and codimension regression."""
+the exponential/empirical complexity chain (against the references in
+paper_checks), and codimension regression."""
 
 import math
 import sys
@@ -11,21 +12,17 @@ from scipy.stats import ks_2samp
 
 from bayescomplex import complexity
 from bayescomplex.complexity import (
-    CodimQuery,
     _dist_batch,
     _map_batches,
     _run_streams,
     chi_from_q,
     codim_estimate,
-    empirical_complexity_mc,
-    exponential_complexity_mc,
     fit_limiting_slope,
     hyperbola_distance,
     limiting_complexity,
     limiting_complexity_closed_form,
     sharp_complexity_is,
     sharp_complexity_mc,
-    sharp_with_noise,
 )
 from bayescomplex.errors import ConfigError, InsufficientSamplesError
 from bayescomplex.families import (
@@ -38,6 +35,7 @@ from bayescomplex.families import (
 from bayescomplex.models import BasisSpec, LinearFunction
 from bayescomplex.pwl import PwlFunction
 from bayescomplex.rng import SeededRng, partition_counts
+from paper_checks import empirical_complexity_mc, exponential_complexity_mc, sharp_with_noise
 
 
 def _linear(d, sigma_w_sq=1.0):
@@ -100,11 +98,8 @@ STREAM_ESTIMATORS = {
         _K32, _ONE_KNOT, _XS, np.full(_XS.size, 0.01), 0.02, n, rng, workers=workers
     ),
     "codim_estimate": lambda n, rng, workers: codim_estimate(
-        CodimQuery(_ONE_KNOT, k=1, eps_grid=(3.0, 2.0, 1.4)),
-        NnPriorSpec.default_for(1),
-        n,
-        rng,
-        workers=workers,
+        _ONE_KNOT, 1, NnPriorSpec.default_for(1), n, rng,
+        eps_grid=(3.0, 2.0, 1.4), workers=workers,
     ),
 }
 
@@ -244,7 +239,6 @@ def _weigh_every_row(family, target, eps_sq, n, rng, workers, cloud_width=3.0):
         std_err=math.sqrt(max(s2 / n - p * p, 0.0) / n) / p,
         n_samples=n,
         n_hits=hits,
-        epsilon_sq=eps_sq,
     )
 
 
@@ -542,7 +536,6 @@ class TestSharpWithNoiseDualPath:
             lambda e2: chi_from_q(1.0, 1.0, e2, 3), sigma_e_sq, eps_sq
         )
         assert abs(mc_path.chi - exact_path.chi) <= 3 * mc_path.std_err
-        assert mc_path.epsilon_sq == eps_sq
 
     def test_zero_noise_is_identity(self):
         family = _linear(2)
@@ -578,21 +571,23 @@ class TestCodim:
         neighborhood volume scales like eps^1."""
         g = PwlFunction(bias=0.2)
         prior = NnPriorSpec(sigma_w_sq=1.0, M=2.0, sigma_b_sq=1.0)
-        fit = codim_estimate(CodimQuery(g, k=1), prior, 250_000, SeededRng(42))
+        fit = codim_estimate(g, 1, prior, 250_000, SeededRng(42))
         assert abs(fit.slope - 1.0) <= 0.3, f"slope {fit.slope}"
 
     def test_budget_validation_and_note(self):
         g1 = PwlFunction(bias=0.0, knots=((0.4, 1.0),))
         prior = NnPriorSpec.default_for(2)
         with pytest.raises(ConfigError):
-            codim_estimate(CodimQuery(g1, k=0), prior, 100, SeededRng(1))
+            codim_estimate(g1, 0, prior, 100, SeededRng(1))
         with pytest.raises(ConfigError):
-            codim_estimate(CodimQuery(g1, k=3), prior, 100, SeededRng(1))
+            codim_estimate(g1, 3, prior, 100, SeededRng(1))
         fit = codim_estimate(
-            CodimQuery(PwlFunction(bias=0.1), k=1, eps_grid=(0.5, 0.4, 0.3)),
+            PwlFunction(bias=0.1),
+            1,
             NnPriorSpec(sigma_w_sq=1.0, M=2.0, sigma_b_sq=1.0),
             20_000,
             SeededRng(2),
+            eps_grid=(0.5, 0.4, 0.3),
         )
         assert fit.note == "upper-bound-based"
 
@@ -602,7 +597,7 @@ class TestCodim:
         g = PwlFunction(bias=0.0, knots=((0.35, 1.0),))
         prior = NnPriorSpec.default_for(1)
         family = ShallowNetFamily(1, prior)
-        codim = codim_estimate(CodimQuery(g, k=1), prior, 300_000, SeededRng(42))
+        codim = codim_estimate(g, 1, prior, 300_000, SeededRng(42))
         slope = limiting_complexity(family, g, (0.2, 0.14, 0.1), 120_000, SeededRng(7))
         joint = codim.ci_halfwidth + slope.ci_halfwidth
         assert codim.slope / 5.0 - joint <= slope.slope <= codim.slope + joint, (
@@ -616,17 +611,13 @@ class TestCodim:
         radius, rejected before any draw."""
         g = PwlFunction(bias=0.0, knots=((0.35, 1.0),))
         with pytest.raises(ConfigError, match="radius must be finite and > 0"):
-            codim_estimate(
-                CodimQuery(g, k=1, radius=radius), NnPriorSpec.default_for(1), 100, SeededRng(1)
-            )
+            codim_estimate(g, 1, NnPriorSpec.default_for(1), 100, SeededRng(1), radius=radius)
 
     @pytest.mark.parametrize("grid", [(0.3, math.nan, 0.1), (math.inf, 0.2, 0.1)])
     def test_eps_grid_must_be_finite(self, grid):
         g = PwlFunction(bias=0.0, knots=((0.35, 1.0),))
         with pytest.raises(ConfigError, match="eps_grid values must be finite"):
-            codim_estimate(
-                CodimQuery(g, k=1, eps_grid=grid), NnPriorSpec.default_for(1), 100, SeededRng(1)
-            )
+            codim_estimate(g, 1, NnPriorSpec.default_for(1), 100, SeededRng(1), eps_grid=grid)
         with pytest.raises(ConfigError, match="eps_grid values must be finite"):
             limiting_complexity_closed_form(1.0, 1.0, 3, grid)
 
@@ -666,14 +657,14 @@ class TestCodimScreen:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_hits_equal_the_unscreened_oracle(self, case, workers, monkeypatch):
         g, k, prior, grid, radius = self.CASES[case]
-        query = CodimQuery(g, k=k, eps_grid=grid, radius=radius)
-        fit = codim_estimate(query, prior, 40_000, SeededRng(5), workers=workers)
+        opts = dict(eps_grid=grid, radius=radius, workers=workers)
+        fit = codim_estimate(g, k, prior, 40_000, SeededRng(5), **opts)
         # The reference solves every row: the oracle without the screen.
         full = complexity._dist_batch
         monkeypatch.setattr(
             complexity, "_dist_batch", lambda g, thetas, k, cutoff: full(g, thetas, k)
         )
-        reference = codim_estimate(query, prior, 40_000, SeededRng(5), workers=workers)
+        reference = codim_estimate(g, k, prior, 40_000, SeededRng(5), **opts)
         assert [e.n_hits for e in fit.per_eps] == [e.n_hits for e in reference.per_eps]
         assert fit == reference
         assert fit.per_eps[-1].n_hits > 0
@@ -720,10 +711,8 @@ class TestCodimScreen:
         points = _count_points(monkeypatch)
         n = 120_000
         fit = codim_estimate(
-            CodimQuery(_ONE_KNOT, k=1, eps_grid=(0.3, 0.2, 0.14, 0.1)),
-            NnPriorSpec.default_for(1),
-            n,
-            SeededRng(42),
+            _ONE_KNOT, 1, NnPriorSpec.default_for(1), n, SeededRng(42),
+            eps_grid=(0.3, 0.2, 0.14, 0.1),
         )
         assert fit.per_eps[0].n_samples == n
         assert 0 < sum(points) < 0.1 * n
@@ -864,8 +853,9 @@ class TestCodimStreamSizing:
     def test_work_per_accepted_row(self, g, grid, radius, n, monkeypatch):
         gens = _counting_streams(monkeypatch)
         rows = _count_rows(monkeypatch)
-        query = CodimQuery(g, k=2, eps_grid=grid, radius=radius)
-        fit = codim_estimate(query, NnPriorSpec.default_for(2), n, SeededRng(42))
+        fit = codim_estimate(
+            g, 2, NnPriorSpec.default_for(2), n, SeededRng(42), eps_grid=grid, radius=radius
+        )
         assert fit.per_eps[0].n_samples == sum(rows) == n
         (gen,) = gens
         assert gen.numbers["uniform"] / 2 <= 2 * n
@@ -885,7 +875,9 @@ class TestCodimEdgeCases:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_exactly_n_rows(self, g, k, radius, grid, workers, monkeypatch):
         rows = _count_rows(monkeypatch)
-        query = CodimQuery(g, k=k, eps_grid=grid, radius=radius)
-        fit = codim_estimate(query, NnPriorSpec.default_for(k), 30_001, SeededRng(9), workers)
+        fit = codim_estimate(
+            g, k, NnPriorSpec.default_for(k), 30_001, SeededRng(9),
+            eps_grid=grid, radius=radius, workers=workers,
+        )
         assert sum(rows) == 30_001
         assert all(e.n_samples == 30_001 for e in fit.per_eps)

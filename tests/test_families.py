@@ -13,8 +13,9 @@ from bayescomplex.families import (
     PwlMoments,
     ShallowNetFamily,
 )
-from bayescomplex.models import BasisSpec, ShallowNetParams, shallow_to_pwl
-from bayescomplex.pwl import UNIFORM_UNIT, PwlFunction, l2_distance_sq
+from bayescomplex.models import BasisSpec, shallow_to_pwl
+from bayescomplex.pwl import PwlFunction
+from paper_checks import UNIFORM_UNIT, l2_distance_sq, params_from_flat
 
 TARGETS = {
     "0knots": PwlFunction(bias=0.3),
@@ -59,7 +60,7 @@ def test_dist_sq_matches_pwl_reference(k, name):
     thetas = _rows(k, np.random.default_rng(1000 + k))
     got = _family(k).dist_sq(g, thetas)
     ref = np.array([
-        l2_distance_sq(shallow_to_pwl(ShallowNetParams.from_flat(row, k)), g, UNIFORM_UNIT)
+        l2_distance_sq(shallow_to_pwl(params_from_flat(row, k)), g, UNIFORM_UNIT)
         for row in thetas
     ])
     err = np.abs(got - ref) / np.maximum(1.0, ref)

@@ -14,7 +14,6 @@ from scipy import linalg
 from scipy.stats import ks_2samp, multivariate_normal, norm
 
 from bayescomplex import cli
-from bayescomplex.complexity import empirical_complexity_mc
 from bayescomplex.errors import CheckFailure, ConfigError, NumericalError
 from bayescomplex.families import LinearFamily, LinearPriorSpec, LinearTarget
 from bayescomplex.models import BasisSpec, LinearFunction, basis_matrix
@@ -27,7 +26,6 @@ from bayescomplex.posterior import (
     conjugate_empirical_loss,
     conjugate_posterior_linear,
     conjugate_true_loss,
-    divergence_upper_bound,
     expected_clipped_loss_gaussian,
     find_sigma_alg,
     generate_dataset,
@@ -38,7 +36,14 @@ from bayescomplex.posterior import (
 )
 from bayescomplex.pwl import UNIFORM_SYM
 from bayescomplex.rng import SeededRng
-from paper_checks import clipped_loss, empirical_loss_of_Q, true_loss_of_Q
+from paper_checks import (
+    clipped_loss,
+    divergence_upper_bound,
+    empirical_complexity_mc,
+    empirical_loss_of_Q,
+    sample_gaussian,
+    true_loss_of_Q,
+)
 
 
 def _linear_setup(d: int, sigma_w_sq: float = 1.0):
@@ -379,7 +384,7 @@ class TestGaussianPosterior:
     def test_sample_moments(self):
         cov = np.array([[1.0, 0.6], [0.6, 2.0]])
         post = GaussianPosterior(np.array([0.5, -1.0]), cov)
-        draws = post.sample(200_000, np.random.default_rng(42))
+        draws = sample_gaussian(post, 200_000, np.random.default_rng(42))
         np.testing.assert_allclose(draws.mean(axis=0), post.mean, atol=0.02)
         np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.03)
 
@@ -416,7 +421,7 @@ class TestSgld:
     def test_two_sample_stationarity_not_rejected(self, conjugate_chain):
         _, _, post, draws = conjugate_chain
         assert draws.shape[0] == 10_000
-        exact = post.sample(10_000, SeededRng(42).stream(2).generator())
+        exact = sample_gaussian(post, 10_000, SeededRng(42).stream(2).generator())
         _, p = ks_2samp(draws[:, 0], exact[:, 0])
         assert p > 0.01, f"KS p-value {p}"
 
@@ -608,7 +613,7 @@ class TestLosses:
         post = conjugate_posterior_linear(S, prior, basis, 0.1)
         spec = LossSpec(clip_C=1.0)
         exact = conjugate_empirical_loss(S, post, basis, spec)
-        draws = post.sample(200_000, SeededRng(42).stream(2).generator())
+        draws = sample_gaussian(post, 200_000, SeededRng(42).stream(2).generator())
         mc = empirical_loss_of_Q(draws, S, spec, family)
         assert abs(exact - mc.value) <= 3.0 * mc.std_err
 
@@ -621,7 +626,7 @@ class TestLosses:
         spec = LossSpec(clip_C=1.0)
         exact = conjugate_true_loss(post, LinearTarget(w=w), basis, 0.01,
                                     UNIFORM_SYM, spec)
-        draws = post.sample(20_000, SeededRng(13).stream(1).generator())
+        draws = sample_gaussian(post, 20_000, SeededRng(13).stream(1).generator())
         mc = true_loss_of_Q(draws, g, 0.01, UNIFORM_SYM, spec, 20_000,
                             SeededRng(13).stream(2), family)
         assert abs(exact - mc.value) <= 3.0 * mc.std_err
@@ -681,7 +686,7 @@ class TestPacBayesPieces:
         q = GaussianPosterior(np.array([0.5, -0.3]), a @ a.T + 0.2 * np.eye(2))
         b = gen.standard_normal((2, 2))
         p = GaussianPosterior(np.array([-0.1, 0.8]), b @ b.T + 0.2 * np.eye(2))
-        draws = q.sample(200_000, gen)
+        draws = sample_gaussian(q, 200_000, gen)
         log_ratio = (
             multivariate_normal.logpdf(draws, q.mean, q.covariance)
             - multivariate_normal.logpdf(draws, p.mean, p.covariance)

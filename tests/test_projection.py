@@ -18,7 +18,7 @@ from bayescomplex.projection import (
     project_to_zero_with_bias,
 )
 from bayescomplex.pwl import PwlFunction, canonical_equal, l2_norm_sq
-from paper_checks import l2_slope_lower_bound, prefix_sum_bound
+from paper_checks import l2_slope_lower_bound, params_from_flat, prefix_sum_bound
 
 ZERO_FN = PwlFunction(bias=0.0)
 
@@ -265,7 +265,7 @@ class TestProjectToTarget:
         start += np.random.default_rng(42).normal(0.0, 1e-3, size=start.size)
 
         def objective(vec):
-            th = ShallowNetParams.from_flat(vec, k=3)
+            th = params_from_flat(vec, k=3)
             if any(x < 0.0 for x in th.b1):
                 return 1.0
             diff_net = ShallowNetParams(
@@ -279,7 +279,7 @@ class TestProjectToTarget:
         opt = optimize.minimize(objective, start, method="Nelder-Mead",
                                 options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 20000})
         assert opt.fun <= 1e-10, f"optimizer stalled at {opt.fun}"
-        theta = ShallowNetParams.from_flat(opt.x, k=3)
+        theta = params_from_flat(opt.x, k=3)
         res = project_to_target(theta, g, R=2.0, guard_scale=1.0)
         assert canonical_equal(shallow_to_pwl(res.theta_star), g, tol=1e-12)
         assert res.movement_sq <= res.bound

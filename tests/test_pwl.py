@@ -12,16 +12,14 @@ from bayescomplex.errors import ConfigError
 from bayescomplex.pwl import (
     CANONICAL_TOL,
     UNIFORM_SYM,
-    UNIFORM_UNIT,
     L2Measure,
     PwlFunction,
     canonical_equal,
     canonicalize,
-    l2_distance_sq,
     l2_norm_sq,
     periodize,
 )
-from paper_checks import variational_complexity
+from paper_checks import UNIFORM_UNIT, l2_distance_sq, variational_complexity
 
 
 def _quad_oracle(fn, lo, hi, n=200_001):

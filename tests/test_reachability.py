@@ -5,10 +5,11 @@ demos, and the functions ``perfbench/tracing.py`` times. Reachability is by
 name, read with ``ast``: a reached definition reaches every definition whose
 name appears in its body, as a bare name or as an attribute. Reaching a class
 reaches its class body and its dunder methods; other methods are reached by
-their attribute name. Name matching over-approximates the call graph, so a
-definition this test calls unreached has no caller anywhere outside tests.
-
-A definition kept on purpose without a caller goes on ALLOWED with the reason.
+their attribute name. A module-level name bound by an assignment (annotated
+or not) is a definition too, and reaching it reaches the names in its value.
+Name matching over-approximates the call graph, so a definition this test
+calls unreached has no caller anywhere outside tests, and the package keeps
+none: what only tests use lives under ``tests/``.
 """
 
 import ast
@@ -17,37 +18,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bayescomplex"
-
-#: Definitions no entry point reaches, each kept for the reason given.
-ALLOWED = {
-    "complexity.exponential_complexity_mc":
-        "naive reference for the exponential complexity in the tests",
-    "complexity.empirical_complexity_mc":
-        "naive reference for the dataset-conditional complexity in the tests",
-    "complexity._logmean_estimate":
-        "log-mean helper of the two naive references above",
-    "complexity.sharp_with_noise":
-        "the paper's noise-shifted radius, checked against chi_from_q",
-    "complexity.dist_to_representation_set":
-        "scalar form of the codim oracle, checked by the tests",
-    "posterior.divergence_upper_bound":
-        "the paper's KL bound through chi^E, kept for network PAC-Bayes",
-    "projection.project_to_zero_with_bias":
-        "the paper's projection with an output bias, checked by criterion 06",
-    "pwl.l2_distance_sq":
-        "L2 distance between two PWL functions, a test reference",
-    "pwl._check_shared_domain":
-        "domain check of l2_distance_sq",
-    "models.ShallowNetParams.from_flat":
-        "inverse of flat(), used by the tests to read parameter vectors",
-    "posterior.GaussianPosterior.sample":
-        "posterior draws for the Monte Carlo loss references in the tests",
-    "families.LinearFamily.predict_batch":
-        "predictions of posterior draws for the Monte Carlo loss references",
-    "families.ShallowNetFamily.predict_batch":
-        "network predictions, kept for network PAC-Bayes (no test calls it)",
-}
-
 
 def _names(nodes) -> set[str]:
     """Bare names and attribute names used anywhere inside nodes."""
@@ -63,11 +33,11 @@ def _names(nodes) -> set[str]:
 
 def _package() -> tuple[dict[str, str], dict[str, set[str]]]:
     """(defs, uses). defs is {module.qualname: name} for each top-level
-    function, class and class method. uses is {name: names used in the
-    bodies of that name's definitions}; a class's body and its dunder
-    methods count as the class's, and a module-level assignment counts as a
-    definition of its target, so that an alias (or a table such as
-    cli.COMMANDS) passes reach on."""
+    function, class, class method and name a module-level assignment binds.
+    uses is {name: names used in the bodies of that name's definitions}; a
+    class's body and its dunder methods count as the class's, and an
+    assignment's value counts as its targets', so that an alias (or a table
+    such as cli.SCHEMAS or cli.COMMANDS) passes reach on."""
     defs, uses = {}, {}
 
     def add(name, nodes, key=None):
@@ -88,10 +58,12 @@ def _package() -> tuple[dict[str, str], dict[str, set[str]]]:
                     else:
                         body.append(item)
                 add(node.name, node.bases + body, f"{module}.{node.name}")
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        add(target.id, [node.value])
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            add(name.id, [node.value], f"{module}.{name.id}")
     return defs, uses
 
 
@@ -128,12 +100,5 @@ def _unreached() -> set[str]:
     return {key for key, name in defs.items() if name not in reached}
 
 
-def test_every_definition_is_reached_or_allowed():
-    unreached = _unreached()
-    assert sorted(unreached - set(ALLOWED)) == [], "unreached, and not on ALLOWED"
-
-
-def test_allowlist_names_only_unreached_definitions():
-    """An allowed entry that an entry point now reaches, or that no longer
-    exists, is stale."""
-    assert sorted(set(ALLOWED) - _unreached()) == []
+def test_every_definition_is_reached():
+    assert sorted(_unreached()) == []
