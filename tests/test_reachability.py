@@ -31,7 +31,7 @@ def _names(nodes) -> set[str]:
     return out
 
 
-def _package() -> tuple[dict[str, str], dict[str, set[str]]]:
+def _package(package: Path = PACKAGE) -> tuple[dict[str, str], dict[str, set[str]]]:
     """(defs, uses). defs is {module.qualname: name} for each top-level
     function, class, class method and name a module-level assignment binds.
     uses is {name: names used in the bodies of that name's definitions}; a
@@ -45,7 +45,7 @@ def _package() -> tuple[dict[str, str], dict[str, set[str]]]:
             defs[key] = name
         uses.setdefault(name, set()).update(_names(nodes))
 
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
@@ -89,9 +89,9 @@ def _roots() -> set[str]:
     return roots
 
 
-def _unreached() -> set[str]:
-    defs, uses = _package()
-    reached, frontier = set(), list(_roots())
+def _unreached(package: Path = PACKAGE, roots: set[str] | None = None) -> set[str]:
+    defs, uses = _package(package)
+    reached, frontier = set(), list(_roots() if roots is None else roots)
     while frontier:
         name = frontier.pop()
         if name not in reached:
@@ -102,3 +102,49 @@ def _unreached() -> set[str]:
 
 def test_every_definition_is_reached():
     assert sorted(_unreached()) == []
+
+
+_TOY = """
+from typing import Callable
+
+def main():
+    return SCHEMAS["run"]()
+
+def _run():
+    return _GRID
+
+def unused():
+    return _run()
+
+class Model:
+    def __init__(self):
+        self.scale = SCALE
+
+    def fit(self):
+        return 1
+
+    def stale(self):
+        return 2
+
+_GRID = (1, 2)
+SCALE = 3
+UNUSED_CONSTANT = 4
+SCHEMAS: dict[str, Callable] = {"run": _run}
+"""
+
+
+def test_walk_names_unused_function_method_and_constant(tmp_path):
+    (tmp_path / "toy.py").write_text(_TOY)
+    assert _unreached(tmp_path, {"main", "Model", "fit"}) == {
+        "toy.unused", "toy.Model.stale", "toy.UNUSED_CONSTANT",
+    }
+
+
+def test_annotated_table_passes_reach_on(tmp_path):
+    # Without the AnnAssign case, SCHEMAS's value would reach nothing and
+    # _run and _GRID would be reported although main calls them through it.
+    (tmp_path / "toy.py").write_text(_TOY)
+    unreached = _unreached(tmp_path, {"main"})
+    assert "toy.SCHEMAS" not in unreached
+    assert {"toy._run", "toy._GRID"}.isdisjoint(unreached)
+    assert "toy.Model" in unreached and "toy.SCALE" in unreached
