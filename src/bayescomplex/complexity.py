@@ -366,8 +366,9 @@ def sharp_complexity_is(
     the cloud is centered at a minimum-norm realization of the target with
     per-coordinate scale cloud_width * sqrt(eps_sq). Weights are bounded by
     2 on the prior's support, and samples outside the support get weight 0,
-    so the estimate stays unbiased. Only hits carry a weight: the hit test
-    is family.within, and the two densities are evaluated on hits alone.
+    so the estimate stays unbiased. Only hits carry a weight: each drawn
+    block gets one family.within call (which tiles its own screen) and one
+    pass of the two densities over that block's hits.
     """
     if eps_sq <= 0:
         raise ConfigError(f"eps_sq must be > 0, got {eps_sq}")
@@ -375,20 +376,17 @@ def sharp_complexity_is(
     scale = cloud_width * math.sqrt(eps_sq)
     prepared = family.prepare(target)
     log_half = math.log(0.5)
-    tile = family.tile_rows
 
     def hit_weights(thetas):
         # prior/mixture density ratio where the draw hits, else 0. The
-        # densities run on hits only; every step is row-wise, so neither the
-        # tiling nor the compaction changes a value.
+        # densities run on hits only; every step is row-wise, so the
+        # compaction changes no value.
         out = np.zeros(thetas.shape[0])
-        for lo in range(0, thetas.shape[0], tile):
-            part = thetas[lo : lo + tile]
-            hit = family.within(prepared, part, eps_sq)
-            hits = part[hit]
-            logp = family.log_prior_density(hits)
-            logc = family.cloud_log_density(hits, center, scale)
-            out[lo : lo + tile][hit] = np.exp(logp - (np.logaddexp(logp, logc) + log_half))
+        hit = family.within(prepared, thetas, eps_sq)
+        hits = thetas[hit]
+        logp = family.log_prior_density(hits)
+        logc = family.cloud_log_density(hits, center, scale)
+        out[hit] = np.exp(logp - (np.logaddexp(logp, logc) + log_half))
         return out
 
     def batch(gen, m):

@@ -100,7 +100,7 @@ class LinearFamily:
         self.basis = basis
         self.prior = prior
         self.dim = basis.d
-        # Rows per tile of the IS weight pass and hit test: about 2**15 elements.
+        # Rows per tile of within's hit test: about 2**15 elements.
         self.tile_rows = max(256, 32768 // self.dim)
         # Rows per estimator batch. Fixes RNG consumption per batch: changing
         # it changes every report's bytes.
@@ -216,7 +216,10 @@ class PwlMoments:
 class ShallowNetFamily:
     """Single-hidden-layer ReLU networks on [0, 1] under the product prior.
 
-    Flat layout: [w1 (k), w2 (k), b1 (k), b2]; dim = 3k + 1.
+    Flat layout: [w1 (k), w2 (k), b1 (k), b2]; dim = 3k + 1. Drawn blocks
+    are column-major, so the O(k) screen reads contiguous columns. einsum
+    may order a row's sum by layout, so dist_sq and the two densities take
+    C-ordered rows: their bits do not depend on the layout handed in.
     """
 
     def __init__(self, k: int, prior: NnPriorSpec):
@@ -225,8 +228,8 @@ class ShallowNetFamily:
         self.k = k
         self.prior = prior
         self.dim = 3 * k + 1
-        # Rows per kernel tile (dist_sq, and the IS weight pass): the
-        # scratch is a few (rows, k) arrays, so keep rows * k near 2**15.
+        # Rows per kernel tile (dist_sq, and within's screen): the scratch
+        # is a few (rows, k) arrays, so keep rows * k near 2**15.
         self.tile_rows = max(256, 32768 // k)
         # Rows per estimator batch. Fixes RNG consumption per batch: changing
         # it changes every report's bytes.
@@ -247,7 +250,7 @@ class ShallowNetFamily:
 
     def sample_matrix(self, n: int, gen: np.random.Generator) -> np.ndarray:
         k, p = self.k, self.prior
-        out = np.empty((n, self.dim))
+        out = np.empty((n, self.dim), order="F")
         sw = math.sqrt(p.sigma_w_sq)
         out[:, : 2 * k] = gen.normal(0.0, sw, size=(n, 2 * k))
         out[:, 2 * k : 3 * k] = gen.uniform(0.0, p.M, size=(n, k))
@@ -256,7 +259,7 @@ class ShallowNetFamily:
 
     def log_prior_density(self, thetas: np.ndarray) -> np.ndarray:
         k, p = self.k, self.prior
-        w1, w2, b1, b2 = self.split(thetas)
+        w1, w2, b1, b2 = self.split(np.ascontiguousarray(thetas))
         quad = np.einsum("ij,ij->i", w1, w1) + np.einsum("ij,ij->i", w2, w2)
         logp = -0.5 * quad / p.sigma_w_sq
         logp = logp - k * (_LOG_2PI + math.log(p.sigma_w_sq))
@@ -274,6 +277,7 @@ class ShallowNetFamily:
 
     def dist_sq(self, target, thetas: np.ndarray) -> np.ndarray:
         moments = self.prepare(target)
+        thetas = np.ascontiguousarray(thetas)
         n = thetas.shape[0]
         out = np.empty(n)
         for lo in range(0, n, self.tile_rows):
@@ -312,13 +316,21 @@ class ShallowNetFamily:
 
         Rounding: S = |b2| + sum_i |u_i| (1 + |b_i|) + max|g| + max|g'|
         bounds sup|f| + sup|g| and the size of every term either kernel
-        sums (each at most a few S^2, at most 3k + 4 of them, summed by
-        sequential sums and cumsums of length <= k). Each product carries a
-        few roundings, so each kernel's error is below about
+        sums (each at most a few S^2, at most 3k + 4 of them, in sums and
+        cumsums of length <= k). Rounded in any order or grouping, a sum
+        of m terms is off by at most gamma_(m-1) = (m - 1) u / (1 - (m - 1) u),
+        u = 2^-53, times the sum of their magnitudes: each term passes
+        through at most m - 1 additions, however the summation tree is
+        shaped (Higham, Accuracy and Stability of Numerical Algorithms,
+        sec. 4.2). So the bound holds however einsum orders the k-term
+        sums, which may depend on the layout of thetas. Each product carries
+        a few roundings, so each kernel's error is below about
         70 (k + 10) 2^-53 S^2 (measured against exact rational arithmetic:
         under 3 * 2^-53 S^2 at k <= 64, rows with cancelling 1e6 weights
         included). The margin 2^-46 (k + 64) S^2 = 128 (k + 64) 2^-53 S^2
-        covers both at every k.
+        covers both at every k. The check, at k <= 64 on C- and F-ordered
+        rows, is tests/test_families.py's
+        test_lower_bound_is_valid_and_tight_when_the_difference_is_affine.
         """
         w1, w2, b1, b2 = self.split(thetas)
         u = w1 * w2
@@ -377,7 +389,7 @@ class ShallowNetFamily:
         # hi) as lo + (hi - lo) * U: standard draws scaled in place give the
         # same bytes without the per-element broadcast path.
         k = self.k
-        out = np.empty((n, self.dim))
+        out = np.empty((n, self.dim), order="F")
         out[:, : 2 * k] = _scale_shift(gen.standard_normal((n, 2 * k)), scale, center[: 2 * k])
         lo, hi = center[2 * k : 3 * k] - scale, center[2 * k : 3 * k] + scale
         out[:, 2 * k : 3 * k] = _scale_shift(gen.random((n, k)), hi - lo, lo)
@@ -386,6 +398,7 @@ class ShallowNetFamily:
 
     def cloud_log_density(self, thetas, center, scale) -> np.ndarray:
         k = self.k
+        thetas = np.ascontiguousarray(thetas)
         gauss_cols = np.concatenate([np.arange(2 * k), [3 * k]])
         z = (thetas[:, gauss_cols] - center[gauss_cols]) / scale
         logp = -0.5 * np.einsum("ij,ij->i", z, z) - (2 * k + 1) * (

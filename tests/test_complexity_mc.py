@@ -2,6 +2,7 @@
 the exponential/empirical complexity chain (against the references in
 paper_checks), and codimension regression."""
 
+import copy
 import math
 import sys
 import threading
@@ -292,6 +293,40 @@ class TestImportanceHitScreen:
         assert rows["dist_sq"] < 0.25 * n
         assert log_prior.size == est.n_hits + zero_weight_hits
         assert rows["cloud_log_density"] == log_prior.size
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_screen_and_density_pass_per_drawn_block(self, case, workers, monkeypatch):
+        """within and both densities run once per drawn prior or cloud
+        block, not once per tile_rows tile: every block here is longer than
+        a tile."""
+        family, target, eps_sq = self.CASES[case]
+        family = copy.copy(family)
+        calls = {}
+        blocks = []
+
+        def count(name, record=None):
+            method = getattr(family, name)
+
+            def counted(*args):
+                out = method(*args)
+                calls[name] = calls.get(name, 0) + 1
+                if record is not None:
+                    record.append(out.shape[0])
+                return out
+
+            monkeypatch.setattr(family, name, counted)
+
+        for name in ("sample_matrix", "cloud_sample"):
+            count(name, blocks)
+        for name in ("within", "log_prior_density", "cloud_log_density"):
+            count(name)
+        n = 80_000
+        sharp_complexity_is(family, target, eps_sq, n, SeededRng(5), workers=workers)
+        assert sum(blocks) == n
+        assert min(blocks) > family.tile_rows
+        for name in ("within", "log_prior_density", "cloud_log_density"):
+            assert calls[name] == len(blocks), name
 
 
 class TestSampleBudget:

@@ -150,13 +150,16 @@ def test_linear_within_tiles_give_the_thresholded_distance():
 @pytest.mark.parametrize("name", sorted(TARGETS))
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 64])
 def test_lower_bound_is_valid_and_tight_when_the_difference_is_affine(k, name):
+    """Checked on C- and F-ordered rows: einsum may order the k-term sums
+    differently on each, and the margin must cover either order."""
     fam, g = _family(k), PwlMoments(TARGETS[name])
     for set_name, rows in _row_sets(k, TARGETS[name], np.random.default_rng(k)).items():
         d = fam.dist_sq(g, rows)
-        lb, margin = fam._lower_bound(g, rows)
-        assert np.all(lb <= d + margin), set_name
-        if set_name == "affine":
-            np.testing.assert_allclose(lb, d, rtol=1e-9, atol=1e-12)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            lb, margin = fam._lower_bound(g, layout(rows))
+            assert np.all(lb <= d + margin), (set_name, layout.__name__)
+            if set_name == "affine":
+                np.testing.assert_allclose(lb, d, rtol=1e-9, atol=1e-12)
 
 
 def test_within_keeps_a_row_whose_margin_overflows():
@@ -173,6 +176,59 @@ def test_within_keeps_a_row_whose_margin_overflows():
     assert np.isfinite(d[0])
     assert fam.within(g, row, d[0])[0]
     assert not fam.within(g, row, np.nextafter(d[0], -np.inf))[0]
+
+
+# -- block layout ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+def test_draws_are_column_major_with_the_row_major_bits(k):
+    """sample_matrix and cloud_sample fill F-ordered blocks holding exactly
+    what C-ordered blocks from the same generator calls hold."""
+    fam, n = _family(k), 300
+    p, seed = fam.prior, 4000 + k
+    center = fam.is_center(TARGETS["1knot"])
+    drawn = {
+        "prior": fam.sample_matrix(n, np.random.default_rng(seed)),
+        "cloud": fam.cloud_sample(n, center, 0.2, np.random.default_rng(seed)),
+    }
+    gen = np.random.default_rng(seed)
+    prior = np.empty((n, fam.dim))
+    prior[:, : 2 * k] = gen.normal(0.0, np.sqrt(p.sigma_w_sq), (n, 2 * k))
+    prior[:, 2 * k : 3 * k] = gen.uniform(0.0, p.M, (n, k))
+    prior[:, 3 * k] = gen.normal(0.0, np.sqrt(p.sigma_b_sq), n)
+    gen = np.random.default_rng(seed)
+    cloud = np.empty((n, fam.dim))
+    cloud[:, : 2 * k] = gen.normal(center[: 2 * k], 0.2, (n, 2 * k))
+    cloud[:, 2 * k : 3 * k] = gen.uniform(center[2 * k : 3 * k] - 0.2,
+                                          center[2 * k : 3 * k] + 0.2, (n, k))
+    cloud[:, 3 * k] = gen.normal(center[3 * k], 0.2, n)
+    for name, reference in (("prior", prior), ("cloud", cloud)):
+        assert drawn[name].flags.f_contiguous, name
+        np.testing.assert_array_equal(drawn[name], reference, err_msg=name)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+def test_kernels_give_the_same_bits_in_every_layout(k):
+    """dist_sq, within and both densities give one value per row whether
+    the rows come F-ordered, C-ordered or as a strided row slice."""
+    fam, g = _family(k), PwlMoments(TARGETS["1knot"])
+    rng = np.random.default_rng(5000 + k)
+    center = fam.is_center(TARGETS["1knot"])
+    block = np.concatenate([fam.sample_matrix(200, rng),
+                            fam.cloud_sample(200, center, 0.05, rng)])
+    block = np.asfortranarray(block)
+    e = float(np.quantile(fam.dist_sq(g, block), 0.3))
+    kernels = {
+        "dist_sq": lambda rows: fam.dist_sq(g, rows),
+        "within": lambda rows: fam.within(g, rows, e),
+        "log_prior_density": fam.log_prior_density,
+        "cloud_log_density": lambda rows: fam.cloud_log_density(rows, center, 0.05),
+    }
+    for name, kernel in kernels.items():
+        want = kernel(block)
+        np.testing.assert_array_equal(kernel(np.ascontiguousarray(block)), want, err_msg=name)
+        np.testing.assert_array_equal(kernel(block[1::3]), want[1::3], err_msg=name)
 
 
 # -- target preparation ------------------------------------------------------
