@@ -279,7 +279,10 @@ def _streams(rng: SeededRng, n: int, workers: int) -> list[tuple[np.random.Gener
 
 
 # One pool per process, made on first use with workers > 1 (again in a forked
-# child, which inherits no threads), so no estimate starts and stops threads.
+# child, which inherits no threads): every stream of every estimate runs on its
+# CPU-capped threads. The only threads an estimate starts and stops are
+# limiting_complexity's waiters, which queue their grid points' streams here and
+# do no sampling themselves.
 _POOL: tuple[int, object] | None = None
 _POOL_LOCK = threading.Lock()
 
@@ -292,7 +295,9 @@ def _cpu_cap() -> int:
 
 
 def _pool():
-    """The module's ThreadPoolExecutor, capped at _cpu_cap() threads."""
+    """The module's ThreadPoolExecutor, capped at _cpu_cap() threads. Its
+    queue is shared: the streams of a slope fit's grid points, submitted
+    side by side, wait in it together and run as threads come free."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None or _POOL[0] != os.getpid():
@@ -308,14 +313,34 @@ def _pool():
 
 def _run_streams(rng: SeededRng, n: int, workers: int, fn) -> list:
     """fn(generator, count) once per stream of _streams(rng, n, workers),
-    results in stream order. One stream runs inline; several run on the
-    module's pool, so N streams use up to min(N, CPUs) threads. Each stream
-    owns its generator, so the results depend on (rng, n, workers) only,
-    never on the thread count or the scheduling."""
+    results in stream order. One stream runs inline; several are queued on
+    the module's pool, so N streams use up to min(N, CPUs) threads, and
+    streams queued by other callers (a slope fit's other grid points) share
+    those threads. Each stream owns its generator, so the results depend on
+    (rng, n, workers) only, never on the thread count or the scheduling.
+    Every stream has finished before the first failure, in stream order,
+    is raised, so none outlives the call."""
     streams = _streams(rng, n, workers)
     if len(streams) == 1:
         return [fn(*streams[0])]
-    return list(_pool().map(lambda stream: fn(*stream), streams))
+    from concurrent.futures import wait
+
+    pool = _pool()
+    futures = [pool.submit(fn, *stream) for stream in streams]
+    wait(futures)
+    return [future.result() for future in futures]
+
+
+def _side_by_side(fn, n: int):
+    """fn(0), ..., fn(n - 1), each called from its own waiting thread, so the
+    pool streams they queue run together. Returns once every call has
+    returned or raised; iterating the result yields their values in call
+    order and raises the first failure where its value would be."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=n, thread_name_prefix="bayescomplex-wait") as waiters:
+        futures = [waiters.submit(fn, i) for i in range(n)]
+    return (future.result() for future in futures)
 
 
 def _map_batches(rng: SeededRng, n: int, workers: int, rows: int, fn) -> list:
@@ -489,19 +514,35 @@ def limiting_complexity(
     workers: int = 1,
 ) -> SlopeEstimate:
     """Finite-eps slope estimate of the limiting complexity, one
-    importance-sampling run per grid point."""
+    importance-sampling run per grid point, drawn from rng.stream(100 + i).
+
+    With workers > 1 the grid points run side by side: each point's
+    streams queue on the module's pool together with the other points',
+    so one point's streams fill the tail of another's. Each stream keeps
+    its generator, batches and reduction order, so the estimate depends on
+    (rng, workers) and the arguments only. Failures are raised in grid
+    order, as at workers=1 (where the points run inline, one after
+    another): the first point that raised or found no hit.
+    """
     grid = _check_eps_grid(eps_grid)
-    per_eps = []
-    for i, eps in enumerate(grid):
-        est = sharp_complexity_is(
+
+    def point(i):
+        return sharp_complexity_is(
             family,
             target,
-            eps * eps,
+            grid[i] * grid[i],
             n_per_eps,
             rng.stream(100 + i),
             cloud_width=cloud_width,
             workers=workers,
         )
+
+    if workers > 1:
+        estimates = _side_by_side(point, len(grid))
+    else:
+        estimates = map(point, range(len(grid)))
+    per_eps = []
+    for eps, est in zip(grid, estimates):
         if est.zero_hits:
             raise InsufficientSamplesError(eps, n_per_eps)
         per_eps.append(est)

@@ -6,6 +6,8 @@ import copy
 import math
 import sys
 import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from bayescomplex.complexity import (
     sharp_complexity_is,
     sharp_complexity_mc,
 )
-from bayescomplex.errors import ConfigError, InsufficientSamplesError
+from bayescomplex.errors import ConfigError, InsufficientSamplesError, NumericalError
 from bayescomplex.families import (
     LinearFamily,
     LinearPriorSpec,
@@ -79,12 +81,14 @@ class TestSharpAgainstClosedForm:
             sharp_complexity_is(family, LinearTarget((1.0, 0.0)), -0.1, 10, SeededRng(1))
 
 
-# The five estimators that draw in sampling streams, as fn(n, rng, workers).
+# The six estimators that draw in sampling streams, as fn(n, rng, workers).
 # k = 32 batches at 4096 rows, so budgets of a few 10^4 give every stream
-# several batches; the codim grid is coarse enough to hit at n = 40.
+# several batches; the codim grid and the slope fit's grid are coarse enough
+# to hit at every point at n = 40.
 _K32 = ShallowNetFamily(32, NnPriorSpec.default_for(32))
 _ONE_KNOT = PwlFunction(bias=0.0, knots=((0.35, 1.0),))
 _XS = np.linspace(0.05, 0.95, 7)
+_K32_GRID = (0.6, 0.5, 0.4)
 STREAM_ESTIMATORS = {
     "sharp_complexity_is": lambda n, rng, workers: sharp_complexity_is(
         _K32, _ONE_KNOT, 0.04, n, rng, workers=workers
@@ -102,14 +106,30 @@ STREAM_ESTIMATORS = {
         _ONE_KNOT, 1, NnPriorSpec.default_for(1), n, rng,
         eps_grid=(3.0, 2.0, 1.4), workers=workers,
     ),
+    "limiting_complexity": lambda n, rng, workers: limiting_complexity(
+        _K32, _ONE_KNOT, _K32_GRID, n, rng, workers=workers
+    ),
 }
 
 
+class _InlineExecutor:
+    """An executor whose submit runs the call at once, in the calling thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 def _sequential(monkeypatch, run, *args):
-    """run(*args) with every stream in the calling thread, in stream order:
-    the pool's map becomes the builtin map."""
+    """run(*args) with every stream in the calling thread, in stream order,
+    and a slope fit's grid points one after another."""
     with monkeypatch.context() as m:
-        m.setattr(complexity._pool(), "map", map)
+        m.setattr(complexity, "_pool", _InlineExecutor)
+        m.setattr(complexity, "_side_by_side", lambda fn, n: map(fn, range(n)))
         return run(*args)
 
 
@@ -146,10 +166,16 @@ class TestStreamEngine:
             seen.add(threading.get_ident())
             return count
 
+        def no_thread(self):
+            raise AssertionError("workers=1 must not start a thread")
+
         monkeypatch.setattr(complexity, "_pool", no_pool)
         seen = set()
         assert _run_streams(SeededRng(1), 7, 1, record) == [7]
         assert seen == {threading.get_ident()}
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        est = limiting_complexity(_K32, _ONE_KNOT, _K32_GRID, 2_000, SeededRng(1), workers=1)
+        assert all(e.n_hits > 0 for e in est.per_eps)
 
     def test_many_streams_stay_on_the_cpu_cap(self):
         """64 streams run on at most one thread per usable CPU, never on the
@@ -181,8 +207,124 @@ class TestStreamEngine:
         run = STREAM_ESTIMATORS[name]
         est = run(40, SeededRng(5), 64)
         assert est == _sequential(monkeypatch, run, 40, SeededRng(5), 64)
-        first = est.per_eps[0] if name == "codim_estimate" else est
+        first = est.per_eps[0] if name in ("codim_estimate", "limiting_complexity") else est
         assert first.n_samples == 40
+
+    def test_a_failed_stream_waits_for_the_others(self):
+        """The first stream to run fails at once; the call raises only after
+        the other streams have finished, so none outlives it."""
+        lock = threading.Lock()
+        started = []
+        finished = []
+
+        def fn(gen, count):
+            with lock:
+                started.append(count)
+                first = len(started) == 1
+            if first:
+                raise NumericalError("stream failed")
+            time.sleep(0.05)
+            finished.append(count)
+
+        with pytest.raises(NumericalError, match="stream failed"):
+            _run_streams(SeededRng(2), 4, 4, fn)
+        assert len(finished) == 3
+
+
+class TestOverlappedGrid:
+    """At workers > 1 a slope fit's grid points run side by side, yet fail as
+    at workers = 1: the first failure in grid order is raised, after every
+    point has finished, and the pool serves the next call."""
+
+    @staticmethod
+    def _waiters():
+        return [t for t in threading.enumerate() if t.name.startswith("bayescomplex-wait")]
+
+    def test_many_points_under_a_short_switch_interval(self, monkeypatch):
+        """Six points of five streams each, 30 streams queued together on
+        the CPU-capped pool, give the sequential estimate; a short switch
+        interval shakes the interleaving."""
+        grid = (0.8, 0.7, 0.6, 0.5, 0.45, 0.4)
+
+        def run(n, rng, workers):
+            return limiting_complexity(_K32, _ONE_KNOT, grid, n, rng, workers=workers)
+
+        reference = _sequential(monkeypatch, run, 10_000, SeededRng(3), 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            est = run(10_000, SeededRng(3), 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert est == reference
+        assert self._waiters() == []
+
+    def test_first_zero_hit_point_in_grid_order(self, monkeypatch):
+        # perp_sq = 0.05 leaves eps 0.2 and 0.1 empty; a kernel failure at
+        # the last point does not overtake the zero hits at 0.2.
+        family = _linear(2)
+        target = LinearTarget((0.5, 0.0), perp_sq=0.05)
+        grid = (0.4, 0.3, 0.2, 0.1)
+        messages = {}
+        for workers in (1, 2):
+            with pytest.raises(InsufficientSamplesError) as exc:
+                limiting_complexity(family, target, grid, 2000, SeededRng(42), workers=workers)
+            assert exc.value.eps == 0.2
+            messages[workers] = str(exc.value)
+        assert messages[1] == messages[2]
+
+        within = family.within
+
+        def fail_at_last(prepared, thetas, eps_sq):
+            if eps_sq == 0.1 * 0.1:
+                raise NumericalError("kernel failed")
+            return within(prepared, thetas, eps_sq)
+
+        monkeypatch.setattr(family, "within", fail_at_last)
+        with pytest.raises(InsufficientSamplesError, match="eps=0.2 "):
+            limiting_complexity(family, target, grid, 2000, SeededRng(42), workers=2)
+
+    def test_stream_failure_waits_for_every_point(self, monkeypatch):
+        family = ShallowNetFamily(32, NnPriorSpec.default_for(32))
+        within = family.within
+        lock = threading.Lock()
+        running = [0]
+        failed = []
+        finished = []
+
+        def kernel(prepared, thetas, eps_sq):
+            # The first point's first screen fails; its other stream and
+            # the other points go on drawing.
+            with lock:
+                if eps_sq == 0.6 * 0.6 and not failed:
+                    failed.append(eps_sq)
+                    raise NumericalError("kernel failed")
+                running[0] += 1
+            try:
+                return within(prepared, thetas, eps_sq)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        sharp = complexity.sharp_complexity_is
+
+        def recorded(family, target, eps_sq, *args, **kwargs):
+            est = sharp(family, target, eps_sq, *args, **kwargs)
+            finished.append(eps_sq)
+            return est
+
+        monkeypatch.setattr(family, "within", kernel)
+        monkeypatch.setattr(complexity, "sharp_complexity_is", recorded)
+        with pytest.raises(NumericalError, match="kernel failed"):
+            limiting_complexity(family, _ONE_KNOT, _K32_GRID, 20_000, SeededRng(11), workers=2)
+        assert sorted(finished) == [0.4 * 0.4, 0.5 * 0.5]
+        assert running == [0]
+        assert self._waiters() == []
+
+        monkeypatch.undo()
+        est = limiting_complexity(family, _ONE_KNOT, _K32_GRID, 20_000, SeededRng(11), workers=2)
+        assert est == STREAM_ESTIMATORS["limiting_complexity"](20_000, SeededRng(11), 2)
+        assert self._waiters() == []
 
 
 class TestImportanceWeightTiles:
