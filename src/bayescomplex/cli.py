@@ -348,6 +348,13 @@ def _nn_prior(cfg: dict, k: int) -> NnPriorSpec:
 # --------------------------------------------------------------------------
 
 
+def _at_least(cfg: dict, key: str, least: int) -> int:
+    """cfg[key], or a ConfigError when it is below ``least``."""
+    if cfg[key] < least:
+        raise ConfigError(f"{key} must be >= {least}, got {cfg[key]}")
+    return cfg[key]
+
+
 def cmd_linear_complexity(cfg: dict) -> CsvReport:
     rng = SeededRng(cfg["seed"])
     d, kappa, sigma_w = cfg["d"], cfg["kappa"], cfg["sigma_w"]
@@ -529,13 +536,22 @@ def cmd_one_change(cfg: dict) -> CsvReport:
     return CsvReport(columns, rows, tuple(failures))
 
 
+# Grid points per slice of periodic's sup check: the deep net's activations
+# stay this many rows whatever n_grid is.
+_SUP_SLICE = 1024
+
+
 def cmd_periodic(cfg: dict) -> CsvReport:
     g0 = _pwl_target(cfg)
     l = cfg["l"]
     net, deep_count = build_periodic_deep_net(g0, l)
     tiled = periodize(g0, l)
-    xs = np.linspace(0.0, float(l), cfg["n_grid"])
-    sup_err = float(np.max(np.abs(net.forward(xs) - tiled(xs))))
+    # n_grid >= 2 puts both ends on the grid.
+    xs = np.linspace(0.0, float(l), _at_least(cfg, "n_grid", 2))
+    sup_err = float(np.max([
+        np.max(np.abs(net.forward(part) - tiled(part)))
+        for part in np.split(xs, np.arange(_SUP_SLICE, xs.size, _SUP_SLICE))
+    ]))
     m = interior_knot_count(g0)
     deep_bound = 4 * l + 2 * m + 6
     shallow_count = 2 * (l * (m + 2)) + 1
@@ -563,6 +579,8 @@ def cmd_periodic(cfg: dict) -> CsvReport:
 def cmd_pacbayes(cfg: dict) -> CsvReport:
     rng = SeededRng(cfg["seed"])
     d, N = cfg["d"], cfg["N"]
+    n_trials = _at_least(cfg, "n_trials", 1)
+    n_replicas = _at_least(cfg, "n_replicas", 1)
     sigma_e_sq, beta, C = cfg["sigma_e_sq"], cfg["beta"], cfg["clip_C"]
     basis = BasisSpec(d=d)
     prior = LinearPriorSpec(cfg["sigma_w_sq"])
@@ -584,7 +602,7 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
     # over the fixed replica set the bisection calibrated on.
     sigma_alg_sq, search_ls = find_sigma_alg(
         beta, sigma_e_sq, make_dataset, family, cfg["tol"], rng.stream(1),
-        loss_spec=loss_spec, n_replicas=cfg["n_replicas"],
+        loss_spec=loss_spec, n_replicas=n_replicas,
     )
     prior_gauss = GaussianPosterior(np.zeros(d), cfg["sigma_w_sq"] * np.eye(d))
     chi_sharp = chi_from_q(
@@ -598,7 +616,7 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
     )
     rows: list[dict] = []
     ls_vals, ld_vals, pac_flags = [], [], []
-    for trial in range(cfg["n_trials"]):
+    for trial in range(n_trials):
         S = generate_dataset(g_fn, N, sigma_e_sq, UNIFORM_SYM, rng.stream(200 + trial))
         post = conjugate_posterior_linear(S, prior, basis, sigma_alg_sq)
         L_S = conjugate_empirical_loss(S, post, basis, loss_spec)
@@ -639,7 +657,7 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
     rows.append({
         "row": "summary", "L_S": mean_ls, "L_D": mean_ld, "pac_holds": all(pac_flags),
         "sigma_alg_sq": sigma_alg_sq, "L_S_search": search_ls, "chi_sharp": chi_sharp,
-        "theorem_rhs": thm, "std_err": se_ld, "n_samples": cfg["n_trials"],
+        "theorem_rhs": thm, "std_err": se_ld, "n_samples": n_trials,
         "seed": cfg["seed"], "passed": passed,
     })
     return CsvReport(columns, rows, tuple(failures))
@@ -737,6 +755,7 @@ def cmd_projection_check(cfg: dict) -> CsvReport:
     lo, hi = cfg["norm_frac_lo"], cfg["norm_frac_hi"]
     if not 0.0 < lo <= hi < 1.0:
         raise ConfigError("norm fractions must satisfy 0 < lo <= hi < 1")
+    n_trials = _at_least(cfg, "n_trials", 1)
     columns = (
         "row", "k", "norm_sq", "movement_sq", "bound", "ratio", "exact_zero",
         "bound_ok", "accounting_ok", "seed", "passed",
@@ -744,7 +763,7 @@ def cmd_projection_check(cfg: dict) -> CsvReport:
     rows: list[dict] = []
     failures: list[str] = []
     max_ratio = 0.0
-    for trial in range(cfg["n_trials"]):
+    for trial in range(n_trials):
         gen = rng.stream(1000 + trial).generator()
         frac = gen.uniform(lo, hi)
         theta = _random_admissible_theta(k, frac, gen)

@@ -437,7 +437,12 @@ def sharp_complexity_is(
         return _rule_of_three(n)
     p = s1 / n
     var = max(s2 / n - p * p, 0.0)
-    se_chi = math.sqrt(var / n) / p
+    if var > 0.0:
+        se_chi = math.sqrt(var / n) / p
+    else:
+        # The hits' squared weights underflowed to no variance at all; fall
+        # back on the hit count's binomial relative error.
+        se_chi = math.sqrt((1.0 - hits / n) / hits)
     return ComplexityEstimate(
         chi=-math.log(p),
         log_prob=math.log(p),

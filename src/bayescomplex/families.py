@@ -11,10 +11,12 @@ sample parameters from its prior, measure the exact mean-squared distance
 between a parameter's function and a target (after ``prepare`` has put the
 target in the form its kernels take), evaluate prior log-densities, and
 provide an importance-sampling center for a realizable target;
-``batch_rows`` sets the estimators' draws per batch. Two families exist: the
-orthonormal-basis linear model and the shallow ReLU network in the product
-parametrization. The posterior machinery (conjugate posteriors, SGLD,
-temperature search) takes the linear family only.
+``batch_rows`` sets the estimators' draws per batch (the linear family's
+naive-MC hit counts do not depend on it; importance-sampling draws and the
+shallow family's do). Two families exist: the orthonormal-basis linear
+model and the shallow ReLU network in the product parametrization. The
+posterior machinery (conjugate posteriors, SGLD, temperature search) takes
+the linear family only.
 
 All batch kernels work on plain (n, dim) parameter matrices; the distance
 kernels are closed-form exact (no quadrature) so that ten-million-draw Monte
@@ -102,9 +104,11 @@ class LinearFamily:
         self.dim = basis.d
         # Rows per tile of within's hit test: about 2**15 elements.
         self.tile_rows = max(256, 32768 // self.dim)
-        # Rows per estimator batch. Fixes RNG consumption per batch: changing
-        # it changes every report's bytes.
-        self.batch_rows = 1_000_000
+        # Rows per estimator batch: one tile, so a batch is drawn and screened
+        # in cache. sample_matrix makes one generator call per batch, so the
+        # naive-MC hit counts are the same for any batch size; only the
+        # importance-sampling path (tests only) draws in a batch-dependent order.
+        self.batch_rows = self.tile_rows
 
     def prepare(self, target: LinearTarget) -> LinearTarget:
         """The form dist_sq and within take the target in: as given."""

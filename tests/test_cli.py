@@ -9,13 +9,18 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bayescomplex
+from bayescomplex import cli
 from bayescomplex.cli import main, render_csv
 from bayescomplex.errors import NumericalError
+from bayescomplex.models import build_periodic_deep_net
+from bayescomplex.pwl import periodize
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -195,6 +200,42 @@ class TestExitCodes:
         assert out == ""
         assert err == "config error: sample budget must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("argv, key", [
+        (["periodic", "n_grid=0"], "n_grid"),
+        (["periodic", "n_grid=1"], "n_grid"),
+        (["pacbayes", "n_trials=0"], "n_trials"),
+        (["pacbayes", "n_replicas=0"], "n_replicas"),
+        (["projection_check", "n_trials=0"], "n_trials"),
+    ])
+    def test_empty_budget_is_two(self, argv, key, capsys):
+        """A budget that leaves nothing to check is a config error naming
+        its key, not a traceback, a nan verdict or a vacuous pass."""
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"config error: {key} must be >= ")
+        assert err.count("\n") == 1
+
+    def test_underflowing_hit_weights_get_the_binomial_error(self, capsys):
+        """At eps = 0.2 this run's two hits carry weights whose squares
+        underflow, so the weights show no variance: the point reports the
+        hits' binomial relative error instead of 0, and the fit stays
+        finite (its slope fails the check at 40 draws a point)."""
+        argv = ["nn_complexity", "k=32", "eps_grid=0.3,0.25,0.2", "n_per_eps=40",
+                "--seed", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out, err = run_cli(argv, capsys)
+        assert rc == 1 and err.startswith("check failed: fitted slope ")
+        rows = list(csv.DictReader(l for l in out.splitlines() if not l.startswith("#")))
+        points = [row for row in rows if row["row"] == "point"]
+        for row in points:
+            assert 0.0 < float(row["std_err"]) < math.inf
+        hits, n = int(points[-1]["n_hits"]), int(points[-1]["n_samples"])
+        assert float(points[-1]["std_err"]) == math.sqrt((1.0 - hits / n) / hits)
+        assert math.isfinite(float(rows[-1]["slope"]))
+        assert math.isfinite(float(rows[-1]["slope_ci"]))
+
     @pytest.mark.parametrize("argv", [
         ["codim", "eps_grid=0.3,nan,0.1"],
         ["nn_complexity", "eps_grid=0.3,nan,0.1"],
@@ -372,6 +413,21 @@ class TestPeriodicReport:
         assert int(row["deep_bound"]) == 4 * l + 2 * m + 6
         assert int(row["deep_count"]) <= int(row["deep_bound"]) < int(row["shallow_count"])
         assert row["passed"] == "true"
+
+    @pytest.mark.parametrize("pairs", [
+        (),
+        ("target_locs=0,0.25,0.5,0.75", "target_slopes=-4,8,-8,8"),
+    ])
+    def test_sup_error_is_the_whole_grid_max(self, pairs):
+        """The sup check runs slice by slice; it reports the one-shot max
+        over the grid, bit for bit."""
+        cfg = cli.resolve_config(cli.build_parser().parse_args(["periodic", *pairs]))
+        assert cfg["n_grid"] > 2 * cli._SUP_SLICE
+        g0, l = cli._pwl_target(cfg), cfg["l"]
+        net, _ = build_periodic_deep_net(g0, l)
+        xs = np.linspace(0.0, float(l), cfg["n_grid"])
+        one_shot = float(np.max(np.abs(net.forward(xs) - periodize(g0, l)(xs))))
+        assert cli.cmd_periodic(cfg).rows[0]["sup_err"] == one_shot
 
 
 class TestGoldenOutputs:

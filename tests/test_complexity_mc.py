@@ -73,6 +73,20 @@ class TestSharpAgainstClosedForm:
         b = sharp_complexity_mc(family, target, 0.16, 50_000, SeededRng(3), workers=4)
         assert abs(a.chi - b.chi) <= 3 * _joint_se(a, b)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_linear_batch_size_does_not_change_the_estimate(self, workers):
+        """sample_matrix draws a linear batch in one generator call, so
+        tile-sized batches give the hit count of one whole-budget batch."""
+        family = _linear(3)
+        target = LinearTarget((1.0, 0.0, 0.0))
+        n = 50_000
+        assert family.batch_rows == family.tile_rows < n // workers
+        tiled = sharp_complexity_mc(family, target, 0.09, n, SeededRng(17), workers=workers)
+        family.batch_rows = n
+        whole = sharp_complexity_mc(family, target, 0.09, n, SeededRng(17), workers=workers)
+        assert tiled.n_hits > 0
+        assert tiled == whole
+
     def test_eps_sq_validation(self):
         family = _linear(2)
         with pytest.raises(ConfigError):
@@ -444,6 +458,10 @@ class TestImportanceHitScreen:
         a tile."""
         family, target, eps_sq = self.CASES[case]
         family = copy.copy(family)
+        if isinstance(family, LinearFamily):
+            # Linear batches are one tile, so its IS blocks are about half a
+            # tile; a smaller tile keeps every block longer than one.
+            family.tile_rows = 1024
         calls = {}
         blocks = []
 
