@@ -38,7 +38,7 @@ from .complexity import (
     limiting_complexity,
     limiting_complexity_closed_form,
     one_change_bounds,
-    sharp_complexity_mc,
+    sharp_complexity_mc_grid,
 )
 from .errors import CheckFailure, ConfigError, NumericalError
 from .families import (
@@ -369,11 +369,11 @@ def cmd_linear_complexity(cfg: dict) -> CsvReport:
     )
     rows: list[dict] = []
     failures: list[str] = []
-    for i, (eps, est) in enumerate(zip(fit.eps_grid, fit.per_eps)):
-        mc = sharp_complexity_mc(
-            family, target, eps * eps, cfg["mc_samples"], rng.stream(10 + i),
-            workers=cfg["workers"],
-        )
+    per_mc = sharp_complexity_mc_grid(
+        family, target, [eps * eps for eps in fit.eps_grid], cfg["mc_samples"],
+        rng.stream(10), workers=cfg["workers"],
+    )
+    for eps, est, mc in zip(fit.eps_grid, fit.per_eps, per_mc):
         consistent = None
         if not mc.zero_hits and mc.n_hits >= 100 and math.isfinite(est.chi):
             consistent = abs(mc.chi - est.chi) <= 3.0 * mc.std_err
@@ -579,7 +579,7 @@ def cmd_periodic(cfg: dict) -> CsvReport:
 def cmd_pacbayes(cfg: dict) -> CsvReport:
     rng = SeededRng(cfg["seed"])
     d, N = cfg["d"], cfg["N"]
-    n_trials = _at_least(cfg, "n_trials", 1)
+    n_trials = _at_least(cfg, "n_trials", 2)  # one trial has no standard error
     n_replicas = _at_least(cfg, "n_replicas", 1)
     sigma_e_sq, beta, C = cfg["sigma_e_sq"], cfg["beta"], cfg["clip_C"]
     basis = BasisSpec(d=d)

@@ -363,17 +363,35 @@ def sharp_complexity_mc(
     rng: SeededRng,
     workers: int = 1,
 ) -> ComplexityEstimate:
-    """Naive Monte Carlo estimate of chi#."""
-    if eps_sq <= 0:
-        raise ConfigError(f"eps_sq must be > 0, got {eps_sq}")
+    """Naive Monte Carlo estimate of chi#: sharp_complexity_mc_grid's one-point case."""
+    return sharp_complexity_mc_grid(family, target, (eps_sq,), n, rng, workers)[0]
+
+
+def sharp_complexity_mc_grid(
+    family,
+    target,
+    eps_sq_grid: Sequence[float],
+    n: int,
+    rng: SeededRng,
+    workers: int = 1,
+) -> list[ComplexityEstimate]:
+    """Naive Monte Carlo estimates of chi# at every squared radius of a
+    strictly decreasing grid, all from one set of n prior draws. The balls
+    are nested, so each batch runs family.within at the largest radius and
+    each smaller radius only on the previous radius's hits; the points are
+    correlated, and each keeps its own binomial std_err."""
+    grid = _check_eps_grid(eps_sq_grid, least=1)
     prepared = family.prepare(target)
 
     def batch(gen, m):
-        hit = family.within(prepared, family.sample_matrix(m, gen), eps_sq)
-        return int(np.count_nonzero(hit))
+        thetas, counts = family.sample_matrix(m, gen), []
+        for eps_sq in grid:
+            thetas = thetas[family.within(prepared, thetas, eps_sq)]
+            counts.append(thetas.shape[0])
+        return counts
 
-    hits = sum(_map_batches(rng, n, workers, family.batch_rows, batch))
-    return _naive_estimate(hits, n)
+    counts = _map_batches(rng, n, workers, family.batch_rows, batch)
+    return [_naive_estimate(sum(hits), n) for hits in zip(*counts)]
 
 
 def sharp_complexity_is(
@@ -496,10 +514,10 @@ def fit_limiting_slope(
     )
 
 
-def _check_eps_grid(eps_grid: Sequence[float]) -> tuple[float, ...]:
+def _check_eps_grid(eps_grid: Sequence[float], least: int = 3) -> tuple[float, ...]:
     grid = tuple(float(e) for e in eps_grid)
-    if len(grid) < 3:
-        raise ConfigError("eps_grid needs at least 3 points")
+    if len(grid) < least:
+        raise ConfigError(f"eps_grid needs at least {least} points")
     if not all(math.isfinite(e) for e in grid):
         raise ConfigError("eps_grid values must be finite")
     if any(e <= 0 for e in grid):
@@ -561,8 +579,12 @@ def limiting_complexity_closed_form(
     eps_grid: Sequence[float],
     perp_sq: float = 0.0,
 ) -> SlopeEstimate:
-    """Closed-form analogue of limiting_complexity for the linear model."""
+    """Closed-form analogue of limiting_complexity for the linear model. A
+    grid point with eps^2 <= perp_sq has an empty event: a ConfigError."""
     grid = _check_eps_grid(eps_grid)
+    for eps in grid:
+        if eps * eps <= perp_sq:
+            raise ConfigError(f"eps={eps:g} has eps^2 <= perp_sq={perp_sq:g}: its event is empty")
     per_eps = [chi_from_q(kappa, sigma_w, eps * eps, d, perp_sq) for eps in grid]
     return fit_limiting_slope(per_eps, grid)
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import bayescomplex
-from bayescomplex import cli
+from bayescomplex import cli, complexity
 from bayescomplex.cli import main, render_csv
 from bayescomplex.errors import NumericalError
 from bayescomplex.models import build_periodic_deep_net
@@ -204,6 +204,7 @@ class TestExitCodes:
         (["periodic", "n_grid=0"], "n_grid"),
         (["periodic", "n_grid=1"], "n_grid"),
         (["pacbayes", "n_trials=0"], "n_trials"),
+        (["pacbayes", "n_trials=1"], "n_trials"),  # no standard error
         (["pacbayes", "n_replicas=0"], "n_replicas"),
         (["projection_check", "n_trials=0"], "n_trials"),
     ])
@@ -247,6 +248,22 @@ class TestExitCodes:
         assert rc == 2
         assert out == ""
         assert err == "config error: eps_grid values must be finite\n"
+
+    def test_unreachable_linear_grid_point_is_two(self, capsys, monkeypatch):
+        """eps^2 <= perp_sq leaves a grid point's event empty: a config error
+        naming the point, raised before q or any draw is computed."""
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before checking the grid")
+
+        monkeypatch.setattr(cli, "sharp_complexity_mc_grid", no_work)
+        monkeypatch.setattr(complexity, "log_q_closed_form", no_work)
+        rc, out, err = run_cli(["linear_complexity", "perp_sq=0.001"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            "config error: eps=0.0316228 has eps^2 <= perp_sq=0.001: its event is empty\n"
+        )
 
     @pytest.mark.parametrize("radius", ["-1", "nan", "inf"])
     def test_bad_codim_radius_is_two(self, radius, capsys):
@@ -440,6 +457,19 @@ class TestGoldenOutputs:
         rc, out, err = run_cli(argv, capsys)
         assert rc == 0, f"expected a passing run, stderr: {err}"
         assert_report_matches(out, golden)
+
+    def test_linear_first_point_keeps_its_draws(self, capsys):
+        """The whole eps grid is drawn from the first point's stream, so
+        the eps = 0.1 row is the one the per-point sampling loop printed."""
+        rc, out, _ = run_cli(["linear_complexity"], capsys)
+        assert rc == 0
+        got = next(line for line in out.splitlines() if line.startswith("point,")).split(",")
+        want = (
+            "point,0.10000000000000001,7.6964375756586643,7.6211051668596017,"
+            "0.10099050268541622,98,200000,42,false,,,,,,,"
+        ).split(",")
+        assert len(got) == len(want)
+        assert all(a == b or _close_floats(a, b) for a, b in zip(got, want)), got
 
 
 def _replace_cell(text, row_label, column, new_value):

@@ -295,6 +295,11 @@ class TestSlopeFit:
         with pytest.raises(ConfigError):
             limiting_complexity_closed_form(1.0, 1.0, 3, (0.1, -0.05, 0.01))
 
+    def test_unreachable_grid_point_is_a_config_error(self):
+        """eps^2 <= perp_sq: the first such point is named, before any q."""
+        with pytest.raises(ConfigError, match=r"eps=0\.2 has eps\^2 <= perp_sq=0\.05"):
+            limiting_complexity_closed_form(1.0, 1.0, 3, (0.3, 0.2, 0.1), perp_sq=0.05)
+
     def test_infinite_point_raises_with_eps(self):
         grid = (0.3, 0.2, 0.1)
         per_eps = [chi_from_q(1.0, 1.0, e * e, 3, perp_sq=0.02) for e in grid]

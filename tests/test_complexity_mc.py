@@ -26,6 +26,7 @@ from bayescomplex.complexity import (
     limiting_complexity_closed_form,
     sharp_complexity_is,
     sharp_complexity_mc,
+    sharp_complexity_mc_grid,
 )
 from bayescomplex.errors import ConfigError, InsufficientSamplesError, NumericalError
 from bayescomplex.families import (
@@ -124,6 +125,62 @@ STREAM_ESTIMATORS = {
         _K32, _ONE_KNOT, _K32_GRID, n, rng, workers=workers
     ),
 }
+
+
+class TestNaiveMcGrid:
+    """sharp_complexity_mc_grid counts every squared radius of a grid from
+    one prior sample set; sharp_complexity_mc is its one-point case."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("family,target,grid", [
+        (_linear(3), LinearTarget((1.0, 0.0, 0.0)), (0.25, 0.09, 0.04, 0.01)),
+        (ShallowNetFamily(4, NnPriorSpec.default_for(4)), _ONE_KNOT, (0.16, 0.09, 0.04, 0.01)),
+    ], ids=["linear", "shallow_k4"])
+    def test_each_count_is_the_full_batch_count(self, family, target, grid, workers):
+        """A smaller radius tested on the larger radius's hits only counts
+        what family.within counts on the whole batch."""
+        family = copy.copy(family)
+        family.batch_rows = 7_000  # several batches per stream
+        prepared = family.prepare(target)
+
+        def whole_batch(gen, m):
+            thetas = family.sample_matrix(m, gen)
+            return [int(np.count_nonzero(family.within(prepared, thetas, e))) for e in grid]
+
+        n = 30_000
+        counts = np.sum(_map_batches(SeededRng(9), n, workers, family.batch_rows, whole_batch), 0)
+        ests = sharp_complexity_mc_grid(family, target, grid, n, SeededRng(9), workers)
+        assert [e.n_hits for e in ests] == counts.tolist()
+        assert all(e.n_samples == n for e in ests)
+        assert 0 < counts[-1] < counts[0]
+        assert ests[0] == sharp_complexity_mc(family, target, grid[0], n, SeededRng(9), workers)
+
+    # Hit counts pinned from the single-radius loop the grid loop replaced:
+    # the one-point case must keep its draws.
+    @pytest.mark.parametrize("family,target,n,seed,hits", [
+        (_linear(3), LinearTarget((1.0, 0.0, 0.0)), 50_000, 17, (601, 562)),
+        (ShallowNetFamily(1, NnPriorSpec.default_for(1)), _ONE_KNOT, 30_000, 7, (4173, 4007)),
+        (ShallowNetFamily(4, NnPriorSpec.default_for(4)), _ONE_KNOT, 30_000, 7, (4601, 4637)),
+        (_K32, _ONE_KNOT, 20_000, 7, (3203, 3228)),
+    ], ids=["linear_d3", "shallow_k1", "shallow_k4", "shallow_k32"])
+    def test_one_point_keeps_its_hit_counts(self, family, target, n, seed, hits):
+        got = tuple(
+            sharp_complexity_mc(family, target, 0.09, n, SeededRng(seed), workers=w).n_hits
+            for w in (1, 2)
+        )
+        assert got == hits
+
+    @pytest.mark.parametrize("grid", [
+        (), (0.09, 0.0), (0.09, -0.01), (0.09, math.nan), (math.inf, 0.09),
+        (0.04, 0.09), (0.09, 0.09),
+    ])
+    def test_bad_grid_is_rejected_before_any_draw(self, grid, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before checking the grid")
+
+        monkeypatch.setattr(complexity, "_run_streams", no_draw)
+        with pytest.raises(ConfigError, match="eps_grid"):
+            sharp_complexity_mc_grid(_linear(2), LinearTarget((1.0, 0.0)), grid, 10, SeededRng(1))
 
 
 class _InlineExecutor:
