@@ -5,6 +5,8 @@ Usage: ``bayescomplex <subcommand> [--config FILE] [--seed U64] [--workers N]
 
 Config files are flat ``key = value`` text ('#' starts a comment); CLI
 key=value pairs override file values, and the dedicated flags override both.
+A value is read as the type of its key's default in ``SCHEMAS``: an int, a
+float, a comma-separated list of floats, or a string.
 Unknown keys are rejected with the offending line number. Every run echoes
 its full resolved configuration as sorted ``# key=value`` header lines above
 a single CSV table; floats are written with 17 significant digits so output
@@ -82,120 +84,116 @@ from .rng import SeededRng
 
 
 _COMMON_SCHEMA = {
-    "seed": (42, "int"),
-    "workers": (1, "int"),
-    "out": ("", "str"),
+    "seed": 42,
+    "workers": 1,
+    "out": "",
 }
 
 _LINEAR_GRID = (0.1, 0.03162277660168379, 0.01, 0.0031622776601683794, 0.001)
 
-SCHEMAS: dict[str, dict[str, tuple[object, str]]] = {
+SCHEMAS: dict[str, dict[str, object]] = {
     "linear_complexity": {
-        "d": (3, "int"),
-        "kappa": (1.0, "float"),
-        "sigma_w": (1.0, "float"),
-        "perp_sq": (0.0, "float"),
-        "eps_grid": (_LINEAR_GRID, "floats"),
-        "mc_samples": (200_000, "int"),
-        "slope_rel_tol": (0.1, "float"),
+        "d": 3,
+        "kappa": 1.0,
+        "sigma_w": 1.0,
+        "perp_sq": 0.0,
+        "eps_grid": _LINEAR_GRID,
+        "mc_samples": 400_000,
+        "slope_rel_tol": 0.1,
     },
     "nn_complexity": {
-        "k": (1, "int"),
-        "target_locs": ((0.35,), "floats"),
-        "target_slopes": ((1.0,), "floats"),
-        "target_bias": (0.0, "float"),
-        "sigma_w_sq": (0.0, "float"),
-        "M": (0.0, "float"),
-        "sigma_b_sq": (1.0, "float"),
+        "k": 1,
+        "target_locs": (0.35,),
+        "target_slopes": (1.0,),
+        "target_bias": 0.0,
+        "sigma_w_sq": 0.0,
+        "M": 0.0,
+        "sigma_b_sq": 1.0,
         # The coarsest default point (eps = 0.3) sits in the pre-asymptotic
         # regime where the hit probability still carries strong curvature in
         # ln eps; the slope is read off the remaining window.
-        "eps_grid": ((0.2, 0.14, 0.1, 0.07, 0.05), "floats"),
-        "n_per_eps": (400_000, "int"),
-        "cloud_width": (3.0, "float"),
+        "eps_grid": (0.2, 0.14, 0.1, 0.07, 0.05),
+        "n_per_eps": 400_000,
+        "cloud_width": 3.0,
     },
     "codim": {
-        "k": (1, "int"),
-        "target_locs": ((0.35,), "floats"),
-        "target_slopes": ((1.0,), "floats"),
-        "target_bias": (0.0, "float"),
-        "sigma_w_sq": (0.0, "float"),
-        "M": (0.0, "float"),
-        "sigma_b_sq": (1.0, "float"),
-        "eps_grid": ((), "floats"),
-        "radius": (0.0, "float"),
-        "n_samples": (1_000_000, "int"),
-        "tolerance": (0.5, "float"),
+        "k": 1,
+        "target_locs": (0.35,),
+        "target_slopes": (1.0,),
+        "target_bias": 0.0,
+        "sigma_w_sq": 0.0,
+        "M": 0.0,
+        "sigma_b_sq": 1.0,
+        "eps_grid": (),
+        "radius": 0.0,
+        "n_samples": 1_000_000,
+        "tolerance": 0.5,
     },
     "one_change": {
-        "a": (0.6, "float"),
-        "b": (0.6, "float"),
-        "t": (0.5, "float"),
-        "k": (8, "int"),
-        "sigma_w_sq": (0.125, "float"),
-        "M": (8.0, "float"),
-        "sigma_b_sq": (1.0, "float"),
-        "eps": (0.1, "float"),
-        "n_samples": (200_000, "int"),
-        "cloud_width": (3.0, "float"),
+        "a": 0.6,
+        "b": 0.6,
+        "t": 0.5,
+        "k": 8,
+        "sigma_w_sq": 0.125,
+        "M": 8.0,
+        "sigma_b_sq": 1.0,
+        "eps": 0.1,
+        "n_samples": 200_000,
+        "cloud_width": 3.0,
     },
     "periodic": {
-        "l": (8, "int"),
-        "target_locs": ((0.0, 0.5), "floats"),
-        "target_slopes": ((2.0, -4.0), "floats"),
-        "target_bias": (0.0, "float"),
-        "n_grid": (10_000, "int"),
-        "sup_tol": (1e-9, "float"),
+        "l": 8,
+        "target_locs": (0.0, 0.5),
+        "target_slopes": (2.0, -4.0),
+        "target_bias": 0.0,
+        "n_grid": 10_000,
+        "sup_tol": 1e-9,
     },
     "pacbayes": {
-        "d": (3, "int"),
-        "N": (200, "int"),
-        "sigma_e_sq": (0.01, "float"),
-        "clip_C": (4.0, "float"),
-        "beta": (1.0, "float"),
-        "n_trials": (50, "int"),
-        "sigma_w_sq": (1.0, "float"),
-        "tol": (1e-3, "float"),
-        "n_replicas": (32, "int"),
-        "target_w": ((), "floats"),
+        "d": 3,
+        "N": 200,
+        "sigma_e_sq": 0.01,
+        "clip_C": 4.0,
+        "beta": 1.0,
+        "n_trials": 50,
+        "sigma_w_sq": 1.0,
+        "tol": 1e-3,
+        "n_replicas": 32,
+        "target_w": (),
     },
     "sgld_check": {
-        "d": (1, "int"),
-        "N": (20, "int"),
-        "sigma_e_sq": (0.04, "float"),
-        "sigma_y_sq": (0.04, "float"),
-        "sigma_w_sq": (1.0, "float"),
-        "target_w": ((0.8,), "floats"),
-        "eta": (3e-4, "float"),
-        "steps": (205_000, "int"),
-        "burn_in": (5_000, "int"),
-        "thin": (20, "int"),
-        "map_eta": (0.05, "float"),
-        "map_steps": (4_000, "int"),
-        "var_rel_tol": (0.1, "float"),
-        "map_tol": (1e-6, "float"),
+        "d": 1,
+        "N": 20,
+        "sigma_e_sq": 0.04,
+        "sigma_y_sq": 0.04,
+        "sigma_w_sq": 1.0,
+        "target_w": (0.8,),
+        "eta": 3e-4,
+        "steps": 205_000,
+        "burn_in": 5_000,
+        "thin": 20,
+        "map_eta": 0.05,
+        "map_steps": 4_000,
+        "var_rel_tol": 0.1,
+        "map_tol": 1e-6,
     },
     "projection_check": {
-        "k": (3, "int"),
-        "n_trials": (200, "int"),
-        "norm_frac_lo": (0.1, "float"),
-        "norm_frac_hi": (0.9, "float"),
+        "k": 3,
+        "n_trials": 200,
+        "norm_frac_lo": 0.1,
+        "norm_frac_hi": 0.9,
     },
 }
 
 
-def _coerce(key: str, raw: str, kind: str, line: int | None = None):
+def _coerce(key: str, raw: str, default, line: int | None = None):
+    """raw read as the type of key's default: an int, a float, a
+    comma-separated tuple of floats (empty for an empty value), or a str."""
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "floats":
+        if isinstance(default, tuple):
             raw = raw.strip()
-            if not raw:
-                return ()
-            return tuple(float(part) for part in raw.split(","))
-        return raw
+            return tuple(float(part) for part in raw.split(",")) if raw else ()
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"invalid value for {key!r}: {raw!r} ({exc})", line=line) from exc
 
@@ -206,42 +204,38 @@ def _strip_quotes(raw: str) -> str:
     return raw
 
 
+def _setting(text: str, schema: dict, expected: str, line: int | None = None) -> tuple:
+    """(key, value) of one 'key=value' text, the value coerced to the type
+    of the key's default; a ConfigError names ``expected`` when text has no
+    '=', and rejects a key the schema does not have."""
+    if "=" not in text:
+        raise ConfigError(f"expected {expected}, got {text!r}", line=line)
+    key, _, raw = text.partition("=")
+    key = key.strip()
+    if key not in schema:
+        raise ConfigError(f"unknown config key {key!r}", line=line)
+    return key, _coerce(key, _strip_quotes(raw.strip()), schema[key], line=line)
+
+
 def parse_config_text(text: str, schema: dict) -> dict:
     """Flat key = value lines; '#' comments; unknown keys rejected with the
     line number."""
     updates: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"expected 'key = value', got {stripped!r}", line=lineno)
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = _strip_quotes(raw.strip())
-        if key not in schema:
-            raise ConfigError(f"unknown config key {key!r}", line=lineno)
-        updates[key] = _coerce(key, raw, schema[key][1], line=lineno)
+        if stripped:
+            key, value = _setting(stripped, schema, "'key = value'", line=lineno)
+            updates[key] = value
     return updates
 
 
 def parse_pairs(pairs: list[str], schema: dict) -> dict:
-    updates: dict[str, object] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"expected key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        key = key.strip()
-        if key not in schema:
-            raise ConfigError(f"unknown config key {key!r}")
-        updates[key] = _coerce(key, _strip_quotes(raw.strip()), schema[key][1])
-    return updates
+    return dict(_setting(pair, schema, "key=value") for pair in pairs)
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    schema = dict(SCHEMAS[args.subcommand])
-    schema.update(_COMMON_SCHEMA)
-    cfg = {key: default for key, (default, _) in schema.items()}
+    schema = {**SCHEMAS[args.subcommand], **_COMMON_SCHEMA}
+    cfg = dict(schema)
     if args.config is not None:
         path = Path(args.config)
         if not path.is_file():

@@ -403,7 +403,8 @@ def sharp_complexity_is(
     cloud_width: float = 3.0,
     workers: int = 1,
 ) -> ComplexityEstimate:
-    """Importance-sampling estimate of chi#.
+    """Importance-sampling estimate of chi# for the shallow family, the one
+    family with the prior and cloud densities and the cloud this needs.
 
     The proposal is the defensive mixture 0.5 * prior + 0.5 * cloud, where
     the cloud is centered at a minimum-norm realization of the target with

@@ -6,17 +6,17 @@ bias N(0, sigma_b^2); the linear model's basis coefficients are isotropic
 N(0, sigma_w^2). Defaults follow the k-node convention M = k,
 sigma_w^2 = 1/k, sigma_b^2 = 1.
 
-The complexity estimators are generic over a "family": something that can
-sample parameters from its prior, measure the exact mean-squared distance
-between a parameter's function and a target (after ``prepare`` has put the
-target in the form its kernels take), evaluate prior log-densities, and
-provide an importance-sampling center for a realizable target;
-``batch_rows`` sets the estimators' draws per batch (the linear family's
-naive-MC hit counts do not depend on it; importance-sampling draws and the
-shallow family's do). Two families exist: the orthonormal-basis linear
-model and the shallow ReLU network in the product parametrization. The
-posterior machinery (conjugate posteriors, SGLD, temperature search) takes
-the linear family only.
+The naive Monte Carlo estimators are generic over a "family": something
+that can sample parameters from its prior (``sample_matrix``) and test
+which of them lie within a squared distance of a target (``within``, on
+the form ``prepare`` gives; ``dist_sq`` is the exact mean-squared distance
+it thresholds); ``batch_rows`` sets the estimators' draws per batch.
+Importance sampling also needs prior and cloud log-densities and a cloud
+centered at a realization of the target, which only the shallow family
+has. Two families exist: the orthonormal-basis linear model and the
+shallow ReLU network in the product parametrization. The posterior
+machinery (conjugate posteriors, SGLD, temperature search) takes the
+linear family only.
 
 All batch kernels work on plain (n, dim) parameter matrices; the distance
 kernels are closed-form exact (no quadrature) so that ten-million-draw Monte
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .models import BasisSpec, basis_matrix, min_norm_realization
+from .models import BasisSpec, min_norm_realization
 from .pwl import PwlFunction, _integral_sq
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -102,13 +102,11 @@ class LinearFamily:
         self.basis = basis
         self.prior = prior
         self.dim = basis.d
-        # Rows per tile of within's hit test: about 2**15 elements.
-        self.tile_rows = max(256, 32768 // self.dim)
-        # Rows per estimator batch: one tile, so a batch is drawn and screened
-        # in cache. sample_matrix makes one generator call per batch, so the
-        # naive-MC hit counts are the same for any batch size; only the
-        # importance-sampling path (tests only) draws in a batch-dependent order.
-        self.batch_rows = self.tile_rows
+        # Rows per estimator batch, about 2**15 elements: within tests a
+        # batch in one pass, so a batch is one cache-sized tile. sample_matrix
+        # draws a batch in one generator call, so the hit counts do not
+        # depend on the batch size.
+        self.batch_rows = max(256, 32768 // self.dim)
 
     def prepare(self, target: LinearTarget) -> LinearTarget:
         """The form dist_sq and within take the target in: as given."""
@@ -122,36 +120,9 @@ class LinearFamily:
         return 0.5 * np.einsum("ij,ij->i", diff, diff) + target.perp_sq
 
     def within(self, target: LinearTarget, thetas: np.ndarray, eps_sq: float) -> np.ndarray:
-        """Hit mask dist_sq(target, thetas) <= eps_sq, tile by tile so no
-        temporary outgrows tile_rows rows; the distance is O(d) already, so
-        there is nothing to screen."""
-        t, hit = self.tile_rows, np.empty(thetas.shape[0], dtype=bool)
-        for lo in range(0, thetas.shape[0], t):
-            hit[lo : lo + t] = self.dist_sq(target, thetas[lo : lo + t]) <= eps_sq
-        return hit
-
-    def log_prior_density(self, thetas: np.ndarray) -> np.ndarray:
-        s2 = self.prior.sigma_w_sq
-        quad = np.einsum("ij,ij->i", thetas, thetas)
-        return -0.5 * quad / s2 - 0.5 * self.dim * (_LOG_2PI + math.log(s2))
-
-    # -- importance-sampling cloud (all-Gaussian) ---------------------------
-
-    def is_center(self, target: LinearTarget) -> np.ndarray:
-        return np.asarray(target.w, dtype=float)
-
-    def cloud_sample(self, n, center, scale, gen) -> np.ndarray:
-        return gen.normal(center, scale, size=(n, self.dim))
-
-    def cloud_log_density(self, thetas, center, scale) -> np.ndarray:
-        z = (thetas - center) / scale
-        quad = np.einsum("ij,ij->i", z, z)
-        return -0.5 * quad - self.dim * (0.5 * _LOG_2PI + math.log(scale))
-
-    # -- data-space kernels --------------------------------------------------
-
-    def design(self, xs: np.ndarray) -> np.ndarray:
-        return basis_matrix(self.basis, xs)
+        """Hit mask dist_sq(target, thetas) <= eps_sq; the distance is O(d)
+        already, so there is nothing to screen."""
+        return self.dist_sq(target, thetas) <= eps_sq
 
 
 # --------------------------------------------------------------------------

@@ -335,9 +335,9 @@ def run_sgld(
         hess = np.eye(d) / (family.prior.sigma_w_sq * n_eff)
         drift = np.zeros(d)
         if n:
-            jac = family.design(S.xs)
-            hess = hess + jac.T @ jac / (n * cfg.sigma_y_sq)
-            drift = jac.T @ S.ys / (n * cfg.sigma_y_sq)
+            _, gram, rhs = S._design(family.basis)
+            hess = hess + gram / (n * cfg.sigma_y_sq)
+            drift = rhs / (n * cfg.sigma_y_sq)
     if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(drift))):
         raise NumericalError(
             f"SGLD Hessian or drift not finite at sigma_y_sq={cfg.sigma_y_sq}, "

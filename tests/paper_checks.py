@@ -28,7 +28,7 @@ import numpy as np
 from bayescomplex.complexity import ComplexityEstimate, _impossible, _map_batches
 from bayescomplex.errors import ConfigError
 from bayescomplex.families import LinearFamily
-from bayescomplex.models import ShallowNetParams
+from bayescomplex.models import ShallowNetParams, basis_matrix
 from bayescomplex.posterior import Dataset, GaussianPosterior, LossSpec, generate_dataset
 from bayescomplex.projection import _norm_sq_nodes
 from bayescomplex.pwl import L2Measure, PwlFunction, _integral_sq
@@ -55,7 +55,7 @@ def params_from_flat(vec: np.ndarray, k: int) -> ShallowNetParams:
 def predict(family, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """(n, xs.size) predictions of the n parameter rows of thetas."""
     if isinstance(family, LinearFamily):
-        return thetas @ family.design(xs).T
+        return thetas @ basis_matrix(family.basis, xs).T
     n = thetas.shape[0]
     out = np.empty((n, xs.size))
     chunk = max(256, int(2_000_000 / max(1, family.k * xs.size)))

@@ -460,8 +460,9 @@ class TestGoldenOutputs:
 
     def test_linear_first_point_keeps_its_draws(self, capsys):
         """The whole eps grid is drawn from the first point's stream, so
-        the eps = 0.1 row is the one the per-point sampling loop printed."""
-        rc, out, _ = run_cli(["linear_complexity"], capsys)
+        the eps = 0.1 row at 200,000 draws is the one the per-point
+        sampling loop printed."""
+        rc, out, _ = run_cli(["linear_complexity", "mc_samples=200000"], capsys)
         assert rc == 0
         got = next(line for line in out.splitlines() if line.startswith("point,")).split(",")
         want = (
@@ -470,6 +471,16 @@ class TestGoldenOutputs:
         ).split(",")
         assert len(got) == len(want)
         assert all(a == b or _close_floats(a, b) for a, b in zip(got, want)), got
+
+    def test_linear_default_runs_its_mc_cross_check(self, capsys):
+        """At the default mc_samples the coarsest point has the 100 hits the
+        cross-check needs, so its mc_consistent cell is filled (and true)."""
+        rc, out, _ = run_cli(["linear_complexity"], capsys)
+        assert rc == 0
+        table = [line for line in out.splitlines() if not line.startswith("#")]
+        first = next(csv.DictReader(table))
+        assert first["row"] == "point" and int(first["n_hits"]) >= 100
+        assert first["mc_consistent"] == "true"
 
 
 def _replace_cell(text, row_label, column, new_value):

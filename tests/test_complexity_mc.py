@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,13 +60,14 @@ class TestSharpAgainstClosedForm:
         assert est.n_hits >= 100
         assert abs(est.chi - exact.chi) <= 3 * est.std_err
 
-    def test_importance_sampling_matches_q(self):
-        family = _linear(3)
-        target = LinearTarget((1.0, 0.0, 0.0))
-        exact = chi_from_q(1.0, 1.0, 0.09, 3)
-        est = sharp_complexity_is(family, target, 0.09, 100_000, SeededRng(42))
+    def test_importance_sampling_matches_quadrature(self):
+        """k = 1, g = (x - 0.35)_+, eps = 0.1: chi = 5.5310 by nested
+        scipy.integrate.quad over the one-active-node stratum (b2 in closed
+        form, then u and b) at relative tolerance 1e-9."""
+        family = ShallowNetFamily(1, NnPriorSpec.default_for(1))
+        est = sharp_complexity_is(family, _ONE_KNOT, 0.01, 100_000, SeededRng(42))
         assert est.n_hits >= 100
-        assert abs(est.chi - exact.chi) <= 3 * est.std_err
+        assert abs(est.chi - 5.5310) <= 3 * est.std_err
 
     def test_workers_change_partition_not_meaning(self):
         family = _linear(2)
@@ -81,7 +83,7 @@ class TestSharpAgainstClosedForm:
         family = _linear(3)
         target = LinearTarget((1.0, 0.0, 0.0))
         n = 50_000
-        assert family.batch_rows == family.tile_rows < n // workers
+        assert family.batch_rows < n // workers
         tiled = sharp_complexity_mc(family, target, 0.09, n, SeededRng(17), workers=workers)
         family.batch_rows = n
         whole = sharp_complexity_mc(family, target, 0.09, n, SeededRng(17), workers=workers)
@@ -89,11 +91,11 @@ class TestSharpAgainstClosedForm:
         assert tiled == whole
 
     def test_eps_sq_validation(self):
-        family = _linear(2)
         with pytest.raises(ConfigError):
-            sharp_complexity_mc(family, LinearTarget((1.0, 0.0)), 0.0, 10, SeededRng(1))
+            sharp_complexity_mc(_linear(2), LinearTarget((1.0, 0.0)), 0.0, 10, SeededRng(1))
+        family = ShallowNetFamily(1, NnPriorSpec.default_for(1))
         with pytest.raises(ConfigError):
-            sharp_complexity_is(family, LinearTarget((1.0, 0.0)), -0.1, 10, SeededRng(1))
+            sharp_complexity_is(family, _ONE_KNOT, -0.1, 10, SeededRng(1))
 
 
 # The six estimators that draw in sampling streams, as fn(n, rng, workers).
@@ -104,6 +106,11 @@ _K32 = ShallowNetFamily(32, NnPriorSpec.default_for(32))
 _ONE_KNOT = PwlFunction(bias=0.0, knots=((0.35, 1.0),))
 _XS = np.linspace(0.05, 0.95, 7)
 _K32_GRID = (0.6, 0.5, 0.4)
+# A k = 1 slope fit starved at its two smallest radii: a cloud 100 eps wide
+# puts no mass near the target, and 2,000 draws per point expect about 0.01
+# hits at eps = 0.01 (chi about 12.4) but over 100 at eps 0.4 and 0.3.
+_STARVED = (ShallowNetFamily(1, NnPriorSpec.default_for(1)), _ONE_KNOT,
+            (0.4, 0.3, 0.01, 0.005), 100.0)
 STREAM_ESTIMATORS = {
     "sharp_complexity_is": lambda n, rng, workers: sharp_complexity_is(
         _K32, _ONE_KNOT, 0.04, n, rng, workers=workers
@@ -331,29 +338,30 @@ class TestOverlappedGrid:
         assert self._waiters() == []
 
     def test_first_zero_hit_point_in_grid_order(self, monkeypatch):
-        # perp_sq = 0.05 leaves eps 0.2 and 0.1 empty; a kernel failure at
-        # the last point does not overtake the zero hits at 0.2.
-        family = _linear(2)
-        target = LinearTarget((0.5, 0.0), perp_sq=0.05)
-        grid = (0.4, 0.3, 0.2, 0.1)
+        # The starved grid leaves eps 0.01 and 0.005 without hits; a kernel
+        # failure at the last point does not overtake the zero hits at 0.01.
+        family, target, grid, cloud_width = _STARVED
         messages = {}
         for workers in (1, 2):
             with pytest.raises(InsufficientSamplesError) as exc:
-                limiting_complexity(family, target, grid, 2000, SeededRng(42), workers=workers)
-            assert exc.value.eps == 0.2
+                limiting_complexity(family, target, grid, 2000, SeededRng(42),
+                                    cloud_width=cloud_width, workers=workers)
+            assert exc.value.eps == 0.01
             messages[workers] = str(exc.value)
         assert messages[1] == messages[2]
 
+        family = copy.copy(family)
         within = family.within
 
         def fail_at_last(prepared, thetas, eps_sq):
-            if eps_sq == 0.1 * 0.1:
+            if eps_sq == 0.005 * 0.005:
                 raise NumericalError("kernel failed")
             return within(prepared, thetas, eps_sq)
 
         monkeypatch.setattr(family, "within", fail_at_last)
-        with pytest.raises(InsufficientSamplesError, match="eps=0.2 "):
-            limiting_complexity(family, target, grid, 2000, SeededRng(42), workers=2)
+        with pytest.raises(InsufficientSamplesError, match="eps=0.01 "):
+            limiting_complexity(family, target, grid, 2000, SeededRng(42),
+                                cloud_width=cloud_width, workers=2)
 
     def test_stream_failure_waits_for_every_point(self, monkeypatch):
         family = ShallowNetFamily(32, NnPriorSpec.default_for(32))
@@ -401,14 +409,11 @@ class TestOverlappedGrid:
 class TestImportanceWeightTiles:
     """The IS weight pass is row-wise: any tile size gives the same bytes."""
 
-    @pytest.mark.parametrize("family,target", [
-        (ShallowNetFamily(4, NnPriorSpec.default_for(4)), _ONE_KNOT),
-        (_linear(3), LinearTarget((1.0, 0.0, 0.0))),
-    ])
-    def test_tile_size_does_not_change_the_estimate(self, family, target):
-        default = sharp_complexity_is(family, target, 0.09, 5_000, SeededRng(8), workers=2)
+    def test_tile_size_does_not_change_the_estimate(self):
+        family = ShallowNetFamily(4, NnPriorSpec.default_for(4))
+        default = sharp_complexity_is(family, _ONE_KNOT, 0.09, 5_000, SeededRng(8), workers=2)
         family.tile_rows = 7
-        assert sharp_complexity_is(family, target, 0.09, 5_000, SeededRng(8), workers=2) == default
+        assert sharp_complexity_is(family, _ONE_KNOT, 0.09, 5_000, SeededRng(8), workers=2) == default
 
 
 def _weigh_every_row(family, target, eps_sq, n, rng, workers, cloud_width=3.0):
@@ -463,7 +468,6 @@ class TestImportanceHitScreen:
     CASES = {
         "shallow_k4": (ShallowNetFamily(4, NnPriorSpec.default_for(4)), _ONE_KNOT, 0.0025),
         "shallow_k32": (_K32, _ONE_KNOT, 0.04),
-        "linear_d3": (_linear(3), LinearTarget((1.0, 0.0, 0.0)), 0.09),
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -515,10 +519,6 @@ class TestImportanceHitScreen:
         a tile."""
         family, target, eps_sq = self.CASES[case]
         family = copy.copy(family)
-        if isinstance(family, LinearFamily):
-            # Linear batches are one tile, so its IS blocks are about half a
-            # tile; a smaller tile keeps every block longer than one.
-            family.tile_rows = 1024
         calls = {}
         blocks = []
 
@@ -565,29 +565,21 @@ class TestSampleBudget:
 
 class TestEstimatorConsistencyBattery:
     """Naive MC and importance sampling agree within 3 joint standard errors
-    whenever both record at least 100 hits, over 20 randomized triples."""
+    whenever both record at least 100 hits, over 20 randomized shallow
+    triples (importance sampling needs the shallow family's cloud)."""
 
     def test_twenty_triples(self):
         gen = np.random.default_rng(42)
         checked = 0
         for trial in range(20):
             rng = SeededRng(1000 + trial)
-            if trial % 2 == 0:
-                d = int(gen.integers(2, 5))
-                kappa = float(gen.uniform(0.0, 1.2))
-                eps_sq = float(gen.uniform(0.3, 0.6)) ** 2
-                family = _linear(d)
-                w = np.zeros(d)
-                w[0] = kappa
-                target = LinearTarget(tuple(w))
-            else:
-                k = int(gen.integers(1, 3))
-                eps_sq = float(gen.uniform(0.3, 0.5)) ** 2
-                t = float(gen.uniform(0.2, 0.8))
-                v = float(gen.uniform(-1.0, 1.0))
-                knots = ((t, v),) if abs(v) > 1e-3 else ()
-                family = ShallowNetFamily(k, NnPriorSpec.default_for(k))
-                target = PwlFunction(bias=float(gen.uniform(-0.3, 0.3)), knots=knots)
+            k = int(gen.integers(1, 3))
+            eps_sq = float(gen.uniform(0.3, 0.5)) ** 2
+            t = float(gen.uniform(0.2, 0.8))
+            v = float(gen.uniform(-1.0, 1.0))
+            knots = ((t, v),) if abs(v) > 1e-3 else ()
+            family = ShallowNetFamily(k, NnPriorSpec.default_for(k))
+            target = PwlFunction(bias=float(gen.uniform(-0.3, 0.3)), knots=knots)
             mc = sharp_complexity_mc(family, target, eps_sq, 60_000, rng.stream(0))
             is_ = sharp_complexity_is(family, target, eps_sq, 40_000, rng.stream(1))
             assert mc.n_hits >= 100 and is_.n_hits >= 100, f"trial {trial} starved"
@@ -620,23 +612,28 @@ class TestZeroHits:
             fit_limiting_slope([good, good, est], (0.3, 0.2, 1e-4))
 
     def test_limiting_complexity_raises_when_starved(self):
-        # perp_sq exceeds the smallest grid radius squared, so that point's
-        # event is empty and the estimator must flag it.
-        family = _linear(2)
-        target = LinearTarget((0.5, 0.0), perp_sq=0.05)
+        # The starved grid's eps = 0.01 point finds no hit, and the
+        # estimator must flag it.
+        family, target, grid, cloud_width = _STARVED
         with pytest.raises(InsufficientSamplesError) as exc:
-            limiting_complexity(family, target, (0.4, 0.3, 0.1), 2000, SeededRng(42))
-        assert "0.1" in str(exc.value)
+            limiting_complexity(family, target, grid[:3], 2000, SeededRng(42),
+                                cloud_width=cloud_width)
+        assert "0.01" in str(exc.value)
 
 
-class TestLimitingComplexityLinear:
-    def test_is_slope_matches_closed_form_on_same_grid(self):
-        grid = (0.3, 0.2, 0.14)
-        family = _linear(2)
-        target = LinearTarget((1.0, 0.0))
-        fit = limiting_complexity(family, target, grid, 60_000, SeededRng(42))
-        exact = limiting_complexity_closed_form(1.0, 1.0, 2, grid)
-        assert abs(fit.slope - exact.slope) <= 3.0 / 1.96 * fit.ci_halfwidth + 1e-9
+class TestLimitingComplexityShallow:
+    def test_is_slope_matches_quadrature_on_same_grid(self):
+        """k = 1, g = (x - 0.35)_+: the IS slope against the slope the same
+        weighted fit gives the quadrature chi values (as in
+        test_importance_sampling_matches_quadrature) on the same grid."""
+        grid = (0.2, 0.14, 0.1)
+        family = ShallowNetFamily(1, NnPriorSpec.default_for(1))
+        fit = limiting_complexity(family, _ONE_KNOT, grid, 60_000, SeededRng(42))
+        exact = fit_limiting_slope([
+            replace(est, chi=chi, log_prob=-chi)
+            for est, chi in zip(fit.per_eps, (3.5368, 4.6104, 5.5310))
+        ], grid)
+        assert abs(fit.slope - exact.slope) <= 3.0 / 1.96 * fit.ci_halfwidth
 
 
 class TestExponentialComplexity:

@@ -134,15 +134,13 @@ def test_within_is_exactly_the_thresholded_distance(k, name):
                 )
 
 
-def test_linear_within_tiles_give_the_thresholded_distance():
-    """LinearFamily.within tests hits tile by tile; with 7-row tiles (the
-    last one short) its mask is dist_sq <= e bit for bit, e at a row's
+def test_linear_within_is_exactly_the_thresholded_distance():
+    """LinearFamily.within's mask is dist_sq <= e bit for bit, e at a row's
     computed distance and one ulp below it."""
     fam = LinearFamily(BasisSpec(d=3), LinearPriorSpec(1.0))
     target = LinearTarget((1.0, 0.0, 0.0), perp_sq=0.01)
     rows = fam.sample_matrix(100, np.random.default_rng(7))
     d = fam.dist_sq(target, rows)
-    fam.tile_rows = 7
     for e in (d[13], np.nextafter(d[13], -np.inf), np.median(d)):
         np.testing.assert_array_equal(fam.within(target, rows, e), d <= e)
 

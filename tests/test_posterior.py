@@ -490,7 +490,7 @@ def _stepped_linear_sgld(S, family, cfg, rng, inject_noise=True, init=None):
         theta = np.asarray(init, dtype=float).copy()
     else:
         theta = family.sample_matrix(1, gen)[0]
-    design = family.design(S.xs) if n else None
+    design = basis_matrix(family.basis, S.xs) if n else None
     noise_scale = math.sqrt(2.0 * cfg.eta / n_eff)
     draws = []
     for step in range(cfg.steps):
@@ -545,7 +545,7 @@ class TestLinearSgldRecursion:
         # |1 - eta lambda| = 1.001: the norm grows slowly and crosses 1e6 after
         # the first block, so the guard must report a step in a later block.
         S, family = self._problem(1, 20)
-        design = family.design(S.xs)
+        design = basis_matrix(family.basis, S.xs)
         lam = float(design[:, 0] @ design[:, 0]) / (20 * 0.04) + 1.0 / 20
         cfg = SgldConfig(eta=2.001 / lam, steps=30_000, burn_in=100, thin=1,
                          sigma_y_sq=0.04)

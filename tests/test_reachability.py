@@ -13,8 +13,13 @@ none: what only tests use lives under ``tests/``.
 """
 
 import ast
+import inspect
 import re
+import threading
 from pathlib import Path
+
+from bayescomplex import cli
+from bayescomplex.families import LinearFamily, ShallowNetFamily
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bayescomplex"
@@ -102,6 +107,48 @@ def _unreached(package: Path = PACKAGE, roots: set[str] | None = None) -> set[st
 
 def test_every_definition_is_reached():
     assert sorted(_unreached()) == []
+
+
+# Every command that builds a family, at budgets well under a second. A
+# result check may fail at such a budget (exit 1); a configuration or
+# numerical error (exit 2 or 3) may not.
+_FAMILY_RUNS = [
+    ["linear_complexity", "mc_samples=20000"],
+    ["pacbayes", "n_trials=2", "n_replicas=2"],
+    ["sgld_check", "steps=7000", "burn_in=1000"],
+    ["nn_complexity", "eps_grid=0.2,0.14,0.1", "n_per_eps=2000", "--workers", "2"],
+    ["one_change", "n_samples=2000"],
+    ["codim", "n_samples=20000"],
+]
+
+
+def test_every_family_method_runs_in_a_command(monkeypatch, capsys):
+    """The walk above matches methods by attribute name, so a method of one
+    family counts as reached when a same-named method of the other family
+    is called. This runs the commands themselves with every method of both
+    families wrapped by a call recorder, and fails on a method no command
+    called."""
+    called, lock = set(), threading.Lock()
+
+    def recorder(key, method):
+        def recorded(*args, **kwargs):
+            with lock:
+                called.add(key)
+            return method(*args, **kwargs)
+        return recorded
+
+    methods = set()
+    for cls in (LinearFamily, ShallowNetFamily):
+        for name, method in vars(cls).items():
+            if inspect.isfunction(method):
+                key = f"{cls.__name__}.{name}"
+                methods.add(key)
+                monkeypatch.setattr(cls, name, recorder(key, method))
+    for argv in _FAMILY_RUNS:
+        rc = cli.main(argv)
+        assert rc in (0, 1), (argv, capsys.readouterr().err)
+    capsys.readouterr()
+    assert sorted(methods - called) == []
 
 
 _TOY = """
