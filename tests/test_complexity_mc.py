@@ -409,11 +409,14 @@ class TestOverlappedGrid:
 class TestImportanceWeightTiles:
     """The IS weight pass is row-wise: any tile size gives the same bytes."""
 
-    def test_tile_size_does_not_change_the_estimate(self):
-        family = ShallowNetFamily(4, NnPriorSpec.default_for(4))
-        default = sharp_complexity_is(family, _ONE_KNOT, 0.09, 5_000, SeededRng(8), workers=2)
+    @pytest.mark.parametrize("family,target", [
+        (ShallowNetFamily(4, NnPriorSpec.default_for(4)), _ONE_KNOT),
+        (ShallowNetFamily(1, NnPriorSpec.default_for(1)), _ONE_KNOT),
+    ])
+    def test_tile_size_does_not_change_the_estimate(self, family, target):
+        default = sharp_complexity_is(family, target, 0.09, 5_000, SeededRng(8), workers=2)
         family.tile_rows = 7
-        assert sharp_complexity_is(family, _ONE_KNOT, 0.09, 5_000, SeededRng(8), workers=2) == default
+        assert sharp_complexity_is(family, target, 0.09, 5_000, SeededRng(8), workers=2) == default
 
 
 def _weigh_every_row(family, target, eps_sq, n, rng, workers, cloud_width=3.0):
@@ -468,6 +471,7 @@ class TestImportanceHitScreen:
     CASES = {
         "shallow_k4": (ShallowNetFamily(4, NnPriorSpec.default_for(4)), _ONE_KNOT, 0.0025),
         "shallow_k32": (_K32, _ONE_KNOT, 0.04),
+        "shallow_k2": (ShallowNetFamily(2, NnPriorSpec.default_for(2)), _ONE_KNOT, 0.01),
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
