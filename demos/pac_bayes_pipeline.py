@@ -61,15 +61,17 @@ print(f"calibrated sigma_alg^2 = {sigma_alg_sq:.5f} "
 # Step 2: fresh trials.
 prior_gauss = GaussianPosterior(np.zeros(d), np.eye(d))
 print("\ntrial   L_S       L_D       KL      pac rhs   holds")
-lds = []
-for trial in range(8):
-    S = generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM, rng.stream(100 + trial))
-    post = conjugate_posterior_linear(S, prior, basis, sigma_alg_sq)
-    ls = conjugate_empirical_loss(S, post, basis, spec)
-    ld = conjugate_true_loss(post, target, basis, sigma_e_sq, UNIFORM_SYM, spec)
+datasets = [
+    generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM, rng.stream(100 + trial))
+    for trial in range(8)
+]
+posts = [conjugate_posterior_linear(S, prior, basis, sigma_alg_sq) for S in datasets]
+# Both exact losses take a batch and return one loss per item.
+lss = conjugate_empirical_loss(list(zip(datasets, posts)), basis, spec)
+lds = conjugate_true_loss(posts, target, basis, sigma_e_sq, UNIFORM_SYM, spec)
+for trial, (post, ls, ld) in enumerate(zip(posts, lss, lds)):
     kl = kl_gaussians(post, prior_gauss)
     rhs = pac_bayes_rhs(ls, kl, N, C)
-    lds.append(ld)
     print(f"  {trial}   {ls:.5f}   {ld:.5f}   {kl:6.3f}   {rhs:.5f}   {ld <= rhs}")
 
 # Step 3: the closed-form theorem bound.

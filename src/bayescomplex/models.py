@@ -116,10 +116,10 @@ def shallow_to_pwl(theta: ShallowNetParams) -> PwlFunction:
     Nodes with b1 >= 1 never activate; nodes with b1 < 0 are affine on [0, 1]
     and fold into the bias plus a knot at 0.
     """
-    u = theta.effective_weights()
     bias = theta.b2
     raw = []
-    for ui, bi in zip(u, theta.b1):
+    for w1, w2, bi in zip(theta.w1, theta.w2, theta.b1):
+        ui = float(w1) * float(w2)
         if ui == 0.0 or bi >= 1.0:
             continue
         if bi < 0.0:

@@ -52,9 +52,8 @@ def _eval_nodes(u: np.ndarray, b: np.ndarray, b2: float, x: np.ndarray) -> np.nd
 def _norm_sq_nodes(u: np.ndarray, b: np.ndarray, b2: float) -> float:
     """Exact integral of f^2 over [0, 1] for f(x) = b2 + sum u_i [x - b_i]_+
     with all biases >= 0."""
-    interior = b[(b > 0.0) & (b < 1.0)]
-    pts = np.unique(np.concatenate([[0.0, 1.0], interior]))
-    return _integral_sq(pts, _eval_nodes(u, b, b2, pts))
+    pts = sorted({0.0, 1.0, *(x for x in b.tolist() if 0.0 < x < 1.0)})
+    return _integral_sq(pts, _eval_nodes(u, b, b2, np.array(pts)).tolist())
 
 
 def movement_between(theta: ShallowNetParams, theta_star: ShallowNetParams) -> float:
@@ -67,11 +66,10 @@ def movement_between(theta: ShallowNetParams, theta_star: ShallowNetParams) -> f
 def _realize_factors(w1, w2, u_new):
     """Realize new effective weights on (w1, w2), changing the smaller
     factor; a node whose factors are both zero gets +/- sqrt(|u|) split with
-    the sign carried by w2."""
-    w1 = np.array(w1, dtype=float)
-    w2 = np.array(w2, dtype=float)
-    for i in range(w1.size):
-        target = u_new[i]
+    the sign carried by w2. Returns two lists of floats."""
+    w1 = [float(x) for x in w1]
+    w2 = [float(x) for x in w2]
+    for i, target in enumerate(map(float, u_new)):
         if w1[i] * w2[i] == target:
             continue
         if w1[i] == 0.0 and w2[i] == 0.0:
@@ -95,7 +93,7 @@ def _result(theta, u_new, b_new, b2_new, bound, phases) -> ProjectionResult:
     movement from theta to the projected parameters."""
     w1, w2 = _realize_factors(theta.w1, theta.w2, u_new)
     theta_star = ShallowNetParams(
-        w1=tuple(w1), w2=tuple(w2), b1=tuple(b_new), b2=float(b2_new)
+        w1=tuple(w1), w2=tuple(w2), b1=tuple(map(float, b_new)), b2=float(b2_new)
     )
     return ProjectionResult(
         theta_star=theta_star,
@@ -108,6 +106,14 @@ def _result(theta, u_new, b_new, b2_new, bound, phases) -> ProjectionResult:
 # --------------------------------------------------------------------------
 # Core two-phase zero projection (b2 = 0, biases >= 0)
 # --------------------------------------------------------------------------
+
+
+def _fold(values) -> float:
+    """Left-to-right sum (builtin sum compensates floats from Python 3.12 on)."""
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
 
 
 def _zero_project_core(
@@ -123,111 +129,100 @@ def _zero_project_core(
     prefix-sum slope; phase 2 zeroes the surviving prefix sums through one
     effective-weight change per bias group. Pinned locations (the designated
     bias-0 node and frozen nodes) act as collapse anchors and frozen nodes
-    never change."""
-    k = u.size
-    if np.any(b < 0.0):
+    never change. Both phases run on lists of floats: on k nodes numpy's
+    per-call cost outweighs its arithmetic."""
+    b_old = b.tolist()
+    if any(x < 0.0 for x in b_old):
         raise ConfigError("zero projection requires nonnegative biases")
     norm_sq = _norm_sq_nodes(u, b, 0.0)
-    threshold = 1.0 / (12.0 * (k + 1) ** 5)
+    threshold = 1.0 / (12.0 * (u.size + 1) ** 5)
     if not norm_sq < threshold:
         raise SmallnessError(norm_sq, threshold, context)
 
-    u_new = u.copy()
-    b_new = b.copy()
+    u_new = u.tolist()
+    b_new = list(b_old)
     bias_moves: list[BiasMove] = []
     weight_changes: list[WeightChange] = []
 
-    pinned_biases = {b[i] for i in frozen}
+    pinned_biases = {b_old[i] for i in frozen}
     if pin_zero is not None:
-        pinned_biases.add(b[pin_zero])
+        pinned_biases.add(b_old[pin_zero])
 
-    active = np.flatnonzero(b < 1.0)
-    if active.size:
-        locs = np.unique(b[active])
-        order = np.argsort(b[active], kind="stable")
-        sorted_nodes = active[order]
-        # Prefix sums W_j over distinct bias locations.
-        w_pref = np.zeros(locs.size)
-        acc = 0.0
-        pos = 0
-        for j, loc in enumerate(locs):
-            while pos < sorted_nodes.size and b[sorted_nodes[pos]] <= loc:
-                acc += u[sorted_nodes[pos]]
-                pos += 1
-            w_pref[j] = acc
-        rights = np.append(locs[1:], 1.0)
-        in_sb = (rights - locs) < np.abs(w_pref)
+    # Prefix sums W_j over the distinct bias locations in [0, 1), in bias order.
+    active = [i for i, x in enumerate(b_old) if x < 1.0]
+    w_pref: dict[float, float] = {}
+    acc = 0.0
+    for i in sorted(active, key=b_old.__getitem__):
+        acc += u_new[i]
+        w_pref[b_old[i]] = acc
+    locs = list(w_pref)
+    rights = locs[1:] + [1.0]
+    in_sb = [r - loc < abs(w_pref[loc]) for loc, r in zip(locs, rights)]
 
-        j = 0
-        while j < locs.size:
-            if not in_sb[j]:
-                j += 1
-                continue
-            r = j
-            while r + 1 < locs.size and in_sb[r + 1]:
-                r += 1
-            span = [locs[i] for i in range(j, r + 1)] + [rights[r]]
-            anchors = sorted(set(span) & pinned_biases)
-            if len(anchors) > 1:
-                raise NumericalError(
-                    f"{context}: collapse run spans {len(anchors)} pinned bias locations"
-                )
-            dest = anchors[0] if anchors else span[-1]
-            for i in active:
-                if b[i] in span and b[i] != dest:
-                    bias_moves.append((int(i), float(b[i]), float(dest)))
-                    b_new[i] = dest
-            j = r + 1
+    j = 0
+    while j < len(locs):
+        if not in_sb[j]:
+            j += 1
+            continue
+        r = j
+        while r + 1 < len(locs) and in_sb[r + 1]:
+            r += 1
+        span = locs[j:r + 1] + [rights[r]]
+        anchors = sorted(set(span) & pinned_biases)
+        if len(anchors) > 1:
+            raise NumericalError(
+                f"{context}: collapse run spans {len(anchors)} pinned bias locations"
+            )
+        dest = anchors[0] if anchors else span[-1]
+        for i in active:
+            if b_old[i] in span and b_old[i] != dest:
+                bias_moves.append((i, b_old[i], dest))
+                b_new[i] = dest
+        j = r + 1
 
     # Phase 2 on post-collapse groups that still act on [0, 1): every group's
     # summed effective weight must vanish so the merged slope change is zero.
-    active = np.flatnonzero(b_new < 1.0)
-    if active.size:
-        locs = np.unique(b_new[active])
-        for loc in locs:
-            members = [int(i) for i in active if b_new[i] == loc]
-            group_sum = float(sum(u_new[i] for i in members))
-            if group_sum == 0.0:
-                continue
-            if pin_zero is not None and pin_zero in members:
-                chosen = pin_zero
-            else:
-                free = [i for i in members if i not in frozen]
-                if not free:
-                    raise NumericalError(
-                        f"{context}: bias group at {loc} holds only pinned nodes"
-                    )
-                chosen = free[-1]
-            old = float(u_new[chosen])
-            if not any(i > chosen for i in members):
-                # The chosen node closes the index-ordered fold, so negating
-                # the fold of the earlier members cancels the group exactly.
-                prefix = 0.0
-                for i in members:
-                    if i < chosen:
-                        prefix += float(u_new[i])
-                u_new[chosen] = -prefix
-                group_sum = float(sum(u_new[i] for i in members))
-            else:
-                # Pinned members follow the chosen node: absorb the residual
-                # iteratively, finishing with single-ulp steps when it drops
-                # below the chosen value's own resolution.
-                for _ in range(4):
-                    u_new[chosen] -= group_sum
-                    group_sum = float(sum(u_new[i] for i in members))
-                    if group_sum == 0.0:
-                        break
-                for _ in range(64):
-                    if group_sum == 0.0:
-                        break
-                    toward = -math.inf if group_sum > 0.0 else math.inf
-                    u_new[chosen] = math.nextafter(u_new[chosen], toward)
-                    group_sum = float(sum(u_new[i] for i in members))
-            if group_sum != 0.0:
+    active = [i for i, x in enumerate(b_new) if x < 1.0]
+    for loc in sorted({b_new[i] for i in active}):
+        members = [i for i in active if b_new[i] == loc]
+        group_sum = _fold(u_new[i] for i in members)
+        if group_sum == 0.0:
+            continue
+        if pin_zero is not None and pin_zero in members:
+            chosen = pin_zero
+        else:
+            free = [i for i in members if i not in frozen]
+            if not free:
                 raise NumericalError(
-                    f"{context}: bias group at {loc} left residual {group_sum!r}"
+                    f"{context}: bias group at {loc} holds only pinned nodes"
                 )
-            weight_changes.append((chosen, old, float(u_new[chosen])))
+            chosen = free[-1]
+        old = u_new[chosen]
+        if not any(i > chosen for i in members):
+            # The chosen node closes the index-ordered fold, so negating
+            # the fold of the earlier members cancels the group exactly.
+            u_new[chosen] = -_fold(u_new[i] for i in members if i < chosen)
+            group_sum = _fold(u_new[i] for i in members)
+        else:
+            # Pinned members follow the chosen node: absorb the residual
+            # iteratively, finishing with single-ulp steps when it drops
+            # below the chosen value's own resolution.
+            for _ in range(4):
+                u_new[chosen] -= group_sum
+                group_sum = _fold(u_new[i] for i in members)
+                if group_sum == 0.0:
+                    break
+            for _ in range(64):
+                if group_sum == 0.0:
+                    break
+                toward = -math.inf if group_sum > 0.0 else math.inf
+                u_new[chosen] = math.nextafter(u_new[chosen], toward)
+                group_sum = _fold(u_new[i] for i in members)
+        if group_sum != 0.0:
+            raise NumericalError(
+                f"{context}: bias group at {loc} left residual {group_sum!r}"
+            )
+        weight_changes.append((chosen, old, u_new[chosen]))
 
     return u_new, b_new, bias_moves, weight_changes, norm_sq
 
@@ -273,7 +268,8 @@ def _with_bias_core(
             -u, b, -b2, norm_sq, frozen, context
         )
         changes = [(i, -old, -new) for i, old, new in changes]
-        return -u_m, b_m, -b2_m, moves, changes, notes + ("mirrored through f -> -f",)
+        return (np.negative(u_m), b_m, -b2_m, moves, changes,
+                notes + ("mirrored through f -> -f",))
 
     # Case 2: b2 > sqrt(||f||). Build the breakpoint profile of f.
     interior = np.unique(b[(b > 0.0) & (b < 1.0)])
@@ -353,19 +349,15 @@ def _with_bias_core(
     b_new[shifted] -= shift
     for pos, i in enumerate(sel):
         b_new[i] = b_star[pos]
-        if i == i0:
-            u_new[i] = u_star[pos] - w_one
-        else:
-            u_new[i] = u_star[pos]
-    for pos, old, new in v_moves:
-        moves.append((sel[pos], old, new))
+        u_new[i] = u_star[pos]
+    u_new[i0] -= w_one
+    moves += [(sel[pos], old, new) for pos, old, new in v_moves]
     changes: list[WeightChange] = []
     for pos, old, new in v_changes:
         i = sel[pos]
         if i == i0:
-            changes.append((i, old - w_one, new - w_one))
-        else:
-            changes.append((i, old, new))
+            old, new = old - w_one, new - w_one
+        changes.append((i, old, new))
     notes = (
         f"case-2: x0={x0:.6g} x1={x1:.6g} W1={w_one:.6g} shift={shift:.6g} retarget node {i0}",
     )
@@ -433,11 +425,8 @@ def project_to_target(
         u_aug, b_aug, b2_aug, norm_sq, frozen, "project_to_target"
     )
     for j in range(c):
-        i = k + j
-        if u_new[i] != u_aug[i] or b_new[i] != b_aug[i]:
-            raise NumericalError(
-                f"project_to_target: pinned target node {j} was altered"
-            )
+        if u_new[k + j] != u_aug[k + j] or b_new[k + j] != b_aug[k + j]:
+            raise NumericalError(f"project_to_target: pinned target node {j} was altered")
     assignment = []
     for j, t in enumerate(knot_t):
         cluster = [int(i) for i in range(k) if b_new[i] == t]

@@ -78,14 +78,9 @@ class PwlFunction:
             out += v * np.maximum(0.0, xs - t)
         return out if out.ndim else float(out)
 
-    def locations(self) -> np.ndarray:
-        return np.array([t for t, _ in self.knots], dtype=float)
-
     def breakpoints(self) -> np.ndarray:
         """Domain endpoints plus knot locations, sorted."""
-        return np.concatenate(
-            ([self.domain_lo], self.locations(), [self.domain_hi])
-        )
+        return np.array([self.domain_lo, *(t for t, _ in self.knots), self.domain_hi], dtype=float)
 
 
 def canonicalize(
@@ -118,19 +113,29 @@ def canonical_equal(f: PwlFunction, g: PwlFunction, tol: float = CANONICAL_TOL) 
     return bool(np.max(np.abs(f(pts) - g(pts))) <= tol)
 
 
-def _integral_sq(pts: np.ndarray, vals: np.ndarray) -> float:
+def _integral_sq(pts, vals) -> float:
     """Exact integral of h^2 for h linear between the sorted points pts,
     with h(pts) = vals: each segment of length L contributes
     L * (a^2 + a*b + b^2) / 3, with a, b its endpoint values."""
-    seg = np.diff(pts)
-    a, b = vals[:-1], vals[1:]
-    return float(np.sum(seg * (a * a + a * b + b * b) / 3.0))
+    terms = [
+        (x1 - x0) * (a * a + a * b + b * b) / 3.0
+        for x0, x1, a, b in zip(pts, pts[1:], vals, vals[1:])
+    ]
+    return float(np.sum(terms))
 
 
 def l2_norm_sq(f: PwlFunction) -> float:
-    """Unnormalized squared L2 norm over the function's own domain."""
-    pts = f.breakpoints()
-    return _integral_sq(pts, f(pts))
+    """Unnormalized squared L2 norm over the function's own domain; f is
+    evaluated at its breakpoints on floats, in the order f(x) adds ramps."""
+    knots = [(float(t), float(v)) for t, v in f.knots]
+    pts = [float(f.domain_lo), *(t for t, _ in knots), float(f.domain_hi)]
+    vals = []
+    for x in pts:
+        acc = float(f.bias)
+        for t, v in knots:
+            acc += v * (0.0 if x - t <= 0.0 else x - t)  # np.maximum(0.0, x - t)
+        vals.append(acc)
+    return _integral_sq(pts, vals)
 
 
 def periodize(g0: PwlFunction, l: int) -> PwlFunction:

@@ -426,24 +426,23 @@ def test_criterion_11_pac_bayes_validity():
     )
     check_rng = SeededRng(42).stream(1)
     replicas = [make_dataset(check_rng.stream(i)) for i in range(32)]
-    search_ls = float(np.mean([
-        conjugate_empirical_loss(
-            S, conjugate_posterior_linear(S, prior, basis, sigma_alg_sq),
-            basis, spec)
-        for S in replicas
-    ]))
+    search_ls = float(np.mean(conjugate_empirical_loss(
+        [(S, conjugate_posterior_linear(S, prior, basis, sigma_alg_sq))
+         for S in replicas],
+        basis, spec)))
     assert search_ls == achieved
     search_ok = abs(search_ls - 2.0 * sigma_e_sq) <= 1e-3
 
     chi_sharp = chi_from_q(target.kappa, 1.0, beta * sigma_e_sq, d).chi
     bound = theorem_bound(sigma_e_sq, beta, chi_sharp, N, C)
-    lds = []
-    for trial in range(50):
-        S = generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM, rng.stream(200 + trial))
-        post = conjugate_posterior_linear(S, prior, basis, sigma_alg_sq)
-        lds.append(conjugate_true_loss(post, target, basis, sigma_e_sq,
+    posts = [
+        conjugate_posterior_linear(
+            generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM, rng.stream(200 + trial)),
+            prior, basis, sigma_alg_sq)
+        for trial in range(50)
+    ]
+    lds = np.array(conjugate_true_loss(posts, target, basis, sigma_e_sq,
                                        UNIFORM_SYM, spec))
-    lds = np.array(lds)
     se_ld = float(lds.std() / math.sqrt(lds.size))
     bound_ok = lds.mean() <= bound + 3.0 * se_ld
     elapsed, in_time = _within_budget(t0, 600.0)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,46 @@ GOLDEN_RUNS = [
      ["nn_complexity", "eps_grid=0.2,0.14,0.1", "n_per_eps=20000", "--workers", "2"]),
     ("one_change_workers2", ["one_change", "n_samples=150000", "--workers", "2"]),
 ]
+
+
+class TestProjectionAccounting:
+    """accounting_ok replays each result's recorded phases onto the input,
+    so phases that do not account for theta_star fail the trial."""
+
+    @staticmethod
+    def _tamper(monkeypatch, change):
+        """Route projection_check through project_to_zero with change applied
+        to the first result that has a bias move; returns the changed trials."""
+        real, changed = cli.project_to_zero, []
+
+        def tampered(theta):
+            res = real(theta)
+            if res.phases.bias_moves and not changed:
+                changed.append(res)
+                res = change(res)
+            return res
+
+        monkeypatch.setattr(cli, "project_to_zero", tampered)
+        return changed
+
+    @pytest.mark.parametrize("change", [
+        # One bias move dropped: the replay misses theta_star's biases.
+        lambda res: replace(
+            res, phases=replace(res.phases, bias_moves=res.phases.bias_moves[1:])),
+        # Phases intact, movement doubled: the steps no longer sum to it.
+        lambda res: replace(res, movement_sq=2.0 * res.movement_sq),
+    ], ids=["dropped_bias_move", "movement_mismatch"])
+    def test_unaccounted_result_fails_the_trial(self, monkeypatch, capsys, change):
+        changed = self._tamper(monkeypatch, change)
+        rc, out, err = run_cli(["projection_check", "n_trials=10"], capsys)
+        assert len(changed) == 1
+        table = [line for line in out.splitlines() if not line.startswith("#")]
+        rows = list(csv.DictReader(table))
+        flagged = [r["row"] for r in rows if r["accounting_ok"] == "false"]
+        assert flagged == ["3"]  # trial 3 is the first with a bias move at seed 42
+        assert rows[3]["exact_zero"] == "true" and rows[3]["passed"] == "false"
+        assert rc == 1
+        assert "trial 3: phase accounting mismatch" in err
 
 
 class TestPeriodicReport:

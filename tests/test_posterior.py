@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -261,8 +262,8 @@ class TestDesignMemo:
             ref = conjugate_posterior_linear(fresh, prior, basis, sigma_y_sq)
             np.testing.assert_array_equal(post.mean, ref.mean)
             np.testing.assert_array_equal(post.covariance, ref.covariance)
-            assert conjugate_empirical_loss(S, post, basis, spec) == (
-                conjugate_empirical_loss(fresh, ref, basis, spec)
+            assert conjugate_empirical_loss([(S, post)], basis, spec) == (
+                conjugate_empirical_loss([(fresh, ref)], basis, spec)
             )
 
     def test_arrays_are_read_only_copies(self):
@@ -612,7 +613,7 @@ class TestLosses:
         S = generate_dataset(g, 50, 0.04, UNIFORM_SYM, SeededRng(42).stream(1))
         post = conjugate_posterior_linear(S, prior, basis, 0.1)
         spec = LossSpec(clip_C=1.0)
-        exact = conjugate_empirical_loss(S, post, basis, spec)
+        [exact] = conjugate_empirical_loss([(S, post)], basis, spec)
         draws = sample_gaussian(post, 200_000, SeededRng(42).stream(2).generator())
         mc = empirical_loss_of_Q(draws, S, spec, family)
         assert abs(exact - mc.value) <= 3.0 * mc.std_err
@@ -624,8 +625,8 @@ class TestLosses:
         S = generate_dataset(g, 60, 0.01, UNIFORM_SYM, SeededRng(13).stream(0))
         post = conjugate_posterior_linear(S, prior, basis, 0.05)
         spec = LossSpec(clip_C=1.0)
-        exact = conjugate_true_loss(post, LinearTarget(w=w), basis, 0.01,
-                                    UNIFORM_SYM, spec)
+        [exact] = conjugate_true_loss([post], LinearTarget(w=w), basis, 0.01,
+                                      UNIFORM_SYM, spec)
         draws = sample_gaussian(post, 20_000, SeededRng(13).stream(1).generator())
         mc = true_loss_of_Q(draws, g, 0.01, UNIFORM_SYM, spec, 20_000,
                             SeededRng(13).stream(2), family)
@@ -646,10 +647,71 @@ class TestLosses:
                            1, SeededRng(0), family)
         with pytest.raises(ConfigError):
             conjugate_true_loss(
-                conjugate_posterior_linear(S, prior, basis, 0.1),
+                [conjugate_posterior_linear(S, prior, basis, 0.1)],
                 LinearTarget(w=(0.8,), perp_sq=0.1), basis, 0.0, UNIFORM_SYM,
                 LossSpec(),
             )
+
+
+class TestBatchedLosses:
+    """conjugate_empirical_loss and conjugate_true_loss weigh a whole batch
+    in one clipped-loss call; every item's loss equals its one-item call bit
+    for bit, and that call equals the loss formula applied to the item alone."""
+
+    SPEC = LossSpec(clip_C=0.02)  # about twice the noise variance, so some terms clip
+
+    @staticmethod
+    def _batch(d: int, seed: int):
+        basis, prior, _ = _linear_setup(d)
+        rng = SeededRng(seed)
+        w = tuple(rng.stream(0).generator().normal(0.0, 1.0, size=d).tolist())
+        g = LinearFunction(w, basis)
+        sizes = (1, 33, 200, 33, 1, 200)
+        temps = (0.05, 0.5, 0.01, 2.0, 0.2, 0.05)
+        datasets = [generate_dataset(g, N, 0.01, UNIFORM_SYM, rng.stream(1 + i))
+                    for i, N in enumerate(sizes)]
+        posts = [conjugate_posterior_linear(S, prior, basis, t) for S, t in zip(datasets, temps)]
+        # A point mass (zero covariance) puts s_sq = 0 at every point of its
+        # slice, so the degenerate branch runs inside the batch.
+        posts[3] = SimpleNamespace(mean=posts[3].mean, covariance=np.zeros((d, d)))
+        return basis, LinearTarget(w=w), datasets, posts
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_empirical_items_equal_one_item_calls(self, d, seed):
+        basis, _, datasets, posts = self._batch(d, seed)
+        C = self.SPEC.clip_C
+        batched = conjugate_empirical_loss(list(zip(datasets, posts)), basis, self.SPEC)
+        for S, post, loss in zip(datasets, posts, batched):
+            assert conjugate_empirical_loss([(S, post)], basis, self.SPEC) == [loss]
+            phi = basis_matrix(basis, S.xs)
+            mu = phi @ post.mean - S.ys
+            s_sq = np.einsum("ij,jk,ik->i", phi, post.covariance, phi)
+            assert loss == float(expected_clipped_loss_gaussian(mu, s_sq, C).mean())
+        mu = basis_matrix(basis, datasets[3].xs) @ posts[3].mean - datasets[3].ys
+        assert batched[3] == float(np.minimum(mu * mu, C).mean())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_true_items_equal_one_item_calls(self, d, seed):
+        basis, target, _, posts = self._batch(d, seed)
+        C = self.SPEC.clip_C
+        # On [-1, 1] the quadrature points are the Gauss-Legendre nodes.
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        phi = basis_matrix(basis, nodes)
+        for sigma_e_sq in (0.0, 0.01):
+            batched = conjugate_true_loss(posts, target, basis, sigma_e_sq, UNIFORM_SYM, self.SPEC)
+            assert len(batched) == len(posts)
+            for post, loss in zip(posts, batched):
+                assert conjugate_true_loss(
+                    [post], target, basis, sigma_e_sq, UNIFORM_SYM, self.SPEC) == [loss]
+                mu = phi @ (post.mean - np.asarray(target.w))
+                s_sq = np.einsum("ij,jk,ik->i", phi, post.covariance, phi) + sigma_e_sq
+                vals = expected_clipped_loss_gaussian(mu, s_sq, C)
+                assert loss == float(np.sum(weights * vals) / 2.0)
+            if sigma_e_sq == 0.0:  # the point mass's s_sq is 0 at every node
+                mu = phi @ (posts[3].mean - np.asarray(target.w))
+                assert batched[3] == float(np.sum(weights * np.minimum(mu * mu, C)) / 2.0)
 
 
 class TestPacBayesPieces:
@@ -775,9 +837,9 @@ class TestPacBayesPieces:
             S = generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM,
                                  rng.stream(200 + trial))
             post = conjugate_posterior_linear(S, prior, basis, 0.04)
-            L_S = conjugate_empirical_loss(S, post, basis, spec)
-            L_D = conjugate_true_loss(post, target, basis, sigma_e_sq,
-                                      UNIFORM_SYM, spec)
+            [L_S] = conjugate_empirical_loss([(S, post)], basis, spec)
+            [L_D] = conjugate_true_loss([post], target, basis, sigma_e_sq,
+                                        UNIFORM_SYM, spec)
             lds.append(L_D)
             rhss.append(pac_bayes_rhs(L_S, kl_gaussians(post, prior_gauss), N, C))
         lds, rhss = np.array(lds), np.array(rhss)
@@ -826,12 +888,10 @@ class TestFindSigmaAlg:
         # Recompute the search objective on the same replica set.
         check_rng = SeededRng(21).stream(1)
         replicas = [make(check_rng.stream(i)) for i in range(16)]
-        mean_loss = float(np.mean([
-            conjugate_empirical_loss(
-                S, conjugate_posterior_linear(S, prior, basis, sigma_alg_sq),
-                basis, spec)
-            for S in replicas
-        ]))
+        mean_loss = float(np.mean(conjugate_empirical_loss(
+            [(S, conjugate_posterior_linear(S, prior, basis, sigma_alg_sq))
+             for S in replicas],
+            basis, spec)))
         assert mean_loss == achieved
         assert abs(mean_loss - 2 * 0.04) <= 1e-3
 

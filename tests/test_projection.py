@@ -12,6 +12,7 @@ from bayescomplex.cli import _random_admissible_theta
 from bayescomplex.errors import ConfigError, SmallnessError
 from bayescomplex.models import ShallowNetParams, min_norm_realization, shallow_to_pwl
 from bayescomplex.projection import (
+    _zero_project_core,
     movement_between,
     project_to_target,
     project_to_zero,
@@ -295,3 +296,97 @@ class TestProjectToTarget:
         theta = min_norm_realization(self.G1, k=2)
         res = project_to_target(theta, self.G1, R=2.0)
         assert any("knot 0 at t=0.4" in n for n in res.phases.notes)
+
+
+def _replayed(theta, res):
+    """theta's (u, b) with res.phases applied: bias moves, then weight changes."""
+    u, b = list(theta.effective_weights()), list(theta.b1)
+    for i, old, new in res.phases.bias_moves:
+        b[i] = new
+    for i, old, new in res.phases.weight_changes:
+        u[i] = new
+    return u, b
+
+
+class TestEdgeInputs:
+    """Tied biases, biases of exactly 0 and >= 1, and zero effective weights,
+    through every projection: the result represents its target exactly, its
+    recorded phases replay onto the input exactly, and pinned nodes keep
+    their places."""
+
+    def _assert_exact(self, theta, res, tol=0.0):
+        """f_star is the zero function (to tol) and res.phases replays exactly."""
+        f_star = shallow_to_pwl(res.theta_star)
+        if tol == 0.0:
+            assert f_star.knots == () and f_star.bias == 0.0
+        else:
+            assert canonical_equal(f_star, ZERO_FN, tol=tol)
+        u, b = _replayed(theta, res)
+        assert u == list(res.theta_star.effective_weights())
+        assert b == list(res.theta_star.b1)
+
+    def test_project_to_zero(self):
+        gen = np.random.default_rng(7)
+        pool = (0.0, 0.0, 0.25, 0.5, 0.5, 0.5, 1.0, 1.5)
+        for trial in range(300):
+            k = int(gen.integers(1, 8))
+            b = [pool[j] if gen.random() < 0.7 else gen.uniform() for j in gen.integers(0, 8, k)]
+            u = gen.standard_normal(k)
+            u[gen.random(k) < 0.25] = 0.0
+            norm_sq = l2_norm_sq(shallow_to_pwl(_net(u, b)))
+            if norm_sq > 0.0:
+                threshold = 1.0 / (12.0 * (k + 1) ** 5)
+                u = u * math.sqrt(gen.uniform(0.1, 0.9) * threshold / norm_sq)
+            theta = _net(u, b)
+            res = project_to_zero(theta)
+            self._assert_exact(theta, res)
+            assert res.movement_sq <= res.bound or norm_sq == 0.0, f"trial {trial}"
+
+    @pytest.mark.parametrize("u,b,b2,case", [
+        # Case 1: ties at 0.6, a bias of 0, a zero weight and an inactive node.
+        ([1e-3, -5e-4, 0.0, 7.0, -2e-4], [0.0, 0.6, 0.6, 1.0, 0.6], 1e-4, "case-1"),
+        # Case 2, pinned bias-0 node: a tied pair at 0 in the shifted cluster.
+        ([-950.0, -950.0, 1900.0, 0.0, 3.0], [0.0, 0.0, 1e-4, 0.5, 1.5], 0.2, "case-2"),
+        # Mirrored case 2: a tied pair at 1e-4 and a zero weight.
+        ([1000.0, 900.0, -1900.0, 0.0], [1e-4, 1e-4, 2e-4, 0.3], -0.2, "mirrored"),
+    ])
+    def test_project_to_zero_with_bias(self, u, b, b2, case):
+        theta = _net(u, b, b2)
+        res = project_to_zero_with_bias(theta, R=1.0, guard_scale=1.0)
+        assert any(case in note for note in res.phases.notes)
+        # Case 2 shifts a cluster to negative biases, which shallow_to_pwl
+        # folds into the output bias with one rounding each.
+        self._assert_exact(theta, res, tol=0.0 if case == "case-1" else 1e-12)
+
+    @pytest.mark.parametrize("u,b,b2", [
+        ([0.5, 0.5, 0.3 + 1e-6, 0.0, 2.0], [0.0, 0.4, 0.4, 0.7, 1.2], 0.25),
+        ([0.5 + 1e-6, 0.8 - 1e-6, 0.0, 1e-6, 2.0], [0.0, 0.4 + 1e-6, 0.4, 0.4 + 2e-6, 1.0],
+         0.25 + 1e-7),
+    ])
+    def test_project_to_target_with_frozen_knots(self, u, b, b2):
+        g = PwlFunction(bias=0.25, knots=((0.0, 0.5), (0.4, 0.8)))
+        theta = _net(u, b, b2)
+        res = project_to_target(theta, g, R=2.0, guard_scale=1.0)
+        f_star = shallow_to_pwl(res.theta_star)
+        assert (f_star.knots, f_star.bias) == (g.knots, g.bias)
+        # The knot at 0 is the frozen node the first cluster collapses onto.
+        assert "knot 0 at t=0 <- nodes [0]" in res.phases.notes
+        u_r, b_r = _replayed(theta, res)
+        assert u_r == list(res.theta_star.effective_weights())
+        assert b_r == list(res.theta_star.b1)
+
+    def test_core_leaves_pinned_nodes_in_place(self):
+        """The designated bias-0 node keeps its bias and frozen nodes keep
+        both coordinates, also when a frozen node follows the one chosen to
+        cancel its group."""
+        u = np.array([2e-4, -1e-4, -1e-4, 3e-4, 0.0, -3e-4, 5e-5])
+        b = np.array([0.0, 0.0, 0.3, 0.3, 0.5, 1.2, 0.3])
+        frozen = frozenset({3, 5})
+        u_new, b_new, moves, changes, _ = _zero_project_core(
+            u, b, pin_zero=0, frozen=frozen, context="test")
+        assert b_new[0] == 0.0
+        for i in frozen:
+            assert (u_new[i], b_new[i]) == (u[i], b[i])
+        assert all(i not in frozen for i, _, _ in [*moves, *changes])
+        f_star = shallow_to_pwl(_net(list(u_new), list(b_new)))
+        assert f_star.knots == () and f_star.bias == 0.0
