@@ -192,9 +192,13 @@ class ShallowNetFamily:
     """Single-hidden-layer ReLU networks on [0, 1] under the product prior.
 
     Flat layout: [w1 (k), w2 (k), b1 (k), b2]; dim = 3k + 1. Drawn blocks
-    are column-major, so the O(k) screen reads contiguous columns. einsum
-    may order a row's sum by layout, so dist_sq and the two densities take
-    C-ordered rows: their bits do not depend on the layout handed in.
+    are column-major, so the O(k) screen reads contiguous columns. Each of
+    a block's generator calls ((n, 2k) weights, (n, k) biases, n output
+    biases) is issued as consecutive tile_rows-row pieces copied straight
+    into the block: a run of same-kind draws is one stream however it is
+    split, so the block holds what one call gives, with tile-sized scratch.
+    einsum may order a row's sum by layout, so dist_sq and the two densities
+    take C-ordered rows: their bits do not depend on the layout handed in.
     """
 
     def __init__(self, k: int, prior: NnPriorSpec):
@@ -203,8 +207,9 @@ class ShallowNetFamily:
         self.k = k
         self.prior = prior
         self.dim = 3 * k + 1
-        # Rows per kernel tile (dist_sq, and within's screen): the scratch
-        # is a few (rows, k) arrays, so keep rows * k near 2**15.
+        # Rows per kernel tile (dist_sq, within's screen, the draws'
+        # pieces): the distance kernel holds about 20 (rows, k) arrays, so
+        # keep rows * k near 2**15.
         self.tile_rows = max(256, 32768 // k)
         # Rows per estimator batch. Fixes RNG consumption per batch: changing
         # it changes every report's bytes.
@@ -223,13 +228,22 @@ class ShallowNetFamily:
 
     # -- prior ----------------------------------------------------------------
 
+    def _fill_tiles(self, out: np.ndarray, cols, draw) -> None:
+        """out[:, cols] = draw(n), drawn as draw(m) on consecutive pieces of
+        at most tile_rows rows: the same values, with no whole-block copy."""
+        n = out.shape[0]
+        for lo in range(0, n, self.tile_rows):
+            hi = min(n, lo + self.tile_rows)
+            out[lo:hi, cols] = draw(hi - lo)
+
     def sample_matrix(self, n: int, gen: np.random.Generator) -> np.ndarray:
         k, p = self.k, self.prior
         out = np.empty((n, self.dim), order="F")
         sw = math.sqrt(p.sigma_w_sq)
-        out[:, : 2 * k] = gen.normal(0.0, sw, size=(n, 2 * k))
-        out[:, 2 * k : 3 * k] = gen.uniform(0.0, p.M, size=(n, k))
-        out[:, 3 * k] = gen.normal(0.0, math.sqrt(p.sigma_b_sq), size=n)
+        self._fill_tiles(out, slice(0, 2 * k), lambda m: gen.normal(0.0, sw, size=(m, 2 * k)))
+        self._fill_tiles(out, slice(2 * k, 3 * k), lambda m: gen.uniform(0.0, p.M, size=(m, k)))
+        sb = math.sqrt(p.sigma_b_sq)
+        self._fill_tiles(out, 3 * k, lambda m: gen.normal(0.0, sb, size=m))
         return out
 
     def log_prior_density(self, thetas: np.ndarray) -> np.ndarray:
@@ -268,6 +282,8 @@ class ShallowNetFamily:
         lb > eps_sq + margin, and the margin exceeds the rounding of both
         kernels, so a dropped row has a computed dist_sq above eps_sq too.
         Rows where the bound is nan, or its margin overflows, are kept.
+        The kept rows go to dist_sq in chunks of a quarter tile, so the
+        gathered rows stay about as small as the kernel's own scratch.
         """
         mo = self.prepare(target)
         n = thetas.shape[0]
@@ -277,7 +293,11 @@ class ShallowNetFamily:
                 lb, margin = self._lower_bound(mo, thetas[lo : lo + self.tile_rows])
                 keep[lo : lo + self.tile_rows] = ~(lb > eps_sq + margin)
         hit = np.zeros(n, dtype=bool)
-        hit[keep] = self.dist_sq(mo, thetas[keep]) <= eps_sq
+        kept = np.flatnonzero(keep)
+        step = (self.tile_rows + 3) // 4
+        for lo in range(0, kept.size, step):
+            rows = kept[lo : lo + step]
+            hit[rows] = self.dist_sq(mo, thetas[rows]) <= eps_sq
         return hit
 
     def _lower_bound(self, mo: PwlMoments, thetas: np.ndarray):
@@ -365,10 +385,13 @@ class ShallowNetFamily:
         # same bytes without the per-element broadcast path.
         k = self.k
         out = np.empty((n, self.dim), order="F")
-        out[:, : 2 * k] = _scale_shift(gen.standard_normal((n, 2 * k)), scale, center[: 2 * k])
+        self._fill_tiles(out, slice(0, 2 * k), lambda m: _scale_shift(
+            gen.standard_normal((m, 2 * k)), scale, center[: 2 * k]))
         lo, hi = center[2 * k : 3 * k] - scale, center[2 * k : 3 * k] + scale
-        out[:, 2 * k : 3 * k] = _scale_shift(gen.random((n, k)), hi - lo, lo)
-        out[:, 3 * k] = gen.normal(center[3 * k], scale, size=n)
+        width = hi - lo
+        self._fill_tiles(out, slice(2 * k, 3 * k),
+                         lambda m: _scale_shift(gen.random((m, k)), width, lo))
+        self._fill_tiles(out, 3 * k, lambda m: gen.normal(center[3 * k], scale, size=m))
         return out
 
     def cloud_log_density(self, thetas, center, scale) -> np.ndarray:

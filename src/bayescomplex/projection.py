@@ -322,23 +322,27 @@ def _with_bias_core(
     tail = np.flatnonzero(b >= x1)
     if tail.size == 0:
         raise SmallnessError(norm_sq, b2 * b2 / 4.0, f"{context}: no node right of x1")
-    i0 = int(tail[np.argmin(b[tail])])
-    if i0 in frozen:
+    # Every free node tied at the first bias right of x1 moves to 0; the
+    # first of them (i0) takes on the shifted cluster's total slope.
+    b_first = b[tail].min()
+    retargeted = [int(i) for i in tail if b[i] == b_first and i not in frozen]
+    if not retargeted:
         raise NumericalError(f"{context}: pinned node would be retargeted to 0")
-    if b[i0] > x1 + 4.0 * eps:
+    i0 = retargeted[0]
+    if b_first > x1 + 4.0 * eps:
         raise SmallnessError(norm_sq, b2 * b2 / 4.0, f"{context}: nearest node beyond x1 + 4 eps")
 
     moves: list[BiasMove] = [(int(i), float(b[i]), float(b[i] - shift)) for i in shifted]
-    moves.append((i0, float(b[i0]), 0.0))
+    moves += [(i, float(b_first), 0.0) for i in retargeted]
 
     # Delegate on the virtual net: untouched tail nodes plus the retargeted
-    # node at bias 0 carrying the shifted cluster's total slope.
+    # nodes at bias 0, i0 carrying the shifted cluster's total slope.
     sel = [int(i) for i in tail]
     u_virt = u[sel].copy()
     b_virt = b[sel].copy()
     pos_i0 = sel.index(i0)
     u_virt[pos_i0] = w_one + u[i0]
-    b_virt[pos_i0] = 0.0
+    b_virt[[sel.index(i) for i in retargeted]] = 0.0
     frozen_virt = frozenset(sel.index(i) for i in frozen if i in sel)
     u_star, b_star, v_moves, v_changes, _ = _zero_project_core(
         u_virt, b_virt, pin_zero=pos_i0, frozen=frozen_virt, context=f"{context}: delegate"
@@ -359,7 +363,8 @@ def _with_bias_core(
             old, new = old - w_one, new - w_one
         changes.append((i, old, new))
     notes = (
-        f"case-2: x0={x0:.6g} x1={x1:.6g} W1={w_one:.6g} shift={shift:.6g} retarget node {i0}",
+        f"case-2: x0={x0:.6g} x1={x1:.6g} W1={w_one:.6g} shift={shift:.6g} "
+        f"retarget node {','.join(map(str, retargeted))}",
     )
     return u_new, b_new, b2, moves, changes, notes
 

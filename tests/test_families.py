@@ -2,6 +2,8 @@
 reference: convert each parameter row to its piecewise-linear function and
 integrate the squared difference segment by segment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,23 +181,41 @@ def test_within_keeps_a_row_whose_margin_overflows():
 # -- block layout ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("k", [1, 2, 8, 64])
-def test_draws_are_column_major_with_the_row_major_bits(k):
+TILES = ("1", "7", "default", "above_block")
+
+
+def _tiled_family(k, tile):
+    """A family with the given tile_rows, and a block length that the tile
+    splits unevenly (or, for "above_block", does not split)."""
+    fam = _family(k)
+    n = 2 * fam.tile_rows + 5 if tile == "default" else 300
+    if tile != "default":
+        fam.tile_rows = n + 1 if tile == "above_block" else int(tile)
+    return fam, n
+
+
+@pytest.mark.parametrize("tile", TILES)
+@pytest.mark.parametrize("k", [1, 2, 8, 32, 64])
+def test_draws_are_column_major_with_the_row_major_bits(k, tile):
     """sample_matrix and cloud_sample fill F-ordered blocks holding exactly
-    what C-ordered blocks from the same generator calls hold."""
-    fam, n = _family(k), 300
+    what C-ordered blocks from one generator call per coordinate group
+    hold, and leave the generator where those calls leave it, however
+    tile_rows splits the calls."""
+    fam, n = _tiled_family(k, tile)
     p, seed = fam.prior, 4000 + k
     center = fam.is_center(TARGETS["1knot"])
+    gens = {"prior": np.random.default_rng(seed), "cloud": np.random.default_rng(seed)}
     drawn = {
-        "prior": fam.sample_matrix(n, np.random.default_rng(seed)),
-        "cloud": fam.cloud_sample(n, center, 0.2, np.random.default_rng(seed)),
+        "prior": fam.sample_matrix(n, gens["prior"]),
+        "cloud": fam.cloud_sample(n, center, 0.2, gens["cloud"]),
     }
-    gen = np.random.default_rng(seed)
+    ref_gens = {"prior": np.random.default_rng(seed), "cloud": np.random.default_rng(seed)}
+    gen = ref_gens["prior"]
     prior = np.empty((n, fam.dim))
     prior[:, : 2 * k] = gen.normal(0.0, np.sqrt(p.sigma_w_sq), (n, 2 * k))
     prior[:, 2 * k : 3 * k] = gen.uniform(0.0, p.M, (n, k))
     prior[:, 3 * k] = gen.normal(0.0, np.sqrt(p.sigma_b_sq), n)
-    gen = np.random.default_rng(seed)
+    gen = ref_gens["cloud"]
     cloud = np.empty((n, fam.dim))
     cloud[:, : 2 * k] = gen.normal(center[: 2 * k], 0.2, (n, 2 * k))
     cloud[:, 2 * k : 3 * k] = gen.uniform(center[2 * k : 3 * k] - 0.2,
@@ -203,7 +223,76 @@ def test_draws_are_column_major_with_the_row_major_bits(k):
     cloud[:, 3 * k] = gen.normal(center[3 * k], 0.2, n)
     for name, reference in (("prior", prior), ("cloud", cloud)):
         assert drawn[name].flags.f_contiguous, name
-        np.testing.assert_array_equal(drawn[name], reference, err_msg=name)
+        assert drawn[name].tobytes("F") == reference.tobytes("F"), name
+        assert gens[name].random() == ref_gens[name].random(), name
+
+
+@pytest.mark.parametrize("tile", TILES)
+@pytest.mark.parametrize("k", [1, 8, 32])
+def test_within_is_the_thresholded_distance_at_every_tile_size(k, tile):
+    """within == (dist_sq <= e) whatever tile_rows cuts the screen and the
+    kept rows into, on the special-bias rows plus rows whose lower bound is
+    nan (a nan weight, a nan output bias), repeated to the block length."""
+    fam, n = _tiled_family(k, tile)
+    g = PwlMoments(TARGETS["2knots"])
+    rng = np.random.default_rng(7000 + k)
+    rows = _rows(k, rng)
+    rows = np.asfortranarray(np.resize(rows, (n, rows.shape[1])))
+    rows[3, 0] = np.nan
+    rows[17, 3 * k] = np.nan
+    assert np.isnan(fam._lower_bound(g, rows[[3, 17]])[0]).all()
+    d = _family(k).dist_sq(g, rows)
+    finite = np.flatnonzero(np.isfinite(d))
+    for i in rng.choice(finite, size=6, replace=False):
+        for e in (d[i], np.nextafter(d[i], -np.inf), np.inf):
+            np.testing.assert_array_equal(fam.within(g, rows, e), d <= e,
+                                          err_msg=f"row {i} e={e!r}")
+
+
+def _scratch_bytes(call):
+    """(result, peak traced bytes allocated during call())."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_kernel_scratch_does_not_grow_with_the_block(k):
+    """Less the returned block and the per-row masks and indices, the
+    peak allocation inside sample_matrix, cloud_sample and within is no
+    larger for a block of 64 tiles than for one of 4 (tracemalloc counts
+    numpy's buffers exactly, where RSS depends on the allocator). The
+    samplers' scratch is the same at both sizes. within's is not quite:
+    its screen peaks with only the keep mask live, so on a small block the
+    screen's peak sets it and less than all of the subtracted per-row
+    bytes are there."""
+    fam, g = _family(k), PwlMoments(TARGETS["1knot"])
+    center = fam.is_center(TARGETS["1knot"])
+    scratch = {}
+    for tiles in (4, 64):
+        n = tiles * fam.tile_rows
+        gen = np.random.default_rng(8000 + k)
+        block, peak = _scratch_bytes(lambda: fam.sample_matrix(n, gen))
+        scratch["sample_matrix", tiles] = peak - block.nbytes
+        cloud, peak = _scratch_bytes(lambda: fam.cloud_sample(n, center, 0.05, gen))
+        scratch["cloud_sample", tiles] = peak - cloud.nbytes
+        del cloud
+        # eps_sq = inf keeps every row past the screen: two bool masks and
+        # n kept-row indices.
+        _, peak = _scratch_bytes(lambda: fam.within(g, block, np.inf))
+        scratch["within", tiles] = peak - n * (2 + np.dtype(np.intp).itemsize)
+        del block
+    for name in ("sample_matrix", "cloud_sample", "within"):
+        small, large = scratch[name, 4], scratch[name, 64]
+        assert large <= 1.1 * small, (name, small, large)
+        if name != "within":
+            assert large >= 0.9 * small, (name, small, large)
 
 
 @pytest.mark.parametrize("k", [1, 2, 8, 64])

@@ -358,6 +358,23 @@ class TestEdgeInputs:
         # folds into the output bias with one rounding each.
         self._assert_exact(theta, res, tol=0.0 if case == "case-1" else 1e-12)
 
+    def test_case_two_retargets_the_whole_tie_right_of_x1(self):
+        """Two nodes tied at the first bias right of x1 both move to 0, so
+        the net projects as the two-node net that merges them does; moving
+        only one of them left a delegate of squared norm 0.0324."""
+        tied = _net([-1900.0, 1000.0, 900.0], [1e-4, 2e-4, 2e-4], 0.2)
+        merged = _net([-1900.0, 1900.0], [1e-4, 2e-4], 0.2)
+        res = project_to_zero_with_bias(tied, R=1.0, guard_scale=1.0)
+        ref = project_to_zero_with_bias(merged, R=1.0, guard_scale=1.0)
+        self._assert_exact(tied, res, tol=1e-12)
+        assert "retarget node 1,2" in res.phases.notes[0]
+        star, ref_star = res.theta_star, ref.theta_star
+        assert star.b1 == ref_star.b1 + ref_star.b1[1:]
+        assert star.w2 == tied.w2 and star.b2 == ref_star.b2
+        # The second tied node adds its own move, 2e-4 -> 0, to the movement.
+        assert math.isclose(res.movement_sq, ref.movement_sq + 2e-4**2, rel_tol=1e-12)
+        assert math.isclose(ref.movement_sq, 8.2133e-8, rel_tol=1e-4)
+
     @pytest.mark.parametrize("u,b,b2", [
         ([0.5, 0.5, 0.3 + 1e-6, 0.0, 2.0], [0.0, 0.4, 0.4, 0.7, 1.2], 0.25),
         ([0.5 + 1e-6, 0.8 - 1e-6, 0.0, 1e-6, 2.0], [0.0, 0.4 + 1e-6, 0.4, 0.4 + 2e-6, 1.0],
