@@ -48,7 +48,7 @@ for i, old, new in res.phases.weight_changes:
 g = PwlFunction(bias=0.25, knots=((0.4, 0.8),))
 theta = ShallowNetParams((1.0, 1.0), (0.8 + 1e-5, 1e-5), (0.4 + 1e-5, 0.9), 0.25)
 res = project_to_target(theta, g, R=2.0, guard_scale=1.0)
-recovered = canonical_equal(shallow_to_pwl(res.theta_star), g, tol=1e-12)
+recovered = canonical_equal(shallow_to_pwl(res.theta_star), g)
 print(f"\ntarget recovery: f* == g is {recovered}")
 print(f"movement^2 = {res.movement_sq:.3e}")
 
@@ -56,6 +56,6 @@ print(f"movement^2 = {res.movement_sq:.3e}")
 # the zero set, movement^2 <= k^5 R^(4/5) ||f||^(2/5).
 theta = ShallowNetParams((1.0, 1.0), (1e-3, -5e-4), (0.2, 0.6), 1e-4)
 res = project_to_zero_with_bias(theta, R=1.0)
-zero = canonical_equal(shallow_to_pwl(res.theta_star), PwlFunction(bias=0.0), tol=1e-12)
+zero = canonical_equal(shallow_to_pwl(res.theta_star), PwlFunction(bias=0.0))
 print(f"\nwith output bias b2 = {theta.b2:g}: f* == 0 is {zero}")
 print(f"movement^2 = {res.movement_sq:.3e} (bound {res.bound:.3e})")

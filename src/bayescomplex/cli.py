@@ -92,6 +92,17 @@ _COMMON_SCHEMA = {
 
 _LINEAR_GRID = (0.1, 0.03162277660168379, 0.01, 0.0031622776601683794, 0.001)
 
+# The target and network-prior keys nn_complexity and codim share.
+_NET_TARGET_SCHEMA = {
+    "k": 1,
+    "target_locs": (0.35,),
+    "target_slopes": (1.0,),
+    "target_bias": 0.0,
+    "sigma_w_sq": 0.0,
+    "M": 0.0,
+    "sigma_b_sq": 1.0,
+}
+
 SCHEMAS: dict[str, dict[str, object]] = {
     "linear_complexity": {
         "d": 3,
@@ -103,13 +114,7 @@ SCHEMAS: dict[str, dict[str, object]] = {
         "slope_rel_tol": 0.1,
     },
     "nn_complexity": {
-        "k": 1,
-        "target_locs": (0.35,),
-        "target_slopes": (1.0,),
-        "target_bias": 0.0,
-        "sigma_w_sq": 0.0,
-        "M": 0.0,
-        "sigma_b_sq": 1.0,
+        **_NET_TARGET_SCHEMA,
         # The coarsest default point (eps = 0.3) sits in the pre-asymptotic
         # regime where the hit probability still carries strong curvature in
         # ln eps; the slope is read off the remaining window.
@@ -118,13 +123,7 @@ SCHEMAS: dict[str, dict[str, object]] = {
         "cloud_width": 3.0,
     },
     "codim": {
-        "k": 1,
-        "target_locs": (0.35,),
-        "target_slopes": (1.0,),
-        "target_bias": 0.0,
-        "sigma_w_sq": 0.0,
-        "M": 0.0,
-        "sigma_b_sq": 1.0,
+        **_NET_TARGET_SCHEMA,
         "eps_grid": (),
         "radius": 0.0,
         "n_samples": 1_000_000,
@@ -428,7 +427,7 @@ def cmd_nn_complexity(cfg: dict) -> CsvReport:
     )
     rows = [
         {
-            "row": "point", "eps": eps, "chi": est.chi, "log_prob": est.log_prob,
+            "row": "point", "eps": eps, "chi": est.chi, "log_prob": -est.chi,
             "std_err": est.std_err, "n_hits": est.n_hits, "n_samples": est.n_samples,
             "seed": cfg["seed"], "zero_hits": est.zero_hits,
         }
@@ -467,7 +466,7 @@ def cmd_codim(cfg: dict) -> CsvReport:
     )
     rows = [
         {
-            "row": "point", "eps": eps, "log_vol_frac": est.log_prob,
+            "row": "point", "eps": eps, "log_vol_frac": -est.chi,
             "std_err": est.std_err, "n_hits": est.n_hits, "n_samples": est.n_samples,
             "seed": cfg["seed"], "note": fit.note,
         }
@@ -513,7 +512,7 @@ def cmd_one_change(cfg: dict) -> CsvReport:
                 f"chi_hat {est.chi:.4f} outside [{res.lower:.4f}, {res.upper:.4f}] "
                 f"within 3 SE ({3.0 * est.std_err:.4f})"
             )
-    if not res.assumptions_ok:
+    if res.violated:
         failures.append("assumption checks violated: " + ";".join(res.violated))
     passed = not failures
     columns = (
@@ -525,7 +524,7 @@ def cmd_one_change(cfg: dict) -> CsvReport:
         "a": cfg["a"], "b": cfg["b"], "t": cfg["t"], "k": cfg["k"], "eps": cfg["eps"],
         "chi_hat": est.chi, "std_err": est.std_err, "n_hits": est.n_hits,
         "n_samples": est.n_samples, "seed": cfg["seed"], "zero_hits": est.zero_hits,
-        "lower": res.lower, "upper": res.upper, "assumptions_ok": res.assumptions_ok,
+        "lower": res.lower, "upper": res.upper, "assumptions_ok": not res.violated,
         "violated": ";".join(res.violated), "within_bounds": within, "passed": passed,
     }]
     return CsvReport(columns, rows, tuple(failures))

@@ -41,20 +41,18 @@ DEFAULT_EPS_GRID = (0.3, 0.2, 0.14, 0.1, 0.07, 0.05)
 class ComplexityEstimate:
     """A single complexity number with its sample counts and flags.
 
-    ``chi`` is -log_prob for probability-based methods and the negative log
-    of the relevant expectation for the exponential family of definitions.
-    ``zero_hits`` marks rule-of-three lower bounds (chi = ln(n/3)) that must
-    not enter slope regressions. ``infinite`` marks structurally impossible
-    events (probability zero).
+    ``chi`` is -ln of the event's probability for probability-based methods
+    and the negative log of the relevant expectation for the exponential
+    family of definitions. ``zero_hits`` marks rule-of-three lower bounds
+    (chi = ln(n/3)) that must not enter slope regressions. chi = inf marks a
+    structurally impossible event (probability zero).
     """
 
     chi: float
-    log_prob: float
     std_err: float
     n_samples: int
     n_hits: int
     zero_hits: bool = False
-    infinite: bool = False
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,6 @@ class OneChangeResult:
     chi_hat: ComplexityEstimate
     lower: float
     upper: float
-    assumptions_ok: bool
     violated: tuple[str, ...]
 
 
@@ -214,7 +211,6 @@ def chi_from_q(
     log_q = log_q_closed_form(kappa, sigma_w, math.sqrt(eff), d)
     return ComplexityEstimate(
         chi=-log_q,
-        log_prob=log_q,
         std_err=0.0,
         n_samples=0,
         n_hits=0,
@@ -229,7 +225,6 @@ def chi_from_q(
 def _rule_of_three(n: int) -> ComplexityEstimate:
     return ComplexityEstimate(
         chi=math.log(n / 3.0),
-        log_prob=math.log(3.0 / n),
         std_err=math.inf,
         n_samples=n,
         n_hits=0,
@@ -240,11 +235,9 @@ def _rule_of_three(n: int) -> ComplexityEstimate:
 def _impossible() -> ComplexityEstimate:
     return ComplexityEstimate(
         chi=math.inf,
-        log_prob=-math.inf,
         std_err=0.0,
         n_samples=0,
         n_hits=0,
-        infinite=True,
     )
 
 
@@ -256,7 +249,6 @@ def _naive_estimate(hits: int, n: int) -> ComplexityEstimate:
     p = hits / n
     return ComplexityEstimate(
         chi=-math.log(p),
-        log_prob=math.log(p),
         std_err=math.sqrt((1.0 - p) / (p * n)),
         n_samples=n,
         n_hits=hits,
@@ -464,7 +456,6 @@ def sharp_complexity_is(
         se_chi = math.sqrt((1.0 - hits / n) / hits)
     return ComplexityEstimate(
         chi=-math.log(p),
-        log_prob=math.log(p),
         std_err=se_chi,
         n_samples=n,
         n_hits=hits,
@@ -481,7 +472,7 @@ def fit_limiting_slope(
     eps_grid: Sequence[float],
     note: str = "",
 ) -> SlopeEstimate:
-    """Weighted least-squares slope of log_prob against ln(eps).
+    """Weighted least-squares slope of -chi against ln(eps).
 
     Weights are 1/std_err^2 with a 1e-12 floor so exact (closed-form)
     points behave as near-hard constraints; the ci_halfwidth is 1.96 times
@@ -492,10 +483,10 @@ def fit_limiting_slope(
     if len(eps_grid) < 3:
         raise ConfigError("slope regression needs at least 3 grid points")
     for est, eps in zip(per_eps, eps_grid):
-        if est.zero_hits or est.infinite:
+        if est.zero_hits or est.chi == math.inf:
             raise InsufficientSamplesError(eps, est.n_samples)
     x = np.log(np.asarray(eps_grid, dtype=float))
-    y = np.array([e.log_prob for e in per_eps])
+    y = np.array([-e.chi for e in per_eps])
     se = np.array([max(e.std_err, 1e-12) for e in per_eps])
     w = 1.0 / (se * se)
     sw = w.sum()
@@ -953,6 +944,5 @@ def one_change_bounds(
         chi_hat=chi_hat,
         lower=lower,
         upper=upper,
-        assumptions_ok=not violated,
         violated=violated,
     )

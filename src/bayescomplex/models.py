@@ -193,11 +193,11 @@ class DeepNetParams:
         return out if np.ndim(x) else float(out[0])
 
 
-def _is_reflection_symmetric(g0: PwlFunction, tol: float = 1e-10) -> bool:
-    # Check g0(t) == g0(1 - t) at the union of knots and reflected knots.
+def _is_reflection_symmetric(g0: PwlFunction) -> bool:
+    # Check g0(t) == g0(1 - t) to 1e-10 at the union of knots and reflected knots.
     pts = np.unique(np.concatenate([g0.breakpoints(), 1.0 - g0.breakpoints()]))
     pts = np.clip(pts, 0.0, 1.0)
-    return bool(np.max(np.abs(g0(pts) - g0(1.0 - pts))) <= tol)
+    return bool(np.max(np.abs(g0(pts) - g0(1.0 - pts))) <= 1e-10)
 
 
 def interior_knot_count(g0: PwlFunction) -> int:

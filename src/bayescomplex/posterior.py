@@ -37,7 +37,7 @@ from .rng import SeededRng
 
 @dataclass(frozen=True)
 class Dataset:
-    """A sample S = (xs, ys) drawn with noise variance sigma_e_sq.
+    """A sample S = (xs, ys).
 
     The conjugate formulas need the design phi = basis_matrix(basis, xs),
     phi'phi and phi'ys; the bisection in find_sigma_alg asks for them once
@@ -49,7 +49,6 @@ class Dataset:
 
     xs: np.ndarray
     ys: np.ndarray
-    sigma_e_sq: float
     _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,10 +114,6 @@ class GaussianPosterior:
         cov = self.covariance
         if not (np.array_equal(cov, cov.T) or np.allclose(cov, cov.T, atol=1e-10)):
             raise NumericalError("covariance is not symmetric")
-        try:
-            self._chol = np.linalg.cholesky(self.covariance)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"covariance is not positive definite: {exc}") from exc
 
     @property
     def d(self) -> int:
@@ -143,7 +138,7 @@ def generate_dataset(
     ys = np.asarray(g(xs), dtype=float)
     if sigma_e_sq > 0:
         ys = ys + gen.normal(0.0, math.sqrt(sigma_e_sq), size=N)
-    return Dataset(xs=xs, ys=ys, sigma_e_sq=sigma_e_sq)
+    return Dataset(xs=xs, ys=ys)
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +201,8 @@ def _std_normal_pdf(x):
 
 def expected_clipped_loss_gaussian(mu, s_sq, C: float):
     """E[min(r^2, C)] for r ~ N(mu, s_sq), exactly, via truncated-normal
-    second moments. Vectorized over mu and s_sq.
+    second moments. Vectorized over mu and s_sq; a negative or NaN variance
+    (from a covariance that is not positive definite) raises NumericalError.
 
     The standard normal pdf is scipy's own expression exp(-x**2/2)/sqrt(2 pi)
     and the cdf is scipy.special.ndtr, the calls scipy.stats.norm makes at
@@ -215,7 +211,10 @@ def expected_clipped_loss_gaussian(mu, s_sq, C: float):
     from scipy import special
 
     mu = np.asarray(mu, dtype=float)
-    s = np.sqrt(np.asarray(s_sq, dtype=float))
+    s_sq = np.asarray(s_sq, dtype=float)
+    if not np.all(s_sq >= 0.0):
+        raise NumericalError("clipped loss got a negative or NaN variance")
+    s = np.sqrt(s_sq)
     root = math.sqrt(C)
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = np.where(s > 0, (-root - mu) / s, 0.0)
@@ -248,15 +247,18 @@ def conjugate_empirical_loss(
     return [float(vals[start:end].mean()) for start, end in zip(ends, ends[1:])]
 
 
+_QUAD_NODES = 200  # Gauss-Legendre nodes of conjugate_true_loss's quadrature
+
+
 @functools.lru_cache(maxsize=8)
 def _quadrature_design(
-    basis: BasisSpec, measure: L2Measure, n_nodes: int
+    basis: BasisSpec, measure: L2Measure
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The basis design at the n_nodes Gauss-Legendre nodes mapped onto
+    """The basis design at the _QUAD_NODES Gauss-Legendre nodes mapped onto
     measure's interval, and the rule's weights, computed once per argument
-    set (each leggauss call is an n_nodes x n_nodes eigenproblem); the arrays
+    set (each leggauss call is an eigenproblem of that size); the arrays
     are read-only because every caller shares them."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
     xs = (measure.lo + measure.hi) / 2.0 + (measure.hi - measure.lo) / 2.0 * nodes
     phi = basis_matrix(basis, xs)
     phi.flags.writeable = False
@@ -271,14 +273,13 @@ def conjugate_true_loss(
     sigma_e_sq: float,
     measure: L2Measure,
     spec: LossSpec,
-    n_nodes: int = 200,
 ) -> list[float]:
     """E_{h~Q} E_{x,y}[min((h(x) - y)^2, C)] for each Q in posts and a
     realizable linear target, by Gauss-Legendre quadrature of the exact per-x
     formula; batched as conjugate_empirical_loss is."""
     if target.perp_sq != 0.0:
         raise ConfigError("conjugate_true_loss requires a fully realizable target")
-    phi, weights = _quadrature_design(basis, measure, n_nodes)
+    phi, weights = _quadrature_design(basis, measure)
     w = np.asarray(target.w)
     mu = np.concatenate([phi @ (post.mean - w) for post in posts])
     s_sq = np.concatenate([
@@ -286,8 +287,8 @@ def conjugate_true_loss(
     ])
     vals = expected_clipped_loss_gaussian(mu, s_sq, spec.clip_C)
     return [
-        float(np.sum(weights * vals[start:start + n_nodes]) / 2.0)
-        for start in range(0, vals.size, n_nodes)
+        float(np.sum(weights * vals[start:start + _QUAD_NODES]) / 2.0)
+        for start in range(0, vals.size, _QUAD_NODES)
     ]
 
 
@@ -393,15 +394,18 @@ def run_sgld(
     return np.concatenate(draws)
 
 
-def batch_means_se(chain: np.ndarray, n_batches: int = 30) -> float:
-    """Standard error of a correlated chain's mean via batch means."""
+_N_BATCHES = 30  # batches of batch_means_se
+
+
+def batch_means_se(chain: np.ndarray) -> float:
+    """Standard error of a correlated chain's mean via _N_BATCHES batch means."""
     chain = np.asarray(chain, dtype=float)
-    m = chain.shape[0] // n_batches
+    m = chain.shape[0] // _N_BATCHES
     if m < 1:
-        raise ConfigError("chain too short for the requested batch count")
-    trimmed = chain[: m * n_batches]
-    means = trimmed.reshape(n_batches, m, *chain.shape[1:]).mean(axis=1)
-    return float(np.max(means.std(axis=0) / math.sqrt(n_batches)))
+        raise ConfigError(f"chain too short for {_N_BATCHES} batches")
+    trimmed = chain[: m * _N_BATCHES]
+    means = trimmed.reshape(_N_BATCHES, m, *chain.shape[1:]).mean(axis=1)
+    return float(np.max(means.std(axis=0) / math.sqrt(_N_BATCHES)))
 
 
 # --------------------------------------------------------------------------
@@ -421,13 +425,16 @@ def kl_gaussians(q: GaussianPosterior, p: GaussianPosterior) -> float:
     if q.d != p.d:
         raise ConfigError("dimension mismatch between posteriors")
     d = q.d
-    chol_p = p._chol
+    try:
+        chol_p, chol_q = np.linalg.cholesky(p.covariance), np.linalg.cholesky(q.covariance)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"covariance is not positive definite: {exc}") from exc
     solved = _cho_solve(chol_p, q.covariance, lower=1)
     trace = float(np.trace(solved))
     diff = p.mean - q.mean
     quad = float(diff @ _cho_solve(chol_p, diff, lower=1))
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(chol_p))))
-    logdet_q = 2.0 * float(np.sum(np.log(np.diag(q._chol))))
+    logdet_q = 2.0 * float(np.sum(np.log(np.diag(chol_q))))
     return 0.5 * (trace + quad - d + logdet_p - logdet_q)
 
 
@@ -449,6 +456,11 @@ def theorem_bound(
     )
 
 
+# find_sigma_alg's sigma_y_sq bracket and its cap on bisection halvings.
+_SIGMA_BRACKET = (1e-6, 1e6)
+_SIGMA_MAX_ITER = 60
+
+
 def find_sigma_alg(
     beta: float,
     sigma_e_sq: float,
@@ -457,10 +469,8 @@ def find_sigma_alg(
     tol: float,
     rng: SeededRng,
     *,
-    loss_spec: LossSpec | None = None,
+    loss_spec: LossSpec,
     n_replicas: int = 32,
-    bracket: tuple[float, float] = (1e-6, 1e6),
-    max_iter: int = 60,
 ) -> tuple[float, float]:
     """Bisection on ln sigma_y_sq for E_S E_{h~Q(sigma_y_sq)}[L_S(h)] =
     (1 + beta) sigma_e_sq, using a fixed set of dataset replicas so the
@@ -468,13 +478,16 @@ def find_sigma_alg(
     replica's loss is the exact expected loss under its conjugate posterior;
     replica i's dataset comes from rng.stream(i).
 
+    The search brackets sigma_y_sq in _SIGMA_BRACKET and raises CheckFailure
+    when the target is outside the losses at its ends (as one above clip_C
+    is), or is still farther than tol after _SIGMA_MAX_ITER halvings.
+
     Returns (sigma_y_sq, achieved objective).
     """
     if not 0.0 < beta <= 1.0:
         raise ConfigError(f"beta must lie in (0, 1], got {beta}")
     if tol <= 0:
         raise ConfigError(f"tol must be > 0, got {tol}")
-    spec = loss_spec if loss_spec is not None else LossSpec()
     replicas = [dataset_generator(rng.stream(i)) for i in range(n_replicas)]
 
     def mean_loss(sigma_y_sq: float) -> float:
@@ -482,20 +495,21 @@ def find_sigma_alg(
         losses = []
         for S in replicas:
             post = conjugate_posterior_linear(S, family.prior, family.basis, sigma_y_sq)
-            losses += conjugate_empirical_loss([(S, post)], family.basis, spec)
+            losses += conjugate_empirical_loss([(S, post)], family.basis, loss_spec)
         return float(np.mean(losses))
 
     target = (1.0 + beta) * sigma_e_sq
-    lo, hi = math.log(bracket[0]), math.log(bracket[1])
-    loss_lo, loss_hi = mean_loss(bracket[0]), mean_loss(bracket[1])
+    bottom, top = _SIGMA_BRACKET
+    lo, hi = math.log(bottom), math.log(top)
+    loss_lo, loss_hi = mean_loss(bottom), mean_loss(top)
     if not loss_lo <= target <= loss_hi:
         raise CheckFailure(
             "sigma_alg bracket failure: "
-            f"L(sigma_y_sq={bracket[0]:g}) = {loss_lo:.6g}, "
-            f"L(sigma_y_sq={bracket[1]:g}) = {loss_hi:.6g}, target = {target:.6g}"
+            f"L(sigma_y_sq={bottom:g}) = {loss_lo:.6g}, "
+            f"L(sigma_y_sq={top:g}) = {loss_hi:.6g}, target = {target:.6g}"
         )
-    mid_val = bracket[0]
-    for _ in range(max_iter):
+    mid_val = bottom
+    for _ in range(_SIGMA_MAX_ITER):
         mid = (lo + hi) / 2.0
         mid_val = math.exp(mid)
         loss_mid = mean_loss(mid_val)
@@ -507,5 +521,5 @@ def find_sigma_alg(
             hi = mid
     raise CheckFailure(
         f"sigma_alg bisection did not reach |L - {target:.6g}| <= {tol:g} "
-        f"within {max_iter} iterations (last sigma_y_sq = {mid_val:.6g})"
+        f"within {_SIGMA_MAX_ITER} iterations (last sigma_y_sq = {mid_val:.6g})"
     )

@@ -29,7 +29,6 @@ WeightChange = tuple[int, float, float]
 class ProjectionPhases:
     bias_moves: tuple[BiasMove, ...]
     weight_changes: tuple[WeightChange, ...]
-    notes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,7 @@ def project_to_zero(theta: ShallowNetParams) -> ProjectionResult:
     )
     bound = 96.0 * theta.k ** (13.0 / 5.0) * norm_sq ** (2.0 / 5.0)
     return _result(theta, u_new, b_new, 0.0, bound,
-                   ProjectionPhases(tuple(moves), tuple(changes), ()))
+                   ProjectionPhases(tuple(moves), tuple(changes)))
 
 
 # --------------------------------------------------------------------------
@@ -255,21 +254,22 @@ def _with_bias_core(
     frozen: frozenset[int],
     context: str,
 ):
-    """Return (u_new, b_new, b2_new, notes). Biases must be >= 0."""
+    """Return (u_new, b_new, b2_new, bias_moves, weight_changes). Biases
+    must be >= 0."""
     eps = math.sqrt(norm_sq)
     if abs(b2) <= math.sqrt(eps):
+        # Case 1: zero b2, then the two-phase projection.
         u_new, b_new, moves, changes, _ = _zero_project_core(
             u, b, pin_zero=None, frozen=frozen, context=context
         )
-        note = f"case-1: zeroed b2={b2:.6g} then two-phase projection"
-        return u_new, b_new, 0.0, moves, changes, (note,)
+        return u_new, b_new, 0.0, moves, changes
     if b2 < 0.0:
-        u_m, b_m, b2_m, moves, changes, notes = _with_bias_core(
+        # Mirror through f -> -f.
+        u_m, b_m, b2_m, moves, changes = _with_bias_core(
             -u, b, -b2, norm_sq, frozen, context
         )
         changes = [(i, -old, -new) for i, old, new in changes]
-        return (np.negative(u_m), b_m, -b2_m, moves, changes,
-                notes + ("mirrored through f -> -f",))
+        return np.negative(u_m), b_m, -b2_m, moves, changes
 
     # Case 2: b2 > sqrt(||f||). Build the breakpoint profile of f.
     interior = np.unique(b[(b > 0.0) & (b < 1.0)])
@@ -362,11 +362,7 @@ def _with_bias_core(
         if i == i0:
             old, new = old - w_one, new - w_one
         changes.append((i, old, new))
-    notes = (
-        f"case-2: x0={x0:.6g} x1={x1:.6g} W1={w_one:.6g} shift={shift:.6g} "
-        f"retarget node {','.join(map(str, retargeted))}",
-    )
-    return u_new, b_new, b2, moves, changes, notes
+    return u_new, b_new, b2, moves, changes
 
 
 def project_to_zero_with_bias(
@@ -385,12 +381,12 @@ def project_to_zero_with_bias(
     threshold = guard_scale / (R**4 * k**5)
     if not norm_sq < threshold:
         raise SmallnessError(norm_sq, threshold, "project_to_zero_with_bias")
-    u_new, b_new, b2_new, moves, changes, notes = _with_bias_core(
+    u_new, b_new, b2_new, moves, changes = _with_bias_core(
         u, b, theta.b2, norm_sq, frozenset(), "project_to_zero_with_bias"
     )
     bound = k**5 * R ** (4.0 / 5.0) * norm_sq ** (1.0 / 5.0)
     return _result(theta, u_new, b_new, b2_new, bound,
-                   ProjectionPhases(tuple(moves), tuple(changes), notes))
+                   ProjectionPhases(tuple(moves), tuple(changes)))
 
 
 # --------------------------------------------------------------------------
@@ -426,18 +422,14 @@ def project_to_target(
     threshold = guard_scale / (R**4 * total**5)
     if not norm_sq < threshold:
         raise SmallnessError(norm_sq, threshold, "project_to_target")
-    u_new, b_new, b2_new, moves, changes, notes = _with_bias_core(
+    u_new, b_new, b2_new, moves, changes = _with_bias_core(
         u_aug, b_aug, b2_aug, norm_sq, frozen, "project_to_target"
     )
     for j in range(c):
         if u_new[k + j] != u_aug[k + j] or b_new[k + j] != b_aug[k + j]:
             raise NumericalError(f"project_to_target: pinned target node {j} was altered")
-    assignment = []
-    for j, t in enumerate(knot_t):
-        cluster = [int(i) for i in range(k) if b_new[i] == t]
-        assignment.append(f"knot {j} at t={t:.6g} <- nodes {cluster}")
     bound = k**7 * R ** (4.0 / 5.0) * norm_sq ** (1.0 / 5.0)
     real_moves = tuple(m for m in moves if m[0] < k)
     real_changes = tuple(ch for ch in changes if ch[0] < k)
     return _result(theta, u_new[:k], b_new[:k], b2_new + g.bias, bound,
-                   ProjectionPhases(real_moves, real_changes, notes + tuple(assignment)))
+                   ProjectionPhases(real_moves, real_changes))

@@ -100,12 +100,14 @@ def canonicalize(
     return PwlFunction(float(bias), knots, domain_lo, domain_hi)
 
 
-def canonical_equal(f: PwlFunction, g: PwlFunction, tol: float = CANONICAL_TOL) -> bool:
-    """Equality as functions, checked at the union of breakpoints.
+def canonical_equal(f: PwlFunction, g: PwlFunction) -> bool:
+    """Equality as functions to within CANONICAL_TOL, checked at the union
+    of breakpoints.
 
     The difference of two piecewise-linear functions attains its maximum
     modulus at a breakpoint, so this finite check is exact up to rounding.
     """
+    tol = CANONICAL_TOL
     if abs(f.domain_lo - g.domain_lo) > tol or abs(f.domain_hi - g.domain_hi) > tol:
         return False
     pts = np.unique(np.concatenate([f.breakpoints(), g.breakpoints()]))

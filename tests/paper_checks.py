@@ -70,7 +70,7 @@ def predict(family, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def sample_gaussian(post: GaussianPosterior, n: int, gen: np.random.Generator) -> np.ndarray:
     """n draws from the posterior, one per row."""
-    return post.mean + gen.standard_normal((n, post.d)) @ post._chol.T
+    return post.mean + gen.standard_normal((n, post.d)) @ np.linalg.cholesky(post.covariance).T
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +237,6 @@ def _logmean_estimate(a: np.ndarray) -> ComplexityEstimate:
     se = float(y.std()) / (mean_y * math.sqrt(n))
     return ComplexityEstimate(
         chi=-log_mean,
-        log_prob=log_mean,
         std_err=se,
         n_samples=n,
         n_hits=n,

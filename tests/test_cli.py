@@ -178,11 +178,13 @@ class TestExitCodes:
         assert chis[-2:] == pytest.approx([817.55, 821.01], abs=5e-3)
 
     def test_assumption_violation_is_one(self, capsys):
-        rc, _, err = run_cli(
+        rc, out, err = run_cli(
             ["one_change", "a=1.8", "b=0.1", "n_samples=50000"], capsys
         )
         assert rc == 1
         assert "eps^(1/4) <= |b|" in err
+        [row] = csv.DictReader(line for line in out.splitlines() if not line.startswith("#"))
+        assert (row["assumptions_ok"], row["violated"]) == ("false", "eps^(1/4) <= |b|")
 
     def test_config_error_is_two(self, capsys):
         rc, _, err = run_cli(["linear_complexity", "eps_grid=0.1,0.01"], capsys)

@@ -457,7 +457,6 @@ def _weigh_every_row(family, target, eps_sq, n, rng, workers, cloud_width=3.0):
     p = s1 / n
     return complexity.ComplexityEstimate(
         chi=-math.log(p),
-        log_prob=math.log(p),
         std_err=math.sqrt(max(s2 / n - p * p, 0.0) / n) / p,
         n_samples=n,
         n_hits=hits,
@@ -634,7 +633,7 @@ class TestLimitingComplexityShallow:
         family = ShallowNetFamily(1, NnPriorSpec.default_for(1))
         fit = limiting_complexity(family, _ONE_KNOT, grid, 60_000, SeededRng(42))
         exact = fit_limiting_slope([
-            replace(est, chi=chi, log_prob=-chi)
+            replace(est, chi=chi)
             for est, chi in zip(fit.per_eps, (3.5368, 4.6104, 5.5310))
         ], grid)
         assert abs(fit.slope - exact.slope) <= 3.0 / 1.96 * fit.ci_halfwidth
@@ -769,7 +768,7 @@ class TestTrueVersusSharp:
                 sigma_e_sq,
                 eps_sq,
             )
-            assert not sharp.infinite and sharp.n_hits >= 100
+            assert sharp.chi < math.inf and sharp.n_hits >= 100
             bound = sharp.chi + eps_sq / (2.0 * sigma_y_sq)
             assert chi_n.chi <= bound + 1e-12, f"trial {trial}"
             assert chi_n.chi <= bound + 3 * _joint_se(chi_n, sharp)

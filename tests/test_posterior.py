@@ -91,7 +91,7 @@ class TestDataset:
         with pytest.raises(ConfigError):
             generate_dataset(g, 10, -0.01, UNIFORM_SYM, SeededRng(0))
         with pytest.raises(ConfigError):
-            Dataset(xs=np.zeros(3), ys=np.zeros(4), sigma_e_sq=0.0)
+            Dataset(xs=np.zeros(3), ys=np.zeros(4))
 
 
 class TestClippedLoss:
@@ -194,6 +194,20 @@ class TestExpectedClippedLossGaussian:
         se = samples.std() / math.sqrt(samples.size)
         assert abs(exact - samples.mean()) <= 3.0 * se
 
+    @pytest.mark.parametrize("s_sq", [-1e-300, -0.5, math.nan, [0.1, -0.1], [0.1, math.nan]])
+    def test_negative_or_nan_variance_raises(self, s_sq):
+        with pytest.raises(NumericalError, match="negative or NaN variance"):
+            expected_clipped_loss_gaussian(0.0, s_sq, 4.0)
+
+    def test_not_positive_definite_posterior_loss_raises(self):
+        """A posterior whose covariance is not positive definite gives some
+        x a negative predictive variance; its loss is a NumericalError."""
+        basis = BasisSpec(d=2)
+        S = Dataset(xs=np.array([0.0, -0.5]), ys=np.zeros(2))
+        post = GaussianPosterior(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NumericalError, match="negative or NaN variance"):
+            conjugate_empirical_loss([(S, post)], basis, LossSpec())
+
     def test_vectorized(self):
         mus = np.array([0.0, 0.5, -2.0])
         s_sqs = np.array([0.1, 0.0, 2.0])
@@ -226,7 +240,8 @@ class TestDesignMemo:
         def search():
             return find_sigma_alg(
                 1.0, 0.04, lambda r: generate_dataset(g, 40, 0.04, UNIFORM_SYM, r),
-                family, 1e-3, SeededRng(seed).stream(1), n_replicas=8,
+                family, 1e-3, SeededRng(seed).stream(1), loss_spec=LossSpec(),
+                n_replicas=8,
             )
 
         memoized = search()
@@ -253,11 +268,11 @@ class TestDesignMemo:
         revisits each, gives what a new dataset gives every time."""
         gen = np.random.default_rng(4)
         xs, ys = gen.uniform(-1.0, 1.0, 30), gen.normal(size=30)
-        S = Dataset(xs=xs, ys=ys, sigma_e_sq=0.04)
+        S = Dataset(xs=xs, ys=ys)
         spec = LossSpec()
         for d, sigma_y_sq in [(3, 0.1), (1, 0.1), (3, 2.0), (5, 0.1), (1, 2.0), (3, 0.1)]:
             basis, prior, _ = _linear_setup(d)
-            fresh = Dataset(xs=xs, ys=ys, sigma_e_sq=0.04)
+            fresh = Dataset(xs=xs, ys=ys)
             post = conjugate_posterior_linear(S, prior, basis, sigma_y_sq)
             ref = conjugate_posterior_linear(fresh, prior, basis, sigma_y_sq)
             np.testing.assert_array_equal(post.mean, ref.mean)
@@ -268,7 +283,7 @@ class TestDesignMemo:
 
     def test_arrays_are_read_only_copies(self):
         xs, ys = np.linspace(-1.0, 1.0, 5), np.zeros(5)
-        S = Dataset(xs=xs, ys=ys, sigma_e_sq=0.0)
+        S = Dataset(xs=xs, ys=ys)
         for arr in (S.xs, S.ys):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.5
@@ -281,7 +296,7 @@ class TestConjugatePosterior:
 
     def test_no_data_returns_prior(self):
         basis, prior, _ = _linear_setup(3, sigma_w_sq=0.7)
-        S = Dataset(xs=np.zeros(0), ys=np.zeros(0), sigma_e_sq=0.0)
+        S = Dataset(xs=np.zeros(0), ys=np.zeros(0))
         post = conjugate_posterior_linear(S, prior, basis, 0.5)
         np.testing.assert_array_equal(post.mean, np.zeros(3))
         np.testing.assert_array_equal(post.covariance, 0.7 * np.eye(3))
@@ -298,7 +313,7 @@ class TestConjugatePosterior:
         # d = 1: the only basis function is the constant 1/sqrt(2), so the
         # update is the textbook scalar conjugate formula.
         basis, prior, _ = _linear_setup(1, sigma_w_sq=2.0)
-        S = Dataset(xs=np.array([0.3]), ys=np.array([1.1]), sigma_e_sq=0.04)
+        S = Dataset(xs=np.array([0.3]), ys=np.array([1.1]))
         sigma_y_sq = 0.25
         post = conjugate_posterior_linear(S, prior, basis, sigma_y_sq)
         phi = 1.0 / math.sqrt(2.0)
@@ -323,7 +338,7 @@ class TestConjugatePosterior:
 
     def test_validation(self):
         basis, prior, _ = _linear_setup(1)
-        S = Dataset(xs=np.array([0.1]), ys=np.array([0.2]), sigma_e_sq=0.0)
+        S = Dataset(xs=np.array([0.1]), ys=np.array([0.2]))
         with pytest.raises(ConfigError):
             conjugate_posterior_linear(S, prior, basis, 0.0)
 
@@ -335,7 +350,7 @@ class TestConjugatePosterior:
         some grams are singular and only the prior makes the precision SPD)."""
         gen = np.random.default_rng(seed)
         n = int(gen.integers(1, 40))
-        S = Dataset(xs=gen.uniform(-1.0, 1.0, n), ys=gen.normal(size=n), sigma_e_sq=0.04)
+        S = Dataset(xs=gen.uniform(-1.0, 1.0, n), ys=gen.normal(size=n))
         sigma_y_sq, sigma_w_sq = 10.0 ** gen.uniform(-3.0, 1.0, size=2)
         basis, prior, _ = _linear_setup(d, sigma_w_sq=float(sigma_w_sq))
         post = conjugate_posterior_linear(S, prior, basis, float(sigma_y_sq))
@@ -349,7 +364,7 @@ class TestConjugatePosterior:
 
     def test_non_finite_design_raises(self):
         basis, prior, _ = _linear_setup(3)
-        S = Dataset(xs=np.array([0.1, np.nan]), ys=np.zeros(2), sigma_e_sq=0.0)
+        S = Dataset(xs=np.array([0.1, np.nan]), ys=np.zeros(2))
         with pytest.raises(NumericalError, match="design matrix contains non-finite entries"):
             conjugate_posterior_linear(S, prior, basis, 0.5)
 
@@ -357,7 +372,7 @@ class TestConjugatePosterior:
         """Four copies of x = 1 give a rank-one gram of size ~1e3; its 1e-20
         ridge is lost to rounding, so the second pivot is not positive."""
         basis, prior, _ = _linear_setup(2, sigma_w_sq=1e20)
-        S = Dataset(xs=np.ones(4), ys=np.ones(4), sigma_e_sq=0.0)
+        S = Dataset(xs=np.ones(4), ys=np.ones(4))
         with pytest.raises(
             NumericalError,
             match=r"posterior precision not positive definite \(LAPACK dpotrf info=2\)",
@@ -366,7 +381,7 @@ class TestConjugatePosterior:
 
 
 class TestGaussianPosterior:
-    """Container invariants: symmetric positive-definite covariance."""
+    """Container invariants: matching shapes and a symmetric covariance."""
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
@@ -374,11 +389,6 @@ class TestGaussianPosterior:
 
     def test_asymmetric_covariance(self):
         cov = np.array([[1.0, 0.5], [0.1, 1.0]])
-        with pytest.raises(NumericalError):
-            GaussianPosterior(np.zeros(2), cov)
-
-    def test_not_positive_definite(self):
-        cov = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NumericalError):
             GaussianPosterior(np.zeros(2), cov)
 
@@ -437,7 +447,7 @@ class TestSgld:
 
     def test_no_data_chain_samples_prior(self):
         _, _, family = _linear_setup(1)
-        S = Dataset(xs=np.zeros(0), ys=np.zeros(0), sigma_e_sq=0.0)
+        S = Dataset(xs=np.zeros(0), ys=np.zeros(0))
         cfg = SgldConfig(eta=0.01, steps=105_000, burn_in=5_000, thin=10,
                          sigma_y_sq=1.0)
         draws = run_sgld(S, family, cfg, SeededRng(42).stream(3))
@@ -522,7 +532,7 @@ class TestLinearSgldRecursion:
     def _problem(d, N):
         basis, _, family = _linear_setup(d)
         if N == 0:
-            return Dataset(xs=np.zeros(0), ys=np.zeros(0), sigma_e_sq=0.0), family
+            return Dataset(xs=np.zeros(0), ys=np.zeros(0)), family
         w = (0.8, -0.5, 0.3)[:d]
         g = LinearFunction(w, basis)
         return generate_dataset(g, N, 0.04, UNIFORM_SYM, SeededRng(11).stream(d)), family
@@ -763,14 +773,24 @@ class TestPacBayesPieces:
         q = GaussianPosterior(gen.normal(size=d), a @ a.T + 0.2 * np.eye(d))
         p = GaussianPosterior(gen.normal(size=d), b @ b.T + 0.2 * np.eye(d))
         diff = p.mean - q.mean
+        chol_p, chol_q = np.linalg.cholesky(p.covariance), np.linalg.cholesky(q.covariance)
         want = 0.5 * (
-            float(np.trace(linalg.cho_solve((p._chol, True), q.covariance)))
-            + float(diff @ linalg.cho_solve((p._chol, True), diff))
+            float(np.trace(linalg.cho_solve((chol_p, True), q.covariance)))
+            + float(diff @ linalg.cho_solve((chol_p, True), diff))
             - d
-            + 2.0 * float(np.sum(np.log(np.diag(p._chol))))
-            - 2.0 * float(np.sum(np.log(np.diag(q._chol))))
+            + 2.0 * float(np.sum(np.log(np.diag(chol_p))))
+            - 2.0 * float(np.sum(np.log(np.diag(chol_q))))
         )
         assert kl_gaussians(q, p) == want
+
+    def test_kl_not_positive_definite(self):
+        """The KL factors both covariances; either one that is symmetric but
+        not positive definite is a NumericalError."""
+        bad = GaussianPosterior(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        good = GaussianPosterior(np.zeros(2), np.eye(2))
+        for q, p in ((bad, good), (good, bad)):
+            with pytest.raises(NumericalError, match="not positive definite"):
+                kl_gaussians(q, p)
 
     def test_kl_dimension_mismatch(self):
         q = GaussianPosterior(np.zeros(1), np.eye(1))
@@ -902,17 +922,21 @@ class TestFindSigmaAlg:
         def make(r):
             return generate_dataset(g, 40, 0.04, UNIFORM_SYM, r)
 
-        with pytest.raises(CheckFailure, match="bracket"):
-            find_sigma_alg(1.0, 0.04, make, family, 1e-3,
-                           SeededRng(5).stream(1), loss_spec=LossSpec(),
-                           n_replicas=4, bracket=(1e-6, 1e-4))
+        # (1 + beta) sigma_e_sq = 5 is above clip_C = 4, which no clipped
+        # loss reaches, so the bracket's upper end falls short of it.
+        with pytest.raises(CheckFailure, match="bracket failure: .* target = 5$"):
+            find_sigma_alg(1.0, 2.5, make, family, 1e-3,
+                           SeededRng(5).stream(1), loss_spec=LossSpec(clip_C=4.0),
+                           n_replicas=4)
 
     def test_validation(self):
         basis, prior, family = _linear_setup(1)
         with pytest.raises(ConfigError):
-            find_sigma_alg(0.0, 0.04, lambda r: None, family, 1e-3, SeededRng(0))
+            find_sigma_alg(0.0, 0.04, lambda r: None, family, 1e-3, SeededRng(0),
+                           loss_spec=LossSpec())
         with pytest.raises(ConfigError):
-            find_sigma_alg(1.0, 0.04, lambda r: None, family, 0.0, SeededRng(0))
+            find_sigma_alg(1.0, 0.04, lambda r: None, family, 0.0, SeededRng(0),
+                           loss_spec=LossSpec())
 
 class TestBatchMeansSe:
     """Chain standard error via batch means."""
@@ -924,4 +948,4 @@ class TestBatchMeansSe:
 
     def test_chain_too_short(self):
         with pytest.raises(ConfigError):
-            batch_means_se(np.zeros(10), n_batches=30)
+            batch_means_se(np.zeros(10))

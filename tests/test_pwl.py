@@ -111,7 +111,8 @@ class TestCanonicalEqual:
         f = PwlFunction(bias=0.0, knots=((0.4, 1.0),))
         g = PwlFunction(bias=1e-9, knots=((0.4, 1.0),))
         assert not canonical_equal(f, g)
-        assert canonical_equal(f, g, tol=1e-8)
+        # The bound is CANONICAL_TOL itself, inclusive.
+        assert canonical_equal(PwlFunction(bias=0.0), PwlFunction(bias=CANONICAL_TOL))
 
     def test_tolerance_default_is_canonical(self):
         f = PwlFunction(bias=0.0)

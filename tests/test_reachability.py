@@ -9,7 +9,8 @@ their attribute name. A module-level name bound by an assignment (annotated
 or not) is a definition too, and reaching it reaches the names in its value.
 Name matching over-approximates the call graph, so a definition this test
 calls unreached has no caller anywhere outside tests, and the package keeps
-none: what only tests use lives under ``tests/``.
+none: what only tests use lives under ``tests/``. In the same way, every
+field of a package class is read somewhere outside tests.
 """
 
 import ast
@@ -107,6 +108,54 @@ def _unreached(package: Path = PACKAGE, roots: set[str] | None = None) -> set[st
 
 def test_every_definition_is_reached():
     assert sorted(_unreached()) == []
+
+
+def _unread_fields(package: Path = PACKAGE, readers: tuple[Path, ...] = ()) -> set[str]:
+    """module.Class.field for each annotated name in a class body of package
+    that no .py file under readers reads as an attribute (an ast.Load;
+    assigning it does not count)."""
+    read = set()
+    for path in sorted(p for reader in readers for p in reader.rglob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.attr)
+    unread = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                            and item.target.id not in read):
+                        unread.add(f"{path.stem}.{node.name}.{item.target.id}")
+    return unread
+
+
+def test_every_record_field_is_read():
+    """A field of a package class that only tests read is surface that no
+    command, demo or benchmark uses, and the package keeps none."""
+    readers = tuple(ROOT / name for name in ("src", "demos", "perfbench", "scripts"))
+    assert sorted(_unread_fields(readers=readers)) == []
+
+
+_RECORDS = """
+from dataclasses import dataclass
+
+@dataclass
+class Record:
+    used: int
+    written: int
+    unread: str = ""
+
+def make():
+    record = Record(used=1, written=2)
+    record.written = 3
+    return record.used
+"""
+
+
+def test_field_walk_names_written_and_unread_fields(tmp_path):
+    (tmp_path / "toy.py").write_text(_RECORDS)
+    assert _unread_fields(tmp_path, (tmp_path,)) == {"toy.Record.written", "toy.Record.unread"}
 
 
 # Every command that builds a family, at budgets well under a second. A
