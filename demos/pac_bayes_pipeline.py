@@ -21,7 +21,7 @@ import numpy as np
 
 from bayescomplex.complexity import chi_from_q
 from bayescomplex.families import LinearFamily, LinearPriorSpec, LinearTarget
-from bayescomplex.models import BasisSpec, LinearFunction
+from bayescomplex.models import BasisSpec
 from bayescomplex.posterior import (
     GaussianPosterior,
     LossSpec,
@@ -34,7 +34,6 @@ from bayescomplex.posterior import (
     pac_bayes_rhs,
     theorem_bound,
 )
-from bayescomplex.pwl import UNIFORM_SYM
 from bayescomplex.rng import SeededRng
 
 d, N, sigma_e_sq, beta, C = 3, 200, 0.01, 1.0, 4.0
@@ -46,13 +45,12 @@ spec = LossSpec(clip_C=C)
 
 w = family.sample_matrix(1, rng.stream(0).generator())[0]
 target = LinearTarget(w=tuple(w))
-g = LinearFunction(tuple(w), basis)
 print(f"target kappa = {target.kappa:.4f}, noise sigma_e^2 = {sigma_e_sq}")
 
 # Step 1: calibrate the temperature.
 sigma_alg_sq, search_ls = find_sigma_alg(
     beta, sigma_e_sq,
-    lambda r: generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM, r),
+    lambda r: generate_dataset(w, basis, N, sigma_e_sq, r),
     family, 1e-3, rng.stream(1), loss_spec=spec, n_replicas=16,
 )
 print(f"calibrated sigma_alg^2 = {sigma_alg_sq:.5f} "
@@ -62,13 +60,13 @@ print(f"calibrated sigma_alg^2 = {sigma_alg_sq:.5f} "
 prior_gauss = GaussianPosterior(np.zeros(d), np.eye(d))
 print("\ntrial   L_S       L_D       KL      pac rhs   holds")
 datasets = [
-    generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM, rng.stream(100 + trial))
+    generate_dataset(w, basis, N, sigma_e_sq, rng.stream(100 + trial))
     for trial in range(8)
 ]
-posts = [conjugate_posterior_linear(S, prior, basis, sigma_alg_sq) for S in datasets]
+posts = [conjugate_posterior_linear(S, prior, sigma_alg_sq) for S in datasets]
 # Both exact losses take a batch and return one loss per item.
-lss = conjugate_empirical_loss(list(zip(datasets, posts)), basis, spec)
-lds = conjugate_true_loss(posts, target, basis, sigma_e_sq, UNIFORM_SYM, spec)
+lss = conjugate_empirical_loss(list(zip(datasets, posts)), spec)
+lds = conjugate_true_loss(posts, target, basis, sigma_e_sq, spec)
 for trial, (post, ls, ld) in enumerate(zip(posts, lss, lds)):
     kl = kl_gaussians(post, prior_gauss)
     rhs = pac_bayes_rhs(ls, kl, N, C)

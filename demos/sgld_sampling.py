@@ -13,7 +13,7 @@ objective.
 import numpy as np
 
 from bayescomplex.families import LinearFamily, LinearPriorSpec
-from bayescomplex.models import BasisSpec, LinearFunction
+from bayescomplex.models import BasisSpec
 from bayescomplex.posterior import (
     SgldConfig,
     batch_means_se,
@@ -21,17 +21,15 @@ from bayescomplex.posterior import (
     generate_dataset,
     run_sgld,
 )
-from bayescomplex.pwl import UNIFORM_SYM
 from bayescomplex.rng import SeededRng
 
 rng = SeededRng(42)
 basis = BasisSpec(d=1)
 prior = LinearPriorSpec(1.0)
 family = LinearFamily(basis, prior)
-g = LinearFunction((0.8,), basis)
-S = generate_dataset(g, 20, 0.04, UNIFORM_SYM, rng.stream(0))
+S = generate_dataset((0.8,), basis, 20, 0.04, rng.stream(0))
 
-post = conjugate_posterior_linear(S, prior, basis, 0.04)
+post = conjugate_posterior_linear(S, prior, 0.04)
 print(f"conjugate posterior: mean {float(post.mean[0]):.5f}, "
       f"sd {float(post.covariance[0, 0])**0.5:.5f}")
 

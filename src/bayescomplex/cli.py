@@ -53,7 +53,6 @@ from .families import (
 )
 from .models import (
     BasisSpec,
-    LinearFunction,
     ShallowNetParams,
     build_periodic_deep_net,
     interior_knot_count,
@@ -75,7 +74,7 @@ from .posterior import (
     theorem_bound,
 )
 from .projection import ProjectionResult, project_to_zero
-from .pwl import UNIFORM_SYM, PwlFunction, l2_norm_sq, periodize
+from .pwl import PwlFunction, l2_norm_sq, periodize
 from .rng import SeededRng
 
 
@@ -586,11 +585,10 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
     else:
         w = family.sample_matrix(1, rng.stream(0).generator())[0]
     target = LinearTarget(w=tuple(w))
-    g_fn = LinearFunction(tuple(w), basis)
     loss_spec = LossSpec(clip_C=C)
 
     def make_dataset(r: SeededRng):
-        return generate_dataset(g_fn, N, sigma_e_sq, UNIFORM_SYM, r)
+        return generate_dataset(w, basis, N, sigma_e_sq, r)
 
     # search_ls is the achieved search objective: the expected empirical loss
     # over the fixed replica set the bisection calibrated on.
@@ -610,9 +608,9 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
     )
     rows: list[dict] = []
     datasets = [make_dataset(rng.stream(200 + trial)) for trial in range(n_trials)]
-    posts = [conjugate_posterior_linear(S, prior, basis, sigma_alg_sq) for S in datasets]
-    ls_vals = conjugate_empirical_loss(list(zip(datasets, posts)), basis, loss_spec)
-    ld_vals = conjugate_true_loss(posts, target, basis, sigma_e_sq, UNIFORM_SYM, loss_spec)
+    posts = [conjugate_posterior_linear(S, prior, sigma_alg_sq) for S in datasets]
+    ls_vals = conjugate_empirical_loss(list(zip(datasets, posts)), loss_spec)
+    ld_vals = conjugate_true_loss(posts, target, basis, sigma_e_sq, loss_spec)
     for trial, (post, L_S, L_D) in enumerate(zip(posts, ls_vals, ld_vals)):
         kl = kl_gaussians(post, prior_gauss)
         rhs = pac_bayes_rhs(L_S, kl, N, C)
@@ -659,9 +657,8 @@ def cmd_sgld_check(cfg: dict) -> CsvReport:
     family = LinearFamily(basis, prior)
     if len(cfg["target_w"]) != d:
         raise ConfigError(f"target_w must have d={d} entries")
-    g_fn = LinearFunction(tuple(cfg["target_w"]), basis)
-    S = generate_dataset(g_fn, N, cfg["sigma_e_sq"], UNIFORM_SYM, rng.stream(0))
-    post = conjugate_posterior_linear(S, prior, basis, cfg["sigma_y_sq"])
+    S = generate_dataset(cfg["target_w"], basis, N, cfg["sigma_e_sq"], rng.stream(0))
+    post = conjugate_posterior_linear(S, prior, cfg["sigma_y_sq"])
     chain_cfg = SgldConfig(
         eta=cfg["eta"], steps=cfg["steps"], burn_in=cfg["burn_in"],
         thin=cfg["thin"], sigma_y_sq=cfg["sigma_y_sq"],

@@ -19,7 +19,6 @@ class ConfigError(BayescomplexError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class NumericalError(BayescomplexError):
@@ -27,18 +26,14 @@ class NumericalError(BayescomplexError):
 
 
 class SmallnessError(NumericalError):
-    """A projection smallness guard was violated.
-
-    Carries the measured squared norm and the threshold it had to stay below.
-    """
+    """A projection smallness guard was violated; the message names the
+    measured squared norm and the threshold it had to stay below."""
 
     def __init__(self, measured_norm_sq: float, threshold: float, context: str):
         super().__init__(
             f"{context}: squared norm {measured_norm_sq:.6g} exceeds "
             f"smallness threshold {threshold:.6g}"
         )
-        self.measured_norm_sq = measured_norm_sq
-        self.threshold = threshold
 
 
 class InsufficientSamplesError(NumericalError):
@@ -46,8 +41,6 @@ class InsufficientSamplesError(NumericalError):
 
     def __init__(self, eps: float, n: int):
         super().__init__(f"zero hits at eps={eps:g} after {n} samples")
-        self.eps = eps
-        self.n = n
 
 
 class CheckFailure(BayescomplexError):

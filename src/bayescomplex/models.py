@@ -1,15 +1,17 @@
-"""Hypothesis classes: the orthonormal-basis linear model (LinearFunction),
-shallow ReLU networks in the product parametrization (ShallowNetParams) and
-the deep periodic construction (DeepNetParams). Priors over their parameters
-live with the batch kernels in ``families``.
+"""Hypothesis classes: the orthonormal basis of the linear model
+(BasisSpec, basis_matrix), shallow ReLU networks in the product
+parametrization (ShallowNetParams) and the deep periodic construction
+(DeepNetParams). Priors over their parameters live with the batch kernels in
+``families``.
 
-The linear family uses Legendre polynomials normalized against the plain
-(unweighted) inner product on [-1, 1]:
+The linear model f_w(x) = sum_i w_i b_i(x) uses Legendre polynomials
+normalized against the plain (unweighted) inner product on [-1, 1]:
 
     b_0 = 1/sqrt(2),   b_n = sqrt((2n+1)/2) * P_n,
 
 so that the expected squared distance under U([-1, 1]) between two models is
-half the squared coefficient distance.
+half the squared coefficient distance. The model is only ever evaluated as
+basis_matrix(basis, xs) @ w, so it has no type of its own.
 """
 
 from __future__ import annotations
@@ -56,22 +58,6 @@ def basis_matrix(basis: BasisSpec, xs) -> np.ndarray:
     return P * norm
 
 
-@dataclass(frozen=True)
-class LinearFunction:
-    """The linear model f_w(x) = sum_i w_i b_i(x) as a callable on [-1, 1];
-    returns an array of shape (len(atleast_1d(x)),)."""
-
-    w: tuple[float, ...]
-    basis: BasisSpec
-
-    def __post_init__(self):
-        if len(self.w) != self.basis.d:
-            raise ConfigError("coefficient length does not match basis size")
-
-    def __call__(self, x):
-        return basis_matrix(self.basis, x) @ np.asarray(self.w, dtype=float)
-
-
 # --------------------------------------------------------------------------
 # Shallow ReLU network, product parametrization
 # --------------------------------------------------------------------------
@@ -96,14 +82,6 @@ class ShallowNetParams:
 
     def effective_weights(self) -> np.ndarray:
         return np.asarray(self.w1, dtype=float) * np.asarray(self.w2, dtype=float)
-
-    def forward(self, x):
-        xs = np.asarray(x, dtype=float)
-        u = self.effective_weights()
-        b = np.asarray(self.b1, dtype=float)
-        acts = np.maximum(0.0, xs[..., None] - b)
-        out = acts @ u + self.b2
-        return out if out.ndim else float(out)
 
     def flat(self) -> np.ndarray:
         """Parameter vector in the layout [w1, w2, b1, b2]."""

@@ -1,6 +1,8 @@
 """Gibbs posteriors, SGLD sampling, clipped losses, and PAC-Bayes bounds.
 
-The Gibbs posterior at temperature sigma_y_sq reweights the prior by
+Datasets are drawn for the linear model with inputs from U[-1, 1], the law
+its basis is orthonormal under, and each carries its basis and design. The
+Gibbs posterior at temperature sigma_y_sq reweights the prior by
 exp(-sum (y_n - f_theta(x_n))^2 / (2 sigma_y_sq)); for the linear family it
 is Gaussian and computed in closed form, and SGLD chains sample it exactly
 as an affine recursion. Losses reported anywhere are the clipped quadratic
@@ -22,7 +24,6 @@ import numpy as np
 from .errors import CheckFailure, ConfigError, NumericalError
 from .families import LinearFamily, LinearPriorSpec, LinearTarget
 from .models import BasisSpec, basis_matrix
-from .pwl import L2Measure
 from .rng import SeededRng
 
 # scipy.linalg and scipy.special are imported inside the functions that call
@@ -37,19 +38,22 @@ from .rng import SeededRng
 
 @dataclass(frozen=True)
 class Dataset:
-    """A sample S = (xs, ys).
+    """A sample S = (xs, ys) drawn for one basis.
 
     The conjugate formulas need the design phi = basis_matrix(basis, xs),
     phi'phi and phi'ys; the bisection in find_sigma_alg asks for them once
-    per replica at every step. Each dataset therefore memoizes them per basis
-    size (_design), after checking once that phi is finite. xs and ys are
-    stored as read-only float copies, so the memo (and that check) cannot go
-    stale and the caller's arrays stay writable.
+    per replica at every step. The dataset therefore builds them once, when
+    it is made, after checking that phi is finite. xs and ys are stored as
+    read-only float copies, and phi, gram and rhs are read-only, so none of
+    them can go stale and the caller's arrays stay writable.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    basis: BasisSpec
+    phi: np.ndarray = field(init=False, repr=False, compare=False)
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
+    rhs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("xs", "ys"):
@@ -58,28 +62,21 @@ class Dataset:
             object.__setattr__(self, name, arr)
         if self.xs.shape != self.ys.shape:
             raise ConfigError("xs and ys must have matching shapes")
+        phi = basis_matrix(self.basis, self.xs)
+        if not np.all(np.isfinite(phi)):
+            raise NumericalError("design matrix contains non-finite entries")
+        for name, arr in (("phi", phi), ("gram", phi.T @ phi), ("rhs", phi.T @ self.ys)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
         return int(self.xs.size)
 
-    def _design(self, basis: BasisSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(phi, phi'phi, phi'ys) for basis, computed on first use; read-only."""
-        cached = self._designs.get(basis.d)
-        if cached is None:
-            phi = basis_matrix(basis, self.xs)
-            if not np.all(np.isfinite(phi)):
-                raise NumericalError("design matrix contains non-finite entries")
-            cached = (phi, phi.T @ phi, phi.T @ self.ys)
-            for arr in cached:
-                arr.flags.writeable = False
-            self._designs[basis.d] = cached
-        return cached
-
 
 @dataclass(frozen=True)
 class LossSpec:
-    clip_C: float = 4.0
+    clip_C: float
 
     def __post_init__(self):
         if self.clip_C <= 0:
@@ -126,19 +123,23 @@ class GaussianPosterior:
 
 
 def generate_dataset(
-    g, N: int, sigma_e_sq: float, measure: L2Measure, rng: SeededRng
+    w, basis: BasisSpec, N: int, sigma_e_sq: float, rng: SeededRng
 ) -> Dataset:
-    """ys = g(xs) + eta with eta iid N(0, sigma_e_sq), xs iid from measure."""
+    """ys = f_w(xs) + eta for the linear model f_w(x) = sum_i w_i b_i(x),
+    with xs iid U[-1, 1] (the law the basis is orthonormal under) and eta
+    iid N(0, sigma_e_sq)."""
+    if len(w) != basis.d:
+        raise ConfigError("coefficient length does not match basis size")
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
     if sigma_e_sq < 0:
         raise ConfigError(f"sigma_e_sq must be >= 0, got {sigma_e_sq}")
     gen = rng.generator()
-    xs = gen.uniform(measure.lo, measure.hi, size=N)
-    ys = np.asarray(g(xs), dtype=float)
+    xs = gen.uniform(-1.0, 1.0, size=N)
+    ys = basis_matrix(basis, xs) @ np.asarray(w, dtype=float)
     if sigma_e_sq > 0:
         ys = ys + gen.normal(0.0, math.sqrt(sigma_e_sq), size=N)
-    return Dataset(xs=xs, ys=ys)
+    return Dataset(xs, ys, basis)
 
 
 # --------------------------------------------------------------------------
@@ -147,17 +148,17 @@ def generate_dataset(
 
 
 def conjugate_posterior_linear(
-    S: Dataset, prior: LinearPriorSpec, basis: BasisSpec, sigma_y_sq: float
+    S: Dataset, prior: LinearPriorSpec, sigma_y_sq: float
 ) -> GaussianPosterior:
+    """The Gibbs posterior over S's basis weights, in closed form."""
     if sigma_y_sq <= 0:
         raise ConfigError(f"sigma_y_sq must be > 0, got {sigma_y_sq}")
-    d = basis.d
+    d = S.basis.d
     if S.n == 0:
         return GaussianPosterior(np.zeros(d), prior.sigma_w_sq * np.eye(d))
-    _, gram, rhs = S._design(basis)
     with np.errstate(over="ignore"):
-        precision = gram / sigma_y_sq + np.eye(d) / prior.sigma_w_sq
-        scaled_rhs = rhs / sigma_y_sq
+        precision = S.gram / sigma_y_sq + np.eye(d) / prior.sigma_w_sq
+        scaled_rhs = S.rhs / sigma_y_sq
     if not (np.all(np.isfinite(precision)) and np.all(np.isfinite(scaled_rhs))):
         raise NumericalError(
             f"posterior precision or data term not finite at sigma_y_sq={sigma_y_sq}, "
@@ -233,15 +234,14 @@ def expected_clipped_loss_gaussian(mu, s_sq, C: float):
 
 
 def conjugate_empirical_loss(
-    batch: Sequence[tuple[Dataset, GaussianPosterior]], basis: BasisSpec, spec: LossSpec
+    batch: Sequence[tuple[Dataset, GaussianPosterior]], spec: LossSpec
 ) -> list[float]:
     """Exact E_{h~Q}[L_S(h)] for each (S, Q) in batch, Q Gaussian over linear weights: one
     expected_clipped_loss_gaussian call, then a mean per item over its own slice."""
     mus, s_sqs, ends = [], [], [0]
     for S, post in batch:
-        phi = S._design(basis)[0]
-        mus.append(phi @ post.mean - S.ys)
-        s_sqs.append(np.einsum("ij,jk,ik->i", phi, post.covariance, phi))
+        mus.append(S.phi @ post.mean - S.ys)
+        s_sqs.append(np.einsum("ij,jk,ik->i", S.phi, post.covariance, S.phi))
         ends.append(ends[-1] + S.n)
     vals = expected_clipped_loss_gaussian(np.concatenate(mus), np.concatenate(s_sqs), spec.clip_C)
     return [float(vals[start:end].mean()) for start, end in zip(ends, ends[1:])]
@@ -251,16 +251,13 @@ _QUAD_NODES = 200  # Gauss-Legendre nodes of conjugate_true_loss's quadrature
 
 
 @functools.lru_cache(maxsize=8)
-def _quadrature_design(
-    basis: BasisSpec, measure: L2Measure
-) -> tuple[np.ndarray, np.ndarray]:
-    """The basis design at the _QUAD_NODES Gauss-Legendre nodes mapped onto
-    measure's interval, and the rule's weights, computed once per argument
-    set (each leggauss call is an eigenproblem of that size); the arrays
-    are read-only because every caller shares them."""
+def _quadrature_design(basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The basis design at the _QUAD_NODES Gauss-Legendre nodes on [-1, 1],
+    and the rule's weights, computed once per basis (each leggauss call is
+    an eigenproblem of that size); the arrays are read-only because every
+    caller shares them."""
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    xs = (measure.lo + measure.hi) / 2.0 + (measure.hi - measure.lo) / 2.0 * nodes
-    phi = basis_matrix(basis, xs)
+    phi = basis_matrix(basis, nodes)
     phi.flags.writeable = False
     weights.flags.writeable = False
     return phi, weights
@@ -271,15 +268,14 @@ def conjugate_true_loss(
     target: LinearTarget,
     basis: BasisSpec,
     sigma_e_sq: float,
-    measure: L2Measure,
     spec: LossSpec,
 ) -> list[float]:
     """E_{h~Q} E_{x,y}[min((h(x) - y)^2, C)] for each Q in posts and a
-    realizable linear target, by Gauss-Legendre quadrature of the exact per-x
-    formula; batched as conjugate_empirical_loss is."""
+    realizable linear target, x ~ U[-1, 1], by Gauss-Legendre quadrature of
+    the exact per-x formula; batched as conjugate_empirical_loss is."""
     if target.perp_sq != 0.0:
         raise ConfigError("conjugate_true_loss requires a fully realizable target")
-    phi, weights = _quadrature_design(basis, measure)
+    phi, weights = _quadrature_design(basis)
     w = np.asarray(target.w)
     mu = np.concatenate([phi @ (post.mean - w) for post in posts])
     s_sq = np.concatenate([
@@ -309,7 +305,6 @@ def run_sgld(
     cfg: SgldConfig,
     rng: SeededRng,
     inject_noise: bool = True,
-    init: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stochastic gradient Langevin chain targeting the linear model's Gibbs
     posterior.
@@ -320,7 +315,7 @@ def run_sgld(
     H = J'J / (N sigma_y_sq) + I / (sigma_w_sq max(N, 1)), r = J'y /
     (N sigma_y_sq) (J and r zero when N = 0) and s = sqrt(2 eta / max(N, 1)).
     With inject_noise=False the chain is plain gradient descent to the MAP
-    (diagnostic mode). The chain starts at init, or at a prior draw. Returns
+    (diagnostic mode). The chain starts at a prior draw. Returns
     the post-burn-in, thinned draws (steps burn_in, burn_in + thin, ...) as
     an (n_draws, dim) array.
 
@@ -332,25 +327,24 @@ def run_sgld(
     draw, the same stream as m per-step draws of size dim, so the draws
     equal the stepped chain's up to rounding.
 
-    Raises NumericalError at the first step whose ||theta|| is above 1e6
-    or not finite, naming that step.
+    Raises ConfigError when S was drawn for another basis than the
+    family's, and NumericalError at the first step whose ||theta|| is
+    above 1e6 or not finite, naming that step.
     """
     from scipy.linalg import lapack
 
+    if S.basis != family.basis:
+        raise ConfigError(f"dataset drawn for {S.basis}, family has {family.basis}")
     gen = rng.generator()
-    if init is not None:
-        theta = np.asarray(init, dtype=float).copy()
-    else:
-        theta = family.sample_matrix(1, gen)[0]
+    theta = family.sample_matrix(1, gen)[0]
     n, d = S.n, theta.size
     n_eff = max(n, 1)
     with np.errstate(over="ignore"):
         hess = np.eye(d) / (family.prior.sigma_w_sq * n_eff)
         drift = np.zeros(d)
         if n:
-            _, gram, rhs = S._design(family.basis)
-            hess = hess + gram / (n * cfg.sigma_y_sq)
-            drift = rhs / (n * cfg.sigma_y_sq)
+            hess = hess + S.gram / (n * cfg.sigma_y_sq)
+            drift = S.rhs / (n * cfg.sigma_y_sq)
     if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(drift))):
         raise NumericalError(
             f"SGLD Hessian or drift not finite at sigma_y_sq={cfg.sigma_y_sq}, "
@@ -494,8 +488,8 @@ def find_sigma_alg(
         # One call per replica: perfbench counts them as bisection iterations.
         losses = []
         for S in replicas:
-            post = conjugate_posterior_linear(S, family.prior, family.basis, sigma_y_sq)
-            losses += conjugate_empirical_loss([(S, post)], family.basis, loss_spec)
+            post = conjugate_posterior_linear(S, family.prior, sigma_y_sq)
+            losses += conjugate_empirical_loss([(S, post)], loss_spec)
         return float(np.mean(losses))
 
     target = (1.0 + beta) * sigma_e_sq

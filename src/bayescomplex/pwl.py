@@ -12,7 +12,6 @@ operations here use numerical quadrature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,23 +22,6 @@ from .errors import ConfigError
 # must represent their targets exactly up to floating-point rounding, and this
 # is the acceptance threshold for "exact".
 CANONICAL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class L2Measure:
-    """Uniform input distribution over the interval [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ConfigError(
-                f"measure domain [{self.lo}, {self.hi}] must be finite with lo < hi"
-            )
-
-
-UNIFORM_SYM = L2Measure(-1.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ and compare:
   sharp_with_noise, empirical_complexity_mc) and the divergence bound
   through the last (divergence_upper_bound);
 - the exact distance kernels with the segment-by-segment L2 distance of two
-  piecewise-linear functions (l2_distance_sq).
+  piecewise-linear functions (l2_distance_sq);
+- the piecewise-linear conversion of a shallow network with its direct
+  forward pass (shallow_forward).
 """
 
 from __future__ import annotations
@@ -31,8 +33,17 @@ from bayescomplex.families import LinearFamily
 from bayescomplex.models import ShallowNetParams, basis_matrix
 from bayescomplex.posterior import Dataset, GaussianPosterior, LossSpec, generate_dataset
 from bayescomplex.projection import _norm_sq_nodes
-from bayescomplex.pwl import L2Measure, PwlFunction, _integral_sq
+from bayescomplex.pwl import PwlFunction, _integral_sq
 from bayescomplex.rng import SeededRng
+
+
+@dataclass(frozen=True)
+class L2Measure:
+    """Uniform input distribution over the interval [lo, hi], lo < hi."""
+
+    lo: float
+    hi: float
+
 
 UNIFORM_UNIT = L2Measure(0.0, 1.0)
 
@@ -50,6 +61,19 @@ def params_from_flat(vec: np.ndarray, k: int) -> ShallowNetParams:
     return ShallowNetParams(
         tuple(vec[:k]), tuple(vec[k : 2 * k]), tuple(vec[2 * k : 3 * k]), float(vec[3 * k])
     )
+
+
+def shallow_forward(theta: ShallowNetParams, x):
+    """f(x) = sum_i w2_i w1_i [x - b1_i]_+ + b2, evaluated node by node."""
+    xs = np.asarray(x, dtype=float)
+    acts = np.maximum(0.0, xs[..., None] - np.asarray(theta.b1, dtype=float))
+    out = acts @ theta.effective_weights() + theta.b2
+    return out if out.ndim else float(out)
+
+
+def linear_model(w, basis):
+    """The linear model f_w(x) = sum_i w_i b_i(x) as a callable."""
+    return lambda x: basis_matrix(basis, x) @ np.asarray(w, dtype=float)
 
 
 def predict(family, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -188,22 +212,22 @@ def empirical_loss_of_Q(
 
 def true_loss_of_Q(
     draws: np.ndarray,
-    g,
+    w,
     sigma_e_sq: float,
-    measure: L2Measure,
     spec: LossSpec,
     n_x: int,
     rng: SeededRng,
-    family,
+    family: LinearFamily,
 ) -> LossEstimate:
-    """L_D(Q) estimated on fresh (x, y) pairs; the standard error combines
-    the h-draw and the fresh-data axes conservatively."""
+    """L_D(Q) estimated on fresh (x, y) pairs drawn for the linear target w;
+    the standard error combines the h-draw and the fresh-data axes
+    conservatively."""
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     if draws.shape[0] == 0:
         raise ConfigError("true_loss_of_Q needs at least one posterior draw")
     if n_x < 2:
         raise ConfigError(f"n_x must be >= 2, got {n_x}")
-    fresh = generate_dataset(g, n_x, sigma_e_sq, measure, rng)
+    fresh = generate_dataset(w, family.basis, n_x, sigma_e_sq, rng)
     xs, ys = fresh.xs, fresh.ys
     # Chunk over draws so the (draws, n_x) loss matrix never exceeds a few
     # hundred megabytes; the per-draw and per-point means accumulate exactly.

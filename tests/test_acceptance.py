@@ -30,7 +30,6 @@ from bayescomplex.families import (
 )
 from bayescomplex.models import (
     BasisSpec,
-    LinearFunction,
     ShallowNetParams,
     build_periodic_deep_net,
     interior_knot_count,
@@ -53,7 +52,7 @@ from bayescomplex.projection import (
     project_to_zero,
     project_to_zero_with_bias,
 )
-from bayescomplex.pwl import UNIFORM_SYM, PwlFunction, canonical_equal, l2_norm_sq
+from bayescomplex.pwl import PwlFunction, canonical_equal, l2_norm_sq
 from bayescomplex.rng import SeededRng
 from paper_checks import (
     exponential_complexity_mc,
@@ -375,9 +374,8 @@ def test_criterion_10_sgld_correctness():
     basis = BasisSpec(d=1)
     prior = LinearPriorSpec(1.0)
     family = LinearFamily(basis, prior)
-    g = LinearFunction((0.8,), basis)
-    S = generate_dataset(g, 20, 0.04, UNIFORM_SYM, rng.stream(0))
-    post = conjugate_posterior_linear(S, prior, basis, 0.04)
+    S = generate_dataset((0.8,), basis, 20, 0.04, rng.stream(0))
+    post = conjugate_posterior_linear(S, prior, 0.04)
     cfg = SgldConfig(eta=3e-4, steps=205_000, burn_in=5_000, thin=20,
                      sigma_y_sq=0.04)
     draws = run_sgld(S, family, cfg, rng.stream(1))
@@ -414,11 +412,10 @@ def test_criterion_11_pac_bayes_validity():
     family = LinearFamily(basis, prior)
     w = family.sample_matrix(1, rng.stream(0).generator())[0]
     target = LinearTarget(w=tuple(w))
-    g = LinearFunction(tuple(w), basis)
     spec = LossSpec(clip_C=C)
 
     def make_dataset(r):
-        return generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM, r)
+        return generate_dataset(w, basis, N, sigma_e_sq, r)
 
     sigma_alg_sq, achieved = find_sigma_alg(
         beta, sigma_e_sq, make_dataset, family, 1e-3, rng.stream(1),
@@ -427,9 +424,9 @@ def test_criterion_11_pac_bayes_validity():
     check_rng = SeededRng(42).stream(1)
     replicas = [make_dataset(check_rng.stream(i)) for i in range(32)]
     search_ls = float(np.mean(conjugate_empirical_loss(
-        [(S, conjugate_posterior_linear(S, prior, basis, sigma_alg_sq))
+        [(S, conjugate_posterior_linear(S, prior, sigma_alg_sq))
          for S in replicas],
-        basis, spec)))
+        spec)))
     assert search_ls == achieved
     search_ok = abs(search_ls - 2.0 * sigma_e_sq) <= 1e-3
 
@@ -437,12 +434,11 @@ def test_criterion_11_pac_bayes_validity():
     bound = theorem_bound(sigma_e_sq, beta, chi_sharp, N, C)
     posts = [
         conjugate_posterior_linear(
-            generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM, rng.stream(200 + trial)),
-            prior, basis, sigma_alg_sq)
+            generate_dataset(w, basis, N, sigma_e_sq, rng.stream(200 + trial)),
+            prior, sigma_alg_sq)
         for trial in range(50)
     ]
-    lds = np.array(conjugate_true_loss(posts, target, basis, sigma_e_sq,
-                                       UNIFORM_SYM, spec))
+    lds = np.array(conjugate_true_loss(posts, target, basis, sigma_e_sq, spec))
     se_ld = float(lds.std() / math.sqrt(lds.size))
     bound_ok = lds.mean() <= bound + 3.0 * se_ld
     elapsed, in_time = _within_budget(t0, 600.0)

@@ -37,10 +37,15 @@ from bayescomplex.families import (
     NnPriorSpec,
     ShallowNetFamily,
 )
-from bayescomplex.models import BasisSpec, LinearFunction
+from bayescomplex.models import BasisSpec
 from bayescomplex.pwl import PwlFunction
 from bayescomplex.rng import SeededRng, partition_counts
-from paper_checks import empirical_complexity_mc, exponential_complexity_mc, sharp_with_noise
+from paper_checks import (
+    empirical_complexity_mc,
+    exponential_complexity_mc,
+    linear_model,
+    sharp_with_noise,
+)
 
 
 def _linear(d, sigma_w_sq=1.0):
@@ -346,8 +351,8 @@ class TestOverlappedGrid:
             with pytest.raises(InsufficientSamplesError) as exc:
                 limiting_complexity(family, target, grid, 2000, SeededRng(42),
                                     cloud_width=cloud_width, workers=workers)
-            assert exc.value.eps == 0.01
             messages[workers] = str(exc.value)
+            assert messages[workers].startswith("zero hits at eps=0.01 after ")
         assert messages[1] == messages[2]
 
         family = copy.copy(family)
@@ -701,7 +706,7 @@ class TestEmpiricalComplexity:
         family = _linear(d)
         w_t = (0.7, -0.4)
         target = LinearTarget(w_t)
-        lin = LinearFunction(w_t, BasisSpec(d))
+        lin = linear_model(w_t, BasisSpec(d))
         root = SeededRng(42)
         chis = []
         for s in range(50):
@@ -726,7 +731,7 @@ class TestEmpiricalComplexity:
         by rare draws near the representation set; small budgets miss that
         mass and overestimate, so the mean estimate decreases in n."""
         family = _linear(2)
-        lin = LinearFunction((0.5, 0.5), BasisSpec(2))
+        lin = linear_model((0.5, 0.5), BasisSpec(2))
         gen = SeededRng(7).generator()
         xs = gen.uniform(-1.0, 1.0, size=4)
         noise = np.zeros(4)

@@ -8,7 +8,6 @@ from bayescomplex.errors import ConfigError
 from bayescomplex.families import LinearFamily, LinearPriorSpec, LinearTarget
 from bayescomplex.models import (
     BasisSpec,
-    LinearFunction,
     ShallowNetParams,
     basis_matrix,
     build_periodic_deep_net,
@@ -16,8 +15,10 @@ from bayescomplex.models import (
     min_norm_realization,
     shallow_to_pwl,
 )
+from bayescomplex.posterior import generate_dataset
 from bayescomplex.pwl import PwlFunction, canonical_equal, periodize
-from paper_checks import params_from_flat, variational_complexity
+from bayescomplex.rng import SeededRng
+from paper_checks import params_from_flat, shallow_forward, variational_complexity
 
 
 class TestBasis:
@@ -42,19 +43,19 @@ class TestBasis:
         """0.5 ||dw||^2 equals the mean squared gap under uniform inputs."""
         rng = np.random.default_rng(42)
         basis = BasisSpec(4)
-        w = LinearFunction(tuple(rng.normal(size=4)), basis)
-        v = LinearFunction(tuple(rng.normal(size=4)), basis)
+        w, v = rng.normal(size=4), rng.normal(size=4)
         nodes, weights = np.polynomial.legendre.leggauss(12)
-        gap = w(nodes) - v(nodes)
+        gap = basis_matrix(basis, nodes) @ (w - v)
         quad = 0.5 * float(weights @ gap**2)  # density 1/2 on [-1, 1]
         family = LinearFamily(basis, LinearPriorSpec(1.0))
-        dist = family.dist_sq(LinearTarget(v.w), np.asarray(w.w)[None, :])
+        dist = family.dist_sq(LinearTarget(tuple(v)), w[None, :])
         assert float(dist[0]) == pytest.approx(quad, rel=1e-12)
 
     def test_dimension_mismatch(self):
-        # Raised when the function is built, before it is ever called.
-        with pytest.raises(ConfigError):
-            LinearFunction((1.0,), BasisSpec(2))
+        # Raised before anything is drawn from the stream.
+        for w in [(1.0,), (1.0, 2.0, 3.0)]:
+            with pytest.raises(ConfigError, match="coefficient length does not match basis size"):
+                generate_dataset(w, BasisSpec(2), 10, 0.01, SeededRng(0))
 
 
 class TestShallowNet:
@@ -70,7 +71,7 @@ class TestShallowNet:
             )
             f = shallow_to_pwl(theta)
             xs = np.linspace(0.0, 1.0, 101)
-            np.testing.assert_allclose(f(xs), theta.forward(xs), atol=1e-12)
+            np.testing.assert_allclose(f(xs), shallow_forward(theta, xs), atol=1e-12)
 
     def test_inactive_and_folded_nodes(self):
         theta = ShallowNetParams(

@@ -17,7 +17,7 @@ from scipy.stats import ks_2samp, multivariate_normal, norm
 from bayescomplex import cli
 from bayescomplex.errors import CheckFailure, ConfigError, NumericalError
 from bayescomplex.families import LinearFamily, LinearPriorSpec, LinearTarget
-from bayescomplex.models import BasisSpec, LinearFunction, basis_matrix
+from bayescomplex.models import BasisSpec, basis_matrix
 from bayescomplex.posterior import (
     Dataset,
     GaussianPosterior,
@@ -35,13 +35,13 @@ from bayescomplex.posterior import (
     run_sgld,
     theorem_bound,
 )
-from bayescomplex.pwl import UNIFORM_SYM
 from bayescomplex.rng import SeededRng
 from paper_checks import (
     clipped_loss,
     divergence_upper_bound,
     empirical_complexity_mc,
     empirical_loss_of_Q,
+    linear_model,
     sample_gaussian,
     true_loss_of_Q,
 )
@@ -54,44 +54,60 @@ def _linear_setup(d: int, sigma_w_sq: float = 1.0):
 
 
 class TestDataset:
-    """ys = g(xs) + iid Gaussian noise, reproducible from the seed."""
+    """ys = f_w(xs) + iid Gaussian noise, reproducible from the seed."""
 
     def test_noiseless_data_equals_target(self):
         basis, _, _ = _linear_setup(2)
-        g = LinearFunction((0.9, -0.4), basis)
-        S = generate_dataset(g, 50, 0.0, UNIFORM_SYM, SeededRng(3))
-        np.testing.assert_array_equal(S.ys, np.asarray(g(S.xs)))
+        w = (0.9, -0.4)
+        S = generate_dataset(w, basis, 50, 0.0, SeededRng(3))
+        np.testing.assert_array_equal(S.ys, linear_model(w, basis)(S.xs))
 
     def test_residual_variance_matches_noise_level(self):
         basis, _, _ = _linear_setup(1)
-        g = LinearFunction((0.8,), basis)
-        S = generate_dataset(g, 100_000, 0.09, UNIFORM_SYM, SeededRng(42))
-        resid = S.ys - np.asarray(g(S.xs))
+        w = (0.8,)
+        S = generate_dataset(w, basis, 100_000, 0.09, SeededRng(42))
+        resid = S.ys - linear_model(w, basis)(S.xs)
         assert abs(resid.var() - 0.09) <= 0.03 * 0.09
 
     def test_inputs_stay_inside_measure_support(self):
         basis, _, _ = _linear_setup(1)
-        g = LinearFunction((0.8,), basis)
-        S = generate_dataset(g, 10_000, 0.01, UNIFORM_SYM, SeededRng(0))
+        w = (0.8,)
+        S = generate_dataset(w, basis, 10_000, 0.01, SeededRng(0))
         assert S.xs.min() >= -1.0 and S.xs.max() <= 1.0
 
     def test_fixed_seed_reproduces_dataset(self):
         basis, _, _ = _linear_setup(2)
-        g = LinearFunction((0.9, -0.4), basis)
-        S1 = generate_dataset(g, 200, 0.04, UNIFORM_SYM, SeededRng(9))
-        S2 = generate_dataset(g, 200, 0.04, UNIFORM_SYM, SeededRng(9))
+        w = (0.9, -0.4)
+        S1 = generate_dataset(w, basis, 200, 0.04, SeededRng(9))
+        S2 = generate_dataset(w, basis, 200, 0.04, SeededRng(9))
         np.testing.assert_array_equal(S1.xs, S2.xs)
         np.testing.assert_array_equal(S1.ys, S2.ys)
 
     def test_validation(self):
         basis, _, _ = _linear_setup(1)
-        g = LinearFunction((0.8,), basis)
+        w = (0.8,)
         with pytest.raises(ConfigError):
-            generate_dataset(g, 0, 0.01, UNIFORM_SYM, SeededRng(0))
+            generate_dataset(w, basis, 0, 0.01, SeededRng(0))
         with pytest.raises(ConfigError):
-            generate_dataset(g, 10, -0.01, UNIFORM_SYM, SeededRng(0))
-        with pytest.raises(ConfigError):
-            Dataset(xs=np.zeros(3), ys=np.zeros(4))
+            generate_dataset(w, basis, 10, -0.01, SeededRng(0))
+        with pytest.raises(ConfigError, match="xs and ys must have matching shapes"):
+            Dataset(xs=np.zeros(3), ys=np.zeros(4), basis=basis)
+
+    @pytest.mark.parametrize(
+        "x, error",
+        [(1.0 + 1e-9, ConfigError), (-1.0 - 1e-9, ConfigError), (math.inf, ConfigError),
+         (-math.inf, ConfigError), (math.nan, NumericalError)],
+    )
+    def test_input_outside_basis_interval_rejected(self, x, error):
+        """The basis is orthonormal only under U[-1, 1]: a dataset with an
+        input outside that interval, or a NaN input, is rejected when built."""
+        with pytest.raises(error):
+            Dataset(xs=np.array([0.0, x]), ys=np.zeros(2), basis=BasisSpec(3))
+
+    def test_interval_endpoints_accepted(self):
+        xs = np.array([-1.0, 1.0, 1.0 + 1e-13])
+        S = Dataset(xs=xs, ys=np.zeros(3), basis=BasisSpec(3))
+        np.testing.assert_array_equal(S.phi, basis_matrix(BasisSpec(3), xs))
 
 
 class TestClippedLoss:
@@ -202,11 +218,10 @@ class TestExpectedClippedLossGaussian:
     def test_not_positive_definite_posterior_loss_raises(self):
         """A posterior whose covariance is not positive definite gives some
         x a negative predictive variance; its loss is a NumericalError."""
-        basis = BasisSpec(d=2)
-        S = Dataset(xs=np.array([0.0, -0.5]), ys=np.zeros(2))
+        S = Dataset(xs=np.array([0.0, -0.5]), ys=np.zeros(2), basis=BasisSpec(d=2))
         post = GaussianPosterior(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NumericalError, match="negative or NaN variance"):
-            conjugate_empirical_loss([(S, post)], basis, LossSpec())
+            conjugate_empirical_loss([(S, post)], LossSpec(clip_C=4.0))
 
     def test_vectorized(self):
         mus = np.array([0.0, 0.5, -2.0])
@@ -219,34 +234,38 @@ class TestExpectedClippedLossGaussian:
             )
 
 
-class TestDesignMemo:
-    """A Dataset builds its design once per basis; every result equals a
-    fresh recomputation bit for bit."""
+class TestDatasetDesign:
+    """A Dataset builds its design once, for its own basis; every result
+    equals one computed from a fresh design at each use, bit for bit."""
 
     @staticmethod
-    def _bypass_memo(monkeypatch):
-        def recompute(self, basis):
-            phi = basis_matrix(basis, self.xs)
-            return phi, phi.T @ phi, phi.T @ self.ys
+    def _recompute_design(monkeypatch):
+        """Make phi, gram and rhs recompute from xs and ys at every read
+        (the class-level properties shadow what __post_init__ stores)."""
+        def phi(self):
+            return basis_matrix(self.basis, self.xs)
 
-        monkeypatch.setattr(Dataset, "_design", recompute)
+        for name, fget in (("phi", phi), ("gram", lambda self: phi(self).T @ phi(self)),
+                           ("rhs", lambda self: phi(self).T @ self.ys)):
+            monkeypatch.setattr(Dataset, name, property(fget, lambda self, value: None),
+                                raising=False)
 
     @pytest.mark.parametrize("seed", [11, 2027])
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_find_sigma_alg_matches_recomputed_design(self, d, seed, monkeypatch):
         basis, _, family = _linear_setup(d)
-        g = LinearFunction((0.7,) + (-0.3,) * (d - 1), basis)
+        w = (0.7,) + (-0.3,) * (d - 1)
 
         def search():
             return find_sigma_alg(
-                1.0, 0.04, lambda r: generate_dataset(g, 40, 0.04, UNIFORM_SYM, r),
-                family, 1e-3, SeededRng(seed).stream(1), loss_spec=LossSpec(),
+                1.0, 0.04, lambda r: generate_dataset(w, basis, 40, 0.04, r),
+                family, 1e-3, SeededRng(seed).stream(1), loss_spec=LossSpec(clip_C=4.0),
                 n_replicas=8,
             )
 
-        memoized = search()
-        self._bypass_memo(monkeypatch)
-        assert search() == memoized
+        stored = search()
+        self._recompute_design(monkeypatch)
+        assert search() == stored
 
     @pytest.mark.parametrize("seed", [11, 2027])
     @pytest.mark.parametrize("d", [1, 3, 5])
@@ -259,36 +278,38 @@ class TestDesignMemo:
             rep = cli.cmd_pacbayes(cli.resolve_config(args))
             return rep.rows, rep.failures
 
-        memoized = report()
-        self._bypass_memo(monkeypatch)
-        assert report() == memoized
+        stored = report()
+        self._recompute_design(monkeypatch)
+        assert report() == stored
 
     def test_reused_dataset_matches_fresh_one(self):
-        """One dataset across basis sizes and temperatures, in an order that
+        """One dataset per basis size, across temperatures in an order that
         revisits each, gives what a new dataset gives every time."""
         gen = np.random.default_rng(4)
         xs, ys = gen.uniform(-1.0, 1.0, 30), gen.normal(size=30)
-        S = Dataset(xs=xs, ys=ys)
-        spec = LossSpec()
-        for d, sigma_y_sq in [(3, 0.1), (1, 0.1), (3, 2.0), (5, 0.1), (1, 2.0), (3, 0.1)]:
+        spec = LossSpec(clip_C=4.0)
+        for d in (3, 1, 5):
             basis, prior, _ = _linear_setup(d)
-            fresh = Dataset(xs=xs, ys=ys)
-            post = conjugate_posterior_linear(S, prior, basis, sigma_y_sq)
-            ref = conjugate_posterior_linear(fresh, prior, basis, sigma_y_sq)
-            np.testing.assert_array_equal(post.mean, ref.mean)
-            np.testing.assert_array_equal(post.covariance, ref.covariance)
-            assert conjugate_empirical_loss([(S, post)], basis, spec) == (
-                conjugate_empirical_loss([(fresh, ref)], basis, spec)
-            )
+            S = Dataset(xs=xs, ys=ys, basis=basis)
+            for sigma_y_sq in (0.1, 2.0, 0.1):
+                fresh = Dataset(xs=xs, ys=ys, basis=basis)
+                post = conjugate_posterior_linear(S, prior, sigma_y_sq)
+                ref = conjugate_posterior_linear(fresh, prior, sigma_y_sq)
+                np.testing.assert_array_equal(post.mean, ref.mean)
+                np.testing.assert_array_equal(post.covariance, ref.covariance)
+                assert conjugate_empirical_loss([(S, post)], spec) == (
+                    conjugate_empirical_loss([(fresh, ref)], spec)
+                )
 
     def test_arrays_are_read_only_copies(self):
         xs, ys = np.linspace(-1.0, 1.0, 5), np.zeros(5)
-        S = Dataset(xs=xs, ys=ys)
-        for arr in (S.xs, S.ys):
+        S = Dataset(xs=xs, ys=ys, basis=BasisSpec(3))
+        for arr in (S.xs, S.ys, S.phi, S.gram, S.rhs):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.5
         xs[0], ys[0] = 0.5, 1.0
         assert (S.xs[0], S.ys[0]) == (-1.0, 0.0)
+        np.testing.assert_array_equal(S.phi, basis_matrix(BasisSpec(3), np.linspace(-1.0, 1.0, 5)))
 
 
 class TestConjugatePosterior:
@@ -296,16 +317,16 @@ class TestConjugatePosterior:
 
     def test_no_data_returns_prior(self):
         basis, prior, _ = _linear_setup(3, sigma_w_sq=0.7)
-        S = Dataset(xs=np.zeros(0), ys=np.zeros(0))
-        post = conjugate_posterior_linear(S, prior, basis, 0.5)
+        S = Dataset(xs=np.zeros(0), ys=np.zeros(0), basis=basis)
+        post = conjugate_posterior_linear(S, prior, 0.5)
         np.testing.assert_array_equal(post.mean, np.zeros(3))
         np.testing.assert_array_equal(post.covariance, 0.7 * np.eye(3))
 
     def test_infinite_temperature_returns_prior(self):
         basis, prior, _ = _linear_setup(2)
-        g = LinearFunction((0.9, -0.4), basis)
-        S = generate_dataset(g, 100, 0.04, UNIFORM_SYM, SeededRng(1))
-        post = conjugate_posterior_linear(S, prior, basis, 1e12)
+        w = (0.9, -0.4)
+        S = generate_dataset(w, basis, 100, 0.04, SeededRng(1))
+        post = conjugate_posterior_linear(S, prior, 1e12)
         np.testing.assert_allclose(post.mean, np.zeros(2), atol=1e-6)
         np.testing.assert_allclose(post.covariance, np.eye(2), atol=1e-6)
 
@@ -313,9 +334,9 @@ class TestConjugatePosterior:
         # d = 1: the only basis function is the constant 1/sqrt(2), so the
         # update is the textbook scalar conjugate formula.
         basis, prior, _ = _linear_setup(1, sigma_w_sq=2.0)
-        S = Dataset(xs=np.array([0.3]), ys=np.array([1.1]))
+        S = Dataset(xs=np.array([0.3]), ys=np.array([1.1]), basis=basis)
         sigma_y_sq = 0.25
-        post = conjugate_posterior_linear(S, prior, basis, sigma_y_sq)
+        post = conjugate_posterior_linear(S, prior, sigma_y_sq)
         phi = 1.0 / math.sqrt(2.0)
         precision = phi * phi / sigma_y_sq + 1.0 / 2.0
         var = 1.0 / precision
@@ -325,10 +346,10 @@ class TestConjugatePosterior:
 
     def test_matches_dense_inverse(self):
         basis, prior, _ = _linear_setup(4, sigma_w_sq=0.5)
-        g = LinearFunction((0.2, -0.1, 0.4, 0.05), basis)
-        S = generate_dataset(g, 30, 0.04, UNIFORM_SYM, SeededRng(8))
+        w = (0.2, -0.1, 0.4, 0.05)
+        S = generate_dataset(w, basis, 30, 0.04, SeededRng(8))
         sigma_y_sq = 0.1
-        post = conjugate_posterior_linear(S, prior, basis, sigma_y_sq)
+        post = conjugate_posterior_linear(S, prior, sigma_y_sq)
         phi = basis_matrix(basis, S.xs)
         precision = phi.T @ phi / sigma_y_sq + np.eye(4) / 0.5
         cov = np.linalg.inv(precision)
@@ -338,9 +359,9 @@ class TestConjugatePosterior:
 
     def test_validation(self):
         basis, prior, _ = _linear_setup(1)
-        S = Dataset(xs=np.array([0.1]), ys=np.array([0.2]))
+        S = Dataset(xs=np.array([0.1]), ys=np.array([0.2]), basis=basis)
         with pytest.raises(ConfigError):
-            conjugate_posterior_linear(S, prior, basis, 0.0)
+            conjugate_posterior_linear(S, prior, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("d", [1, 3, 5, 8])
@@ -350,10 +371,11 @@ class TestConjugatePosterior:
         some grams are singular and only the prior makes the precision SPD)."""
         gen = np.random.default_rng(seed)
         n = int(gen.integers(1, 40))
-        S = Dataset(xs=gen.uniform(-1.0, 1.0, n), ys=gen.normal(size=n))
+        xs, ys = gen.uniform(-1.0, 1.0, n), gen.normal(size=n)
         sigma_y_sq, sigma_w_sq = 10.0 ** gen.uniform(-3.0, 1.0, size=2)
         basis, prior, _ = _linear_setup(d, sigma_w_sq=float(sigma_w_sq))
-        post = conjugate_posterior_linear(S, prior, basis, float(sigma_y_sq))
+        S = Dataset(xs=xs, ys=ys, basis=basis)
+        post = conjugate_posterior_linear(S, prior, float(sigma_y_sq))
         phi = basis_matrix(basis, S.xs)
         cho = linalg.cho_factor(phi.T @ phi / sigma_y_sq + np.eye(d) / sigma_w_sq)
         cov = linalg.cho_solve(cho, np.eye(d))
@@ -363,21 +385,19 @@ class TestConjugatePosterior:
         )
 
     def test_non_finite_design_raises(self):
-        basis, prior, _ = _linear_setup(3)
-        S = Dataset(xs=np.array([0.1, np.nan]), ys=np.zeros(2))
         with pytest.raises(NumericalError, match="design matrix contains non-finite entries"):
-            conjugate_posterior_linear(S, prior, basis, 0.5)
+            Dataset(xs=np.array([0.1, np.nan]), ys=np.zeros(2), basis=BasisSpec(3))
 
     def test_non_positive_definite_precision_raises(self):
         """Four copies of x = 1 give a rank-one gram of size ~1e3; its 1e-20
         ridge is lost to rounding, so the second pivot is not positive."""
         basis, prior, _ = _linear_setup(2, sigma_w_sq=1e20)
-        S = Dataset(xs=np.ones(4), ys=np.ones(4))
+        S = Dataset(xs=np.ones(4), ys=np.ones(4), basis=basis)
         with pytest.raises(
             NumericalError,
             match=r"posterior precision not positive definite \(LAPACK dpotrf info=2\)",
         ):
-            conjugate_posterior_linear(S, prior, basis, 1e-3)
+            conjugate_posterior_linear(S, prior, 1e-3)
 
 
 class TestGaussianPosterior:
@@ -406,9 +426,9 @@ def conjugate_chain():
     stationarity tests."""
     rng = SeededRng(42)
     basis, prior, family = _linear_setup(1)
-    g = LinearFunction((0.8,), basis)
-    S = generate_dataset(g, 20, 0.04, UNIFORM_SYM, rng.stream(0))
-    post = conjugate_posterior_linear(S, prior, basis, 0.04)
+    w = (0.8,)
+    S = generate_dataset(w, basis, 20, 0.04, rng.stream(0))
+    post = conjugate_posterior_linear(S, prior, 0.04)
     cfg = SgldConfig(eta=3e-4, steps=205_000, burn_in=5_000, thin=20,
                      sigma_y_sq=0.04)
     draws = run_sgld(S, family, cfg, rng.stream(1))
@@ -446,8 +466,8 @@ class TestSgld:
         assert abs(float(theta[0]) - float(post.mean[0])) <= 1e-6
 
     def test_no_data_chain_samples_prior(self):
-        _, _, family = _linear_setup(1)
-        S = Dataset(xs=np.zeros(0), ys=np.zeros(0))
+        basis, _, family = _linear_setup(1)
+        S = Dataset(xs=np.zeros(0), ys=np.zeros(0), basis=basis)
         cfg = SgldConfig(eta=0.01, steps=105_000, burn_in=5_000, thin=10,
                          sigma_y_sq=1.0)
         draws = run_sgld(S, family, cfg, SeededRng(42).stream(3))
@@ -457,8 +477,8 @@ class TestSgld:
 
     def test_divergence_guard(self):
         basis, _, family = _linear_setup(1)
-        g = LinearFunction((0.8,), basis)
-        S = generate_dataset(g, 50, 0.04, UNIFORM_SYM, SeededRng(1))
+        w = (0.8,)
+        S = generate_dataset(w, basis, 50, 0.04, SeededRng(1))
         cfg = SgldConfig(eta=50.0, steps=2_000, burn_in=100, thin=1,
                          sigma_y_sq=1e-6)
         with pytest.raises(NumericalError, match="diverged"):
@@ -469,8 +489,8 @@ class TestSgld:
         """A variance whose reciprocal overflows is a NumericalError naming
         both variances, raised before any step and with no RuntimeWarning."""
         basis, _, family = _linear_setup(1, sigma_w_sq)
-        g = LinearFunction((0.8,), basis)
-        S = generate_dataset(g, 50, 0.04, UNIFORM_SYM, SeededRng(1))
+        w = (0.8,)
+        S = generate_dataset(w, basis, 50, 0.04, SeededRng(1))
         cfg = SgldConfig(eta=1e-3, steps=200, burn_in=100, thin=1, sigma_y_sq=sigma_y_sq)
         message = (
             f"SGLD Hessian or drift not finite at sigma_y_sq={sigma_y_sq}, "
@@ -478,6 +498,14 @@ class TestSgld:
         )
         with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
             run_sgld(S, family, cfg, SeededRng(5))
+
+    def test_dataset_of_another_basis_rejected(self):
+        _, _, family = _linear_setup(3)
+        S = generate_dataset((0.8, 0.1), BasisSpec(2), 20, 0.04, SeededRng(0))
+        cfg = SgldConfig(eta=1e-3, steps=200, burn_in=100, thin=1, sigma_y_sq=0.04)
+        with pytest.raises(ConfigError, match=r"^dataset drawn for BasisSpec\(d=2\), "
+                                              r"family has BasisSpec\(d=3\)$"):
+            run_sgld(S, family, cfg, SeededRng(1))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -490,17 +518,14 @@ class TestSgld:
             SgldConfig(eta=0.1, steps=10, burn_in=1, thin=1, sigma_y_sq=0.0)
 
 
-def _stepped_linear_sgld(S, family, cfg, rng, inject_noise=True, init=None):
+def _stepped_linear_sgld(S, family, cfg, rng, inject_noise=True):
     """Reference: the linear-family SGLD chain stepped one update at a time,
     with the per-step arithmetic run_sgld used before it solved the
     recursion in blocks."""
     gen = rng.generator()
     n = S.n
     n_eff = max(n, 1)
-    if init is not None:
-        theta = np.asarray(init, dtype=float).copy()
-    else:
-        theta = family.sample_matrix(1, gen)[0]
+    theta = family.sample_matrix(1, gen)[0]
     design = basis_matrix(family.basis, S.xs) if n else None
     noise_scale = math.sqrt(2.0 * cfg.eta / n_eff)
     draws = []
@@ -532,23 +557,21 @@ class TestLinearSgldRecursion:
     def _problem(d, N):
         basis, _, family = _linear_setup(d)
         if N == 0:
-            return Dataset(xs=np.zeros(0), ys=np.zeros(0)), family
+            return Dataset(xs=np.zeros(0), ys=np.zeros(0), basis=basis), family
         w = (0.8, -0.5, 0.3)[:d]
-        g = LinearFunction(w, basis)
-        return generate_dataset(g, N, 0.04, UNIFORM_SYM, SeededRng(11).stream(d)), family
+        return generate_dataset(w, basis, N, 0.04, SeededRng(11).stream(d)), family
 
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize(
-        "N, inject_noise, with_init",
-        [(20, True, False), (20, False, False), (20, True, True), (0, True, False)],
-        ids=["noise", "noise_free", "init", "no_data"],
+        "N, inject_noise",
+        [(20, True), (20, False), (1, True), (0, True)],
+        ids=["noise", "noise_free", "one_point", "no_data"],
     )
-    def test_matches_stepped_chain(self, d, N, inject_noise, with_init):
+    def test_matches_stepped_chain(self, d, N, inject_noise):
         S, family = self._problem(d, N)
-        init = np.linspace(-2.0, 2.0, d) if with_init else None
         cfg = self.CFG if N else replace(self.CFG, eta=0.01)
-        got = run_sgld(S, family, cfg, SeededRng(5), inject_noise=inject_noise, init=init)
-        ref = _stepped_linear_sgld(S, family, cfg, SeededRng(5), inject_noise, init)
+        got = run_sgld(S, family, cfg, SeededRng(5), inject_noise=inject_noise)
+        ref = _stepped_linear_sgld(S, family, cfg, SeededRng(5), inject_noise)
         assert got.shape == ref.shape == (2_429, d)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
@@ -560,11 +583,10 @@ class TestLinearSgldRecursion:
         lam = float(design[:, 0] @ design[:, 0]) / (20 * 0.04) + 1.0 / 20
         cfg = SgldConfig(eta=2.001 / lam, steps=30_000, burn_in=100, thin=1,
                          sigma_y_sq=0.04)
-        init = np.array([1.0])
         with pytest.raises(NumericalError) as ref_err:
-            _stepped_linear_sgld(S, family, cfg, SeededRng(3), init=init)
+            _stepped_linear_sgld(S, family, cfg, SeededRng(3))
         with pytest.raises(NumericalError, match="diverged") as got_err:
-            run_sgld(S, family, cfg, SeededRng(3), init=init)
+            run_sgld(S, family, cfg, SeededRng(3))
         ref_step = int(re.search(r"at step (\d+)", str(ref_err.value)).group(1))
         got_step = int(re.search(r"at step (\d+)", str(got_err.value)).group(1))
         assert got_step == ref_step > 8192
@@ -575,8 +597,7 @@ class TestLosses:
 
     def test_single_draw_equals_direct_average(self):
         basis, _, family = _linear_setup(2)
-        g = LinearFunction((0.9, -0.4), basis)
-        S = generate_dataset(g, 40, 0.04, UNIFORM_SYM, SeededRng(2))
+        S = generate_dataset((0.9, -0.4), basis, 40, 0.04, SeededRng(2))
         w = np.array([[0.5, 0.1]])
         spec = LossSpec(clip_C=0.5)
         est = empirical_loss_of_Q(w, S, spec, family)
@@ -587,43 +608,43 @@ class TestLosses:
 
     def test_concentrated_posterior_hits_noise_floor(self):
         basis, _, family = _linear_setup(2)
-        g = LinearFunction((0.9, -0.4), basis)
+        w = (0.9, -0.4)
         spec = LossSpec(clip_C=1.0)
-        est = true_loss_of_Q(np.array([[0.9, -0.4]]), g, 0.01, UNIFORM_SYM,
-                             spec, 100_000, SeededRng(11).stream(0), family)
+        est = true_loss_of_Q(np.array([[0.9, -0.4]]), w, 0.01, spec,
+                             100_000, SeededRng(11).stream(0), family)
         assert abs(est.value - 0.01) <= 3.0 * est.std_err
 
     def test_prior_loss_in_assumed_regime(self):
         # A unit Gaussian prior sits far from this target, so its true loss
         # clears the 2 sigma_e^2 threshold the main bound assumes.
         basis, _, family = _linear_setup(2)
-        g = LinearFunction((0.9, -0.4), basis)
+        w = (0.9, -0.4)
         gen = SeededRng(11).stream(1).generator()
         draws = gen.standard_normal((2_000, 2))
-        est = true_loss_of_Q(draws, g, 0.01, UNIFORM_SYM, LossSpec(clip_C=4.0),
+        est = true_loss_of_Q(draws, w, 0.01, LossSpec(clip_C=4.0),
                              20_000, SeededRng(11).stream(2), family)
         assert est.value >= 2 * 0.01
 
     def test_losses_bounded_by_clip(self):
         basis, _, family = _linear_setup(2)
-        g = LinearFunction((0.9, -0.4), basis)
-        S = generate_dataset(g, 50, 0.04, UNIFORM_SYM, SeededRng(3))
+        w = (0.9, -0.4)
+        S = generate_dataset(w, basis, 50, 0.04, SeededRng(3))
         gen = SeededRng(3).stream(1).generator()
         draws = 3.0 * gen.standard_normal((500, 2))
         spec = LossSpec(clip_C=0.3)
         emp = empirical_loss_of_Q(draws, S, spec, family)
-        true = true_loss_of_Q(draws, g, 0.04, UNIFORM_SYM, spec, 5_000,
+        true = true_loss_of_Q(draws, w, 0.04, spec, 5_000,
                               SeededRng(3).stream(2), family)
         assert 0.0 <= emp.value <= 0.3
         assert 0.0 <= true.value <= 0.3
 
     def test_conjugate_empirical_loss_matches_mc(self):
         basis, prior, family = _linear_setup(1)
-        g = LinearFunction((0.8,), basis)
-        S = generate_dataset(g, 50, 0.04, UNIFORM_SYM, SeededRng(42).stream(1))
-        post = conjugate_posterior_linear(S, prior, basis, 0.1)
+        w = (0.8,)
+        S = generate_dataset(w, basis, 50, 0.04, SeededRng(42).stream(1))
+        post = conjugate_posterior_linear(S, prior, 0.1)
         spec = LossSpec(clip_C=1.0)
-        [exact] = conjugate_empirical_loss([(S, post)], basis, spec)
+        [exact] = conjugate_empirical_loss([(S, post)], spec)
         draws = sample_gaussian(post, 200_000, SeededRng(42).stream(2).generator())
         mc = empirical_loss_of_Q(draws, S, spec, family)
         assert abs(exact - mc.value) <= 3.0 * mc.std_err
@@ -631,35 +652,32 @@ class TestLosses:
     def test_conjugate_true_loss_matches_mc(self):
         basis, prior, family = _linear_setup(2)
         w = (0.9, -0.4)
-        g = LinearFunction(w, basis)
-        S = generate_dataset(g, 60, 0.01, UNIFORM_SYM, SeededRng(13).stream(0))
-        post = conjugate_posterior_linear(S, prior, basis, 0.05)
+        S = generate_dataset(w, basis, 60, 0.01, SeededRng(13).stream(0))
+        post = conjugate_posterior_linear(S, prior, 0.05)
         spec = LossSpec(clip_C=1.0)
-        [exact] = conjugate_true_loss([post], LinearTarget(w=w), basis, 0.01,
-                                      UNIFORM_SYM, spec)
+        [exact] = conjugate_true_loss([post], LinearTarget(w=w), basis, 0.01, spec)
         draws = sample_gaussian(post, 20_000, SeededRng(13).stream(1).generator())
-        mc = true_loss_of_Q(draws, g, 0.01, UNIFORM_SYM, spec, 20_000,
+        mc = true_loss_of_Q(draws, w, 0.01, spec, 20_000,
                             SeededRng(13).stream(2), family)
         assert abs(exact - mc.value) <= 3.0 * mc.std_err
 
     def test_validation(self):
         basis, prior, family = _linear_setup(1)
-        g = LinearFunction((0.8,), basis)
-        S = generate_dataset(g, 5, 0.0, UNIFORM_SYM, SeededRng(0))
+        w = (0.8,)
+        S = generate_dataset(w, basis, 5, 0.0, SeededRng(0))
         empty = np.zeros((0, 1))
         with pytest.raises(ConfigError):
-            empirical_loss_of_Q(empty, S, LossSpec(), family)
+            empirical_loss_of_Q(empty, S, LossSpec(clip_C=4.0), family)
         with pytest.raises(ConfigError):
-            true_loss_of_Q(empty, g, 0.0, UNIFORM_SYM, LossSpec(), 100,
+            true_loss_of_Q(empty, w, 0.0, LossSpec(clip_C=4.0), 100,
                            SeededRng(0), family)
         with pytest.raises(ConfigError):
-            true_loss_of_Q(np.array([[0.8]]), g, 0.0, UNIFORM_SYM, LossSpec(),
+            true_loss_of_Q(np.array([[0.8]]), w, 0.0, LossSpec(clip_C=4.0),
                            1, SeededRng(0), family)
         with pytest.raises(ConfigError):
             conjugate_true_loss(
-                [conjugate_posterior_linear(S, prior, basis, 0.1)],
-                LinearTarget(w=(0.8,), perp_sq=0.1), basis, 0.0, UNIFORM_SYM,
-                LossSpec(),
+                [conjugate_posterior_linear(S, prior, 0.1)],
+                LinearTarget(w=(0.8,), perp_sq=0.1), basis, 0.0, LossSpec(clip_C=4.0),
             )
 
 
@@ -675,12 +693,11 @@ class TestBatchedLosses:
         basis, prior, _ = _linear_setup(d)
         rng = SeededRng(seed)
         w = tuple(rng.stream(0).generator().normal(0.0, 1.0, size=d).tolist())
-        g = LinearFunction(w, basis)
         sizes = (1, 33, 200, 33, 1, 200)
         temps = (0.05, 0.5, 0.01, 2.0, 0.2, 0.05)
-        datasets = [generate_dataset(g, N, 0.01, UNIFORM_SYM, rng.stream(1 + i))
+        datasets = [generate_dataset(w, basis, N, 0.01, rng.stream(1 + i))
                     for i, N in enumerate(sizes)]
-        posts = [conjugate_posterior_linear(S, prior, basis, t) for S, t in zip(datasets, temps)]
+        posts = [conjugate_posterior_linear(S, prior, t) for S, t in zip(datasets, temps)]
         # A point mass (zero covariance) puts s_sq = 0 at every point of its
         # slice, so the degenerate branch runs inside the batch.
         posts[3] = SimpleNamespace(mean=posts[3].mean, covariance=np.zeros((d, d)))
@@ -691,9 +708,9 @@ class TestBatchedLosses:
     def test_empirical_items_equal_one_item_calls(self, d, seed):
         basis, _, datasets, posts = self._batch(d, seed)
         C = self.SPEC.clip_C
-        batched = conjugate_empirical_loss(list(zip(datasets, posts)), basis, self.SPEC)
+        batched = conjugate_empirical_loss(list(zip(datasets, posts)), self.SPEC)
         for S, post, loss in zip(datasets, posts, batched):
-            assert conjugate_empirical_loss([(S, post)], basis, self.SPEC) == [loss]
+            assert conjugate_empirical_loss([(S, post)], self.SPEC) == [loss]
             phi = basis_matrix(basis, S.xs)
             mu = phi @ post.mean - S.ys
             s_sq = np.einsum("ij,jk,ik->i", phi, post.covariance, phi)
@@ -710,11 +727,11 @@ class TestBatchedLosses:
         nodes, weights = np.polynomial.legendre.leggauss(200)
         phi = basis_matrix(basis, nodes)
         for sigma_e_sq in (0.0, 0.01):
-            batched = conjugate_true_loss(posts, target, basis, sigma_e_sq, UNIFORM_SYM, self.SPEC)
+            batched = conjugate_true_loss(posts, target, basis, sigma_e_sq, self.SPEC)
             assert len(batched) == len(posts)
             for post, loss in zip(posts, batched):
                 assert conjugate_true_loss(
-                    [post], target, basis, sigma_e_sq, UNIFORM_SYM, self.SPEC) == [loss]
+                    [post], target, basis, sigma_e_sq, self.SPEC) == [loss]
                 mu = phi @ (post.mean - np.asarray(target.w))
                 s_sq = np.einsum("ij,jk,ik->i", phi, post.covariance, phi) + sigma_e_sq
                 vals = expected_clipped_loss_gaussian(mu, s_sq, C)
@@ -805,19 +822,19 @@ class TestPacBayesPieces:
         rng = SeededRng(7)
         d, N, sigma_y_sq = 2, 6, 0.5
         basis, prior, family = _linear_setup(d)
-        g = LinearFunction((0.9, -0.4), basis)
+        w = (0.9, -0.4)
         prior_gauss = GaussianPosterior(np.zeros(d), np.eye(d))
         for trial in range(20):
-            S = generate_dataset(g, N, 0.01, UNIFORM_SYM, rng.stream(100 + trial))
-            post = conjugate_posterior_linear(S, prior, basis, sigma_y_sq)
+            S = generate_dataset(w, basis, N, 0.01, rng.stream(100 + trial))
+            post = conjugate_posterior_linear(S, prior, sigma_y_sq)
             kl = kl_gaussians(post, prior_gauss)
             phi = basis_matrix(basis, S.xs)
             mu = phi @ post.mean - S.ys
             s_sq = np.einsum("ij,jk,ik->i", phi, post.covariance, phi)
             unclipped_ls = float(np.mean(mu * mu + s_sq))
-            noise = S.ys - np.asarray(g(S.xs))
+            noise = S.ys - linear_model(w, basis)(S.xs)
             est = empirical_complexity_mc(
-                family, g, S.xs, noise, sigma_y_sq / N, 200_000,
+                family, linear_model(w, basis), S.xs, noise, sigma_y_sq / N, 200_000,
                 rng.stream(500 + trial),
             )
             bound = divergence_upper_bound(est, N, sigma_y_sq, unclipped_ls)
@@ -827,7 +844,7 @@ class TestPacBayesPieces:
     def test_divergence_bound_floors_at_zero(self):
         est = empirical_complexity_mc(
             _linear_setup(1)[2],
-            LinearFunction((0.8,), BasisSpec(d=1)),
+            linear_model((0.8,), BasisSpec(d=1)),
             np.array([0.1, 0.2]), np.zeros(2), 10.0, 1_000, SeededRng(0),
         )
         assert divergence_upper_bound(est, 2, 10.0, 1e6) == 0.0
@@ -835,7 +852,7 @@ class TestPacBayesPieces:
     def test_divergence_bound_validation(self):
         est = empirical_complexity_mc(
             _linear_setup(1)[2],
-            LinearFunction((0.8,), BasisSpec(d=1)),
+            linear_model((0.8,), BasisSpec(d=1)),
             np.array([0.1]), np.zeros(1), 1.0, 100, SeededRng(0),
         )
         with pytest.raises(ConfigError):
@@ -848,18 +865,15 @@ class TestPacBayesPieces:
         d, N, sigma_e_sq, C = 3, 200, 0.01, 1.0
         basis, prior, family = _linear_setup(d)
         w = (0.8, -0.5, 0.3)
-        g = LinearFunction(w, basis)
         target = LinearTarget(w=w)
         spec = LossSpec(clip_C=C)
         prior_gauss = GaussianPosterior(np.zeros(d), np.eye(d))
         lds, rhss = [], []
         for trial in range(50):
-            S = generate_dataset(g, N, sigma_e_sq, UNIFORM_SYM,
-                                 rng.stream(200 + trial))
-            post = conjugate_posterior_linear(S, prior, basis, 0.04)
-            [L_S] = conjugate_empirical_loss([(S, post)], basis, spec)
-            [L_D] = conjugate_true_loss([post], target, basis, sigma_e_sq,
-                                        UNIFORM_SYM, spec)
+            S = generate_dataset(w, basis, N, sigma_e_sq, rng.stream(200 + trial))
+            post = conjugate_posterior_linear(S, prior, 0.04)
+            [L_S] = conjugate_empirical_loss([(S, post)], spec)
+            [L_D] = conjugate_true_loss([post], target, basis, sigma_e_sq, spec)
             lds.append(L_D)
             rhss.append(pac_bayes_rhs(L_S, kl_gaussians(post, prior_gauss), N, C))
         lds, rhss = np.array(lds), np.array(rhss)
@@ -896,10 +910,10 @@ class TestFindSigmaAlg:
     def test_conjugate_search_hits_target(self):
         rng = SeededRng(21)
         basis, prior, family = _linear_setup(1)
-        g = LinearFunction((0.7,), basis)
+        w = (0.7,)
 
         def make(r):
-            return generate_dataset(g, 40, 0.04, UNIFORM_SYM, r)
+            return generate_dataset(w, basis, 40, 0.04, r)
 
         spec = LossSpec(clip_C=4.0)
         sigma_alg_sq, achieved = find_sigma_alg(1.0, 0.04, make, family, 1e-3,
@@ -909,18 +923,18 @@ class TestFindSigmaAlg:
         check_rng = SeededRng(21).stream(1)
         replicas = [make(check_rng.stream(i)) for i in range(16)]
         mean_loss = float(np.mean(conjugate_empirical_loss(
-            [(S, conjugate_posterior_linear(S, prior, basis, sigma_alg_sq))
+            [(S, conjugate_posterior_linear(S, prior, sigma_alg_sq))
              for S in replicas],
-            basis, spec)))
+            spec)))
         assert mean_loss == achieved
         assert abs(mean_loss - 2 * 0.04) <= 1e-3
 
     def test_bracket_failure_reports_endpoint_losses(self):
         basis, prior, family = _linear_setup(1)
-        g = LinearFunction((0.7,), basis)
+        w = (0.7,)
 
         def make(r):
-            return generate_dataset(g, 40, 0.04, UNIFORM_SYM, r)
+            return generate_dataset(w, basis, 40, 0.04, r)
 
         # (1 + beta) sigma_e_sq = 5 is above clip_C = 4, which no clipped
         # loss reaches, so the bracket's upper end falls short of it.
@@ -933,10 +947,10 @@ class TestFindSigmaAlg:
         basis, prior, family = _linear_setup(1)
         with pytest.raises(ConfigError):
             find_sigma_alg(0.0, 0.04, lambda r: None, family, 1e-3, SeededRng(0),
-                           loss_spec=LossSpec())
+                           loss_spec=LossSpec(clip_C=4.0))
         with pytest.raises(ConfigError):
             find_sigma_alg(1.0, 0.04, lambda r: None, family, 0.0, SeededRng(0),
-                           loss_spec=LossSpec())
+                           loss_spec=LossSpec(clip_C=4.0))
 
 class TestBatchMeansSe:
     """Chain standard error via batch means."""

@@ -116,8 +116,10 @@ class TestProjectToZero:
         theta = _net([1.0], [0.0])  # ||f||^2 = 1/3 >> 1/(12*2^5)
         with pytest.raises(SmallnessError) as exc:
             project_to_zero(theta)
-        assert exc.value.measured_norm_sq == pytest.approx(1.0 / 3.0)
-        assert exc.value.threshold == pytest.approx(1.0 / (12.0 * 2**5))
+        assert str(exc.value).endswith(
+            f"squared norm {1.0 / 3.0:.6g} exceeds smallness threshold "
+            f"{1.0 / (12.0 * 2**5):.6g}"
+        )
 
     def test_randomized_exactness_bound_and_accounting(self):
         """200 admissible inputs: the result represents zero bit-exactly, the

@@ -14,13 +14,13 @@ field of a package class is read somewhere outside tests.
 """
 
 import ast
+import importlib
 import inspect
 import re
 import threading
 from pathlib import Path
 
 from bayescomplex import cli
-from bayescomplex.families import LinearFamily, ShallowNetFamily
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bayescomplex"
@@ -111,9 +111,9 @@ def test_every_definition_is_reached():
 
 
 def _unread_fields(package: Path = PACKAGE, readers: tuple[Path, ...] = ()) -> set[str]:
-    """module.Class.field for each annotated name in a class body of package
-    that no .py file under readers reads as an attribute (an ast.Load;
-    assigning it does not count)."""
+    """module.Class.field for each annotated name in a class body of package,
+    and each self.<name> its __init__ assigns, that no .py file under readers
+    reads as an attribute (an ast.Load; assigning it does not count)."""
     read = set()
     for path in sorted(p for reader in readers for p in reader.rglob("*.py")):
         for sub in ast.walk(ast.parse(path.read_text())):
@@ -122,11 +122,19 @@ def _unread_fields(package: Path = PACKAGE, readers: tuple[Path, ...] = ()) -> s
     unread = set()
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                            and item.target.id not in read):
-                        unread.add(f"{path.stem}.{node.name}.{item.target.id}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = set()
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    fields.add(item.target.id)
+                elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    fields |= {
+                        sub.attr for sub in ast.walk(item)
+                        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                    }
+            unread |= {f"{path.stem}.{node.name}.{name}" for name in fields - read}
     return unread
 
 
@@ -146,54 +154,88 @@ class Record:
     written: int
     unread: str = ""
 
+class Failure(Exception):
+    def __init__(self, value, spare):
+        super().__init__(f"bad {value}")
+        self.value = value
+        self.spare = spare
+
 def make():
     record = Record(used=1, written=2)
     record.written = 3
-    return record.used
+    try:
+        raise Failure(record.used, 4)
+    except Failure as exc:
+        return exc.value
 """
 
 
 def test_field_walk_names_written_and_unread_fields(tmp_path):
     (tmp_path / "toy.py").write_text(_RECORDS)
-    assert _unread_fields(tmp_path, (tmp_path,)) == {"toy.Record.written", "toy.Record.unread"}
+    assert _unread_fields(tmp_path, (tmp_path,)) == {
+        "toy.Record.written", "toy.Record.unread", "toy.Failure.spare",
+    }
 
 
-# Every command that builds a family, at budgets well under a second. A
-# result check may fail at such a budget (exit 1); a configuration or
-# numerical error (exit 2 or 3) may not.
-_FAMILY_RUNS = [
+# Every command, at budgets well under a second. A result check may fail at
+# such a budget (exit 1); a configuration or numerical error (exit 2 or 3)
+# may not.
+_COMMAND_RUNS = [
     ["linear_complexity", "mc_samples=20000"],
     ["pacbayes", "n_trials=2", "n_replicas=2"],
     ["sgld_check", "steps=7000", "burn_in=1000"],
     ["nn_complexity", "eps_grid=0.2,0.14,0.1", "n_per_eps=2000", "--workers", "2"],
     ["one_change", "n_samples=2000"],
     ["codim", "n_samples=20000"],
+    ["periodic", "n_grid=200"],
+    ["projection_check", "n_trials=5"],
 ]
 
 
-def test_every_family_method_runs_in_a_command(monkeypatch, capsys):
+def _package_methods():
+    """(class, attribute name, key) for each method and property, dunders
+    aside, of each class a module of the package defines."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"bayescomplex.{path.stem}")
+        for cls in vars(module).values():
+            if not (inspect.isclass(cls) and cls.__module__ == module.__name__):
+                continue
+            for name, attr in vars(cls).items():
+                if not name.startswith("__") and (
+                    inspect.isfunction(attr)
+                    or isinstance(attr, (property, staticmethod, classmethod))
+                ):
+                    yield cls, name, f"{path.stem}.{cls.__name__}.{name}"
+
+
+def test_every_method_runs_in_a_command(monkeypatch, capsys):
     """The walk above matches methods by attribute name, so a method of one
-    family counts as reached when a same-named method of the other family
-    is called. This runs the commands themselves with every method of both
-    families wrapped by a call recorder, and fails on a method no command
-    called."""
+    class counts as reached when a same-named method of another class is
+    called. This runs every command with every method and property of every
+    package class wrapped by a call recorder, and fails on one that no
+    command called."""
+    assert sorted(argv[0] for argv in _COMMAND_RUNS) == sorted(cli.COMMANDS)
     called, lock = set(), threading.Lock()
 
-    def recorder(key, method):
+    def recorder(key, fn):
         def recorded(*args, **kwargs):
             with lock:
                 called.add(key)
-            return method(*args, **kwargs)
+            return fn(*args, **kwargs)
         return recorded
 
     methods = set()
-    for cls in (LinearFamily, ShallowNetFamily):
-        for name, method in vars(cls).items():
-            if inspect.isfunction(method):
-                key = f"{cls.__name__}.{name}"
-                methods.add(key)
-                monkeypatch.setattr(cls, name, recorder(key, method))
-    for argv in _FAMILY_RUNS:
+    for cls, name, key in _package_methods():
+        attr = vars(cls)[name]
+        if isinstance(attr, property):
+            wrapped = property(recorder(key, attr.fget), attr.fset, attr.fdel, attr.__doc__)
+        elif isinstance(attr, (staticmethod, classmethod)):
+            wrapped = type(attr)(recorder(key, attr.__func__))
+        else:
+            wrapped = recorder(key, attr)
+        methods.add(key)
+        monkeypatch.setattr(cls, name, wrapped)
+    for argv in _COMMAND_RUNS:
         rc = cli.main(argv)
         assert rc in (0, 1), (argv, capsys.readouterr().err)
     capsys.readouterr()
