@@ -38,7 +38,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _scale_shift(z: np.ndarray, scale, shift) -> np.ndarray:
-    """z * scale + shift, in place."""
+    """z * scale + shift, in place. On standard draws (numpy's fill path,
+    cheaper per value than its scalar-parameter calls) this is numpy's
+    normal(loc, scale) = loc + scale * z and uniform(lo, hi) = lo + (hi -
+    lo) * U bit for bit; a zero shift is still added, as numpy adds it, so
+    that -0.0 becomes +0.0."""
     z *= scale
     z += shift
     return z
@@ -113,7 +117,8 @@ class LinearFamily:
         return target
 
     def sample_matrix(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        return gen.normal(0.0, math.sqrt(self.prior.sigma_w_sq), size=(n, self.dim))
+        return _scale_shift(gen.standard_normal((n, self.dim)),
+                            math.sqrt(self.prior.sigma_w_sq), 0.0)
 
     def dist_sq(self, target: LinearTarget, thetas: np.ndarray) -> np.ndarray:
         diff = thetas - np.asarray(target.w)
@@ -193,10 +198,13 @@ class ShallowNetFamily:
 
     Flat layout: [w1 (k), w2 (k), b1 (k), b2]; dim = 3k + 1. Drawn blocks
     are column-major, so the O(k) screen reads contiguous columns. Each of
-    a block's generator calls ((n, 2k) weights, (n, k) biases, n output
-    biases) is issued as consecutive tile_rows-row pieces copied straight
-    into the block: a run of same-kind draws is one stream however it is
-    split, so the block holds what one call gives, with tile-sized scratch.
+    a block's draws ((n, 2k) weights, (n, k) biases, n output biases) is
+    made on consecutive tile_rows-row pieces: numpy's standard fill
+    (standard_normal, random) into one tile-sized scratch, scaled there,
+    copied into the block and shifted in it. numpy's normal and uniform
+    are those standard draws scaled and shifted, and a run of same-kind
+    draws is one stream however it is split, so the block holds the bytes
+    of one normal or uniform call.
     einsum may order a row's sum by layout, so dist_sq and the two densities
     take C-ordered rows: their bits do not depend on the layout handed in.
     """
@@ -228,22 +236,28 @@ class ShallowNetFamily:
 
     # -- prior ----------------------------------------------------------------
 
-    def _fill_tiles(self, out: np.ndarray, cols, draw) -> None:
-        """out[:, cols] = draw(n), drawn as draw(m) on consecutive pieces of
-        at most tile_rows rows: the same values, with no whole-block copy."""
+    def _fill_tiles(self, out: np.ndarray, cols, fill, scale, shift) -> None:
+        """out[:, cols] = fill(n) * scale + shift, tile_rows rows at a time:
+        each piece is filled into one scratch and scaled there, then copied
+        into the block and shifted in it, where a per-column shift runs
+        down whole columns."""
         n = out.shape[0]
+        scratch = np.empty((min(n, self.tile_rows), *out[:0, cols].shape[1:]))
         for lo in range(0, n, self.tile_rows):
             hi = min(n, lo + self.tile_rows)
-            out[lo:hi, cols] = draw(hi - lo)
+            piece = scratch[: hi - lo]
+            fill(out=piece)
+            piece *= scale
+            block = out[lo:hi, cols]
+            block[...] = piece
+            block += shift
 
     def sample_matrix(self, n: int, gen: np.random.Generator) -> np.ndarray:
         k, p = self.k, self.prior
         out = np.empty((n, self.dim), order="F")
-        sw = math.sqrt(p.sigma_w_sq)
-        self._fill_tiles(out, slice(0, 2 * k), lambda m: gen.normal(0.0, sw, size=(m, 2 * k)))
-        self._fill_tiles(out, slice(2 * k, 3 * k), lambda m: gen.uniform(0.0, p.M, size=(m, k)))
-        sb = math.sqrt(p.sigma_b_sq)
-        self._fill_tiles(out, 3 * k, lambda m: gen.normal(0.0, sb, size=m))
+        self._fill_tiles(out, slice(0, 2 * k), gen.standard_normal, math.sqrt(p.sigma_w_sq), 0.0)
+        self._fill_tiles(out, slice(2 * k, 3 * k), gen.random, p.M, 0.0)
+        self._fill_tiles(out, 3 * k, gen.standard_normal, math.sqrt(p.sigma_b_sq), 0.0)
         return out
 
     def log_prior_density(self, thetas: np.ndarray) -> np.ndarray:
@@ -304,37 +318,59 @@ class ShallowNetFamily:
         """(lb, margin) per row with lb <= E_x[(f - g)^2] in exact arithmetic.
 
         Bessel's inequality for h = f - g against the orthonormal pair 1,
-        sqrt(3)(2x - 1) of U([0, 1]): E[h^2] >= h0^2 + 3 (2 hx - h0)^2 with
-        h0 = E[h] = b2 - E[g] + sum_i u_i (T2_i - b_i T1_i) and
-        hx = E[x h] = b2/2 - E[x g] + sum_i u_i (T3_i - b_i T2_i), the T's
-        as in _dist_sq_chunk. It is tight when h is affine on [0, 1].
+        sqrt(3)(2x - 1) of U([0, 1]): E[h^2] >= h0^2 + 3 e^2 with h0 = E[h]
+        and e = 2 E[x h] - h0. It is tight when h is affine on [0, 1].
+        With m = clip(b, 0, 1), c = 1 - m and d = m - b, the T's of
+        _dist_sq_chunk give T2 - b T1 = c (c/2 + d) and
+        2 (T3 - b T2) - (T2 - b T1) = c (c (1 + 2m)/6 + d m). Each node has
+        d = 0 (b in [0, 1]), or m = 0 and c = 1 (b < 0), or c = 0 (b > 1);
+        so c d = -min(b, 0), d m = 0 where c != 0, and 1 + 2m = 3 - 2c.
+        b2 cancels from e, and with c = clip(1 - b, 0, 1),
+            h0 = b2 - E[g] + P2/2 - N,    e = E[g] - 2 E[x g] + P2/2 - P3/3,
+            P2 = sum_i u_i c_i^2,  P3 = sum_i u_i c_i^3,  N = sum_i u_i min(b_i, 0):
+        13 elementwise passes over u and two (rows, k) scratch arrays.
 
         Rounding: S = |b2| + sum_i |u_i| (1 + |b_i|) + max|g| + max|g'|
-        bounds sup|f| + sup|g| and the size of every term either kernel
-        sums (each at most a few S^2, at most 3k + 4 of them, in sums and
-        cumsums of length <= k). Rounded in any order or grouping, a sum
-        of m terms is off by at most gamma_(m-1) = (m - 1) u / (1 - (m - 1) u),
+        bounds sup|f| + sup|g|, |h0| and |e| / 3, and the size of every term
+        either kernel sums. Rounded in any order or grouping, a sum of m
+        terms is off by at most gamma_(m-1) = (m - 1) u / (1 - (m - 1) u),
         u = 2^-53, times the sum of their magnitudes: each term passes
         through at most m - 1 additions, however the summation tree is
         shaped (Higham, Accuracy and Stability of Numerical Algorithms,
-        sec. 4.2). So the bound holds however einsum orders the k-term
-        sums, which may depend on the layout of thetas. Each product carries
-        a few roundings, so each kernel's error is below about
-        70 (k + 10) 2^-53 S^2 (measured against exact rational arithmetic:
-        under 3 * 2^-53 S^2 at k <= 64, rows with cancelling 1e6 weights
-        included). The margin 2^-46 (k + 64) S^2 = 128 (k + 64) 2^-53 S^2
-        covers both at every k. The check, at k <= 64 on C- and F-ordered
-        rows, is tests/test_families.py's
-        test_lower_bound_is_valid_and_tight_when_the_difference_is_affine.
+        sec. 4.2). So the bound holds however einsum orders the k-term sums,
+        which may depend on the layout of thetas. Here the clip and
+        min(b, 0) are exact and 1 - b is exact for b >= 1/2, so a term of
+        P2, P3 and N carries at most 5, 7 and 2 roundings: |dh0| <= (k + 7) u S
+        and |de| <= 3 (k + 10) u S to first order. With the three roundings
+        of h0^2 + 3 e^2 <= 28 S^2, the screen is off by at most
+        2 S |dh0| + 18 S |de| + 84 u S^2 <= 56 (k + 12) u S^2; the
+        distance kernel, by about 70 (k + 10) u S^2. (Measured against exact
+        rational arithmetic, each is under 3 u S^2 at k <= 64, rows with
+        cancelling 1e6 weights included.) The margin 2^-46 (k + 64) S^2 =
+        128 (k + 64) u S^2 covers their sum at every k. The checks, at
+        k <= 64 on C- and F-ordered rows, are tests/test_families.py's
+        test_lower_bound_is_valid_and_tight_when_the_difference_is_affine
+        and test_lower_bound_is_the_reference_bound_within_the_margin.
         """
         w1, w2, b1, b2 = self.split(thetas)
         u = w1 * w2
-        m = np.clip(b1, 0.0, 1.0)
-        t1, t2, t3 = 1.0 - m, (1.0 - m * m) / 2.0, (1.0 - m * m * m) / 3.0
-        h0 = b2 - mo.mean + np.einsum("ij,ij->i", u, t2 - b1 * t1)
-        hx = b2 / 2.0 - mo.mean_x + np.einsum("ij,ij->i", u, t3 - b1 * t2)
-        lb = h0 * h0 + 3.0 * (2.0 * hx - h0) ** 2
-        s = np.abs(b2) + np.einsum("ij,ij->i", np.abs(u), 1.0 + np.abs(b1)) + mo.scale
+        c = np.abs(u)
+        r = np.abs(b1)
+        r += 1.0
+        s = np.abs(b2) + np.einsum("ij,ij->i", c, r) + mo.scale
+        # The margin's scratch, reused: c = clip(1 - b, 0, 1), r = min(b, 0).
+        np.subtract(1.0, b1, out=c)
+        np.clip(c, 0.0, 1.0, out=c)
+        np.minimum(b1, 0.0, out=r)
+        n = np.einsum("ij,ij->i", u, r)
+        u *= c
+        half_p2 = 0.5 * np.einsum("ij,ij->i", u, c)
+        u *= c
+        p3 = np.einsum("ij,ij->i", u, c)
+        del u, c, r  # free the (rows, k) arrays before the per-row arithmetic
+        h0 = b2 - mo.mean + (half_p2 - n)
+        e = (mo.mean - 2.0 * mo.mean_x) + (half_p2 - p3 / 3.0)
+        lb = h0 * h0 + 3.0 * (e * e)
         return lb, 2.0**-46 * (self.k + 64) * (s * s)
 
     def _dist_sq_chunk(self, mo: PwlMoments, thetas: np.ndarray) -> np.ndarray:
@@ -380,18 +416,13 @@ class ShallowNetFamily:
         return flat
 
     def cloud_sample(self, n, center, scale, gen) -> np.ndarray:
-        # numpy draws normal(loc, scale) as loc + scale * z and uniform(lo,
-        # hi) as lo + (hi - lo) * U: standard draws scaled in place give the
-        # same bytes without the per-element broadcast path.
         k = self.k
         out = np.empty((n, self.dim), order="F")
-        self._fill_tiles(out, slice(0, 2 * k), lambda m: _scale_shift(
-            gen.standard_normal((m, 2 * k)), scale, center[: 2 * k]))
+        self._fill_tiles(out, slice(0, 2 * k), gen.standard_normal, scale, center[: 2 * k])
+        # uniform(lo, hi) scales by hi - lo, which need not round to 2 * scale.
         lo, hi = center[2 * k : 3 * k] - scale, center[2 * k : 3 * k] + scale
-        width = hi - lo
-        self._fill_tiles(out, slice(2 * k, 3 * k),
-                         lambda m: _scale_shift(gen.random((m, k)), width, lo))
-        self._fill_tiles(out, 3 * k, lambda m: gen.normal(center[3 * k], scale, size=m))
+        self._fill_tiles(out, slice(2 * k, 3 * k), gen.random, hi - lo, lo)
+        self._fill_tiles(out, 3 * k, gen.standard_normal, scale, center[3 * k])
         return out
 
     def cloud_log_density(self, thetas, center, scale) -> np.ndarray:

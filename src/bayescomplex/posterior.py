@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CheckFailure, ConfigError, NumericalError
-from .families import LinearFamily, LinearPriorSpec, LinearTarget
+from .families import LinearFamily, LinearPriorSpec, LinearTarget, _scale_shift
 from .models import BasisSpec, basis_matrix
 from .rng import SeededRng
 
@@ -135,10 +135,10 @@ def generate_dataset(
     if sigma_e_sq < 0:
         raise ConfigError(f"sigma_e_sq must be >= 0, got {sigma_e_sq}")
     gen = rng.generator()
-    xs = gen.uniform(-1.0, 1.0, size=N)
+    xs = _scale_shift(gen.random(N), 2.0, -1.0)  # gen.uniform(-1.0, 1.0, N)
     ys = basis_matrix(basis, xs) @ np.asarray(w, dtype=float)
     if sigma_e_sq > 0:
-        ys = ys + gen.normal(0.0, math.sqrt(sigma_e_sq), size=N)
+        ys += _scale_shift(gen.standard_normal(N), math.sqrt(sigma_e_sq), 0.0)
     return Dataset(xs, ys, basis)
 
 

@@ -16,7 +16,11 @@ and compare:
 - the exact distance kernels with the segment-by-segment L2 distance of two
   piecewise-linear functions (l2_distance_sq);
 - the piecewise-linear conversion of a shallow network with its direct
-  forward pass (shallow_forward).
+  forward pass (shallow_forward);
+- the samplers, which draw through numpy's standard fill path, with
+  numpy's normal and uniform calls (prior_draws_ref, cloud_draws_ref,
+  linear_draws_ref, dataset_draws_ref), and the shallow family's factored
+  hit screen with its T1/T2/T3 formulation (lower_bound_ref).
 """
 
 from __future__ import annotations
@@ -371,3 +375,60 @@ def l2_distance_sq(f: PwlFunction, g: PwlFunction, mu: L2Measure) -> float:
     _check_shared_domain(f, g, mu)
     pts = np.unique(np.concatenate([f.breakpoints(), g.breakpoints()]))
     return _integral_sq(pts, f(pts) - g(pts)) / (mu.hi - mu.lo)
+
+
+# --------------------------------------------------------------------------
+# Reference draws and hit screen
+# --------------------------------------------------------------------------
+
+
+def prior_draws_ref(fam, n: int, gen: np.random.Generator) -> np.ndarray:
+    """ShallowNetFamily.sample_matrix's values, C-ordered, from one
+    normal or uniform call per coordinate group."""
+    k, p = fam.k, fam.prior
+    out = np.empty((n, fam.dim))
+    out[:, : 2 * k] = gen.normal(0.0, math.sqrt(p.sigma_w_sq), (n, 2 * k))
+    out[:, 2 * k : 3 * k] = gen.uniform(0.0, p.M, (n, k))
+    out[:, 3 * k] = gen.normal(0.0, math.sqrt(p.sigma_b_sq), n)
+    return out
+
+
+def cloud_draws_ref(fam, n: int, center: np.ndarray, scale: float,
+                    gen: np.random.Generator) -> np.ndarray:
+    """ShallowNetFamily.cloud_sample's values, as prior_draws_ref."""
+    k = fam.k
+    out = np.empty((n, fam.dim))
+    out[:, : 2 * k] = gen.normal(center[: 2 * k], scale, (n, 2 * k))
+    out[:, 2 * k : 3 * k] = gen.uniform(center[2 * k : 3 * k] - scale,
+                                        center[2 * k : 3 * k] + scale, (n, k))
+    out[:, 3 * k] = gen.normal(center[3 * k], scale, n)
+    return out
+
+
+def linear_draws_ref(fam: LinearFamily, n: int, gen: np.random.Generator) -> np.ndarray:
+    """LinearFamily.sample_matrix's values from one normal call."""
+    return gen.normal(0.0, math.sqrt(fam.prior.sigma_w_sq), size=(n, fam.dim))
+
+
+def dataset_draws_ref(w, basis, N: int, sigma_e_sq: float, gen: np.random.Generator):
+    """generate_dataset's (xs, ys), from numpy's uniform and normal calls."""
+    xs = gen.uniform(-1.0, 1.0, size=N)
+    ys = basis_matrix(basis, xs) @ np.asarray(w, dtype=float)
+    if sigma_e_sq > 0:
+        ys = ys + gen.normal(0.0, math.sqrt(sigma_e_sq), size=N)
+    return xs, ys
+
+
+def lower_bound_ref(fam, mo, thetas: np.ndarray):
+    """ShallowNetFamily._lower_bound's (lb, margin) from the T's of
+    _dist_sq_chunk: h0 = b2 - E[g] + sum_i u_i (T2_i - b_i T1_i) and
+    hx = b2/2 - E[x g] + sum_i u_i (T3_i - b_i T2_i)."""
+    w1, w2, b1, b2 = fam.split(thetas)
+    u = w1 * w2
+    m = np.clip(b1, 0.0, 1.0)
+    t1, t2, t3 = 1.0 - m, (1.0 - m * m) / 2.0, (1.0 - m * m * m) / 3.0
+    h0 = b2 - mo.mean + np.einsum("ij,ij->i", u, t2 - b1 * t1)
+    hx = b2 / 2.0 - mo.mean_x + np.einsum("ij,ij->i", u, t3 - b1 * t2)
+    lb = h0 * h0 + 3.0 * (2.0 * hx - h0) ** 2
+    s = np.abs(b2) + np.einsum("ij,ij->i", np.abs(u), 1.0 + np.abs(b1)) + mo.scale
+    return lb, 2.0**-46 * (fam.k + 64) * (s * s)

@@ -2,6 +2,7 @@
 reference: convert each parameter row to its piecewise-linear function and
 integrate the squared difference segment by segment."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,18 @@ from bayescomplex.families import (
     ShallowNetFamily,
 )
 from bayescomplex.models import BasisSpec, shallow_to_pwl
+from bayescomplex.posterior import generate_dataset
 from bayescomplex.pwl import PwlFunction
-from paper_checks import UNIFORM_UNIT, l2_distance_sq, params_from_flat
+from paper_checks import (
+    UNIFORM_UNIT,
+    cloud_draws_ref,
+    dataset_draws_ref,
+    l2_distance_sq,
+    linear_draws_ref,
+    lower_bound_ref,
+    params_from_flat,
+    prior_draws_ref,
+)
 
 TARGETS = {
     "0knots": PwlFunction(bias=0.3),
@@ -162,6 +173,36 @@ def test_lower_bound_is_valid_and_tight_when_the_difference_is_affine(k, name):
                 np.testing.assert_allclose(lb, d, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(TARGETS))
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 64])
+def test_lower_bound_is_the_reference_bound_within_the_margin(k, name):
+    """The factored screen's lb is paper_checks' T1/T2/T3 lb to within the
+    margin, and its margin is the reference's, on every row set (biases
+    below 0 and above 1, cancelling 1e6 weights), C- and F-ordered."""
+    fam, g = _family(k), PwlMoments(TARGETS[name])
+    for set_name, rows in _row_sets(k, TARGETS[name], np.random.default_rng(6000 + k)).items():
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            lb, margin = fam._lower_bound(g, layout(rows))
+            lb_ref, margin_ref = lower_bound_ref(fam, g, layout(rows))
+            np.testing.assert_array_equal(margin, margin_ref, err_msg=set_name)
+            assert np.all(np.abs(lb - lb_ref) <= margin), (set_name, layout.__name__)
+
+
+# Peak bytes tracemalloc counts in one screen call on a tile_rows-row
+# F-ordered prior block, measured with the T1/T2/T3 formulation
+# (paper_checks.lower_bound_ref, numpy 2.4): about 7.1-7.6 (rows, k) arrays
+# at k >= 8, and 12 at k = 1, where the per-row vectors are as large.
+SCREEN_PEAK_BYTES_T_FORMULATION = {1: 3_149_295, 8: 2_001_945, 64: 1_858_585}
+
+
+@pytest.mark.parametrize("k", sorted(SCREEN_PEAK_BYTES_T_FORMULATION))
+def test_screen_scratch_is_no_larger_than_the_t_formulations(k):
+    fam, g = _family(k), PwlMoments(TARGETS["1knot"])
+    rows = fam.sample_matrix(fam.tile_rows, np.random.default_rng(k))
+    _, peak = _scratch_bytes(lambda: fam._lower_bound(g, rows))
+    assert peak <= SCREEN_PEAK_BYTES_T_FORMULATION[k], peak
+
+
 def test_within_keeps_a_row_whose_margin_overflows():
     """|u| = 1e160 on an inactive node: the margin's S^2 overflows, the
     row is kept (no warning) and its distance is exact."""
@@ -194,37 +235,90 @@ def _tiled_family(k, tile):
     return fam, n
 
 
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def _state(gen):
+    """The bit generator's state, with its counter and key arrays as lists."""
+    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def _same_bits(got, want, err_msg):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=err_msg)
+
+
 @pytest.mark.parametrize("tile", TILES)
-@pytest.mark.parametrize("k", [1, 2, 8, 32, 64])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 32, 64])
 def test_draws_are_column_major_with_the_row_major_bits(k, tile):
-    """sample_matrix and cloud_sample fill F-ordered blocks holding exactly
-    what C-ordered blocks from one generator call per coordinate group
-    hold, and leave the generator where those calls leave it, however
-    tile_rows splits the calls."""
+    """sample_matrix and cloud_sample fill F-ordered blocks holding, bit for
+    bit, what one numpy normal or uniform call per coordinate group gives
+    (paper_checks' references), and leave the generator in the state those
+    calls leave it in, however tile_rows splits the draws."""
     fam, n = _tiled_family(k, tile)
-    p, seed = fam.prior, 4000 + k
     center = fam.is_center(TARGETS["1knot"])
-    gens = {"prior": np.random.default_rng(seed), "cloud": np.random.default_rng(seed)}
-    drawn = {
-        "prior": fam.sample_matrix(n, gens["prior"]),
-        "cloud": fam.cloud_sample(n, center, 0.2, gens["cloud"]),
+    cases = {
+        "prior": (lambda gen: fam.sample_matrix(n, gen),
+                  lambda gen: prior_draws_ref(fam, n, gen)),
+        "cloud": (lambda gen: fam.cloud_sample(n, center, 0.2, gen),
+                  lambda gen: cloud_draws_ref(fam, n, center, 0.2, gen)),
     }
-    ref_gens = {"prior": np.random.default_rng(seed), "cloud": np.random.default_rng(seed)}
-    gen = ref_gens["prior"]
-    prior = np.empty((n, fam.dim))
-    prior[:, : 2 * k] = gen.normal(0.0, np.sqrt(p.sigma_w_sq), (n, 2 * k))
-    prior[:, 2 * k : 3 * k] = gen.uniform(0.0, p.M, (n, k))
-    prior[:, 3 * k] = gen.normal(0.0, np.sqrt(p.sigma_b_sq), n)
-    gen = ref_gens["cloud"]
-    cloud = np.empty((n, fam.dim))
-    cloud[:, : 2 * k] = gen.normal(center[: 2 * k], 0.2, (n, 2 * k))
-    cloud[:, 2 * k : 3 * k] = gen.uniform(center[2 * k : 3 * k] - 0.2,
-                                          center[2 * k : 3 * k] + 0.2, (n, k))
-    cloud[:, 3 * k] = gen.normal(center[3 * k], 0.2, n)
-    for name, reference in (("prior", prior), ("cloud", cloud)):
-        assert drawn[name].flags.f_contiguous, name
-        assert drawn[name].tobytes("F") == reference.tobytes("F"), name
-        assert gens[name].random() == ref_gens[name].random(), name
+    for name, (draw, reference) in cases.items():
+        gen, ref_gen = _philox(4000 + k), _philox(4000 + k)
+        drawn = draw(gen)
+        assert drawn.flags.f_contiguous, name
+        _same_bits(drawn, reference(ref_gen), name)
+        assert _state(gen) == _state(ref_gen), name
+
+
+class _FixedStream:
+    """A stand-in for SeededRng whose generator the test keeps."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def generator(self):
+        return self.gen
+
+
+def test_linear_draws_and_datasets_have_the_normal_and_uniform_calls_bits():
+    """LinearFamily.sample_matrix and generate_dataset (with and without
+    noise) give paper_checks' numpy-call values bit for bit and leave the
+    generator where those calls leave it."""
+    basis = BasisSpec(d=3)
+    fam = LinearFamily(basis, LinearPriorSpec(0.7))
+    gen, ref_gen = _philox(11), _philox(11)
+    _same_bits(fam.sample_matrix(1000, gen), linear_draws_ref(fam, 1000, ref_gen), "prior")
+    assert _state(gen) == _state(ref_gen)
+    w = (0.8, -0.3, 0.1)
+    for sigma_e_sq in (0.0, 0.04):
+        gen, ref_gen = _philox(12), _philox(12)
+        S = generate_dataset(w, basis, 500, sigma_e_sq, _FixedStream(gen))
+        xs, ys = dataset_draws_ref(w, basis, 500, sigma_e_sq, ref_gen)
+        _same_bits(S.xs, xs, f"xs, sigma_e_sq={sigma_e_sq}")
+        _same_bits(S.ys, ys, f"ys, sigma_e_sq={sigma_e_sq}")
+        assert _state(gen) == _state(ref_gen)
+
+
+class _NegativeZeros:
+    """A generator whose standard draws are all -0.0."""
+
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = -0.0
+        return out
+
+    random = standard_normal
+
+
+def test_a_zero_shift_turns_negative_zeros_positive():
+    """numpy's normal(0, s) is 0.0 + s * z, which is +0.0 at z = -0.0; the
+    fill-path samplers add the zero shift too, so no drawn zero is -0.0."""
+    gen = _NegativeZeros()
+    shallow = _family(2).sample_matrix(5, gen)
+    linear = LinearFamily(BasisSpec(d=2), LinearPriorSpec(1.0)).sample_matrix(5, gen)
+    for name, drawn in (("shallow", shallow), ("linear", linear)):
+        assert np.all(drawn == 0.0) and not np.signbit(drawn).any(), name
 
 
 @pytest.mark.parametrize("tile", TILES)
