@@ -270,11 +270,22 @@ def _streams(rng: SeededRng, n: int, workers: int) -> list[tuple[np.random.Gener
     ]
 
 
+# Freeing a mapped block makes glibc's malloc raise its dynamic mmap threshold to
+# the block's size (here 31 MiB) and its trim threshold to twice that (62 MiB).
+# Batch temporaries below 31 MiB then come from the heap, whose pages are kept for
+# the next batch, instead of being mapped, faulted in as zeroed pages and unmapped
+# on every batch. Done at import, the raise is made once, single-threaded and
+# before any batch is drawn, with or without a pool; made by racing pool threads,
+# it moved peak RSS by 4-5 MiB. Other allocators ignore it: the untouched block
+# costs one allocation and no page.
+np.empty(31 << 17)
+
 # One pool per process, made on first use with workers > 1 (again in a forked
 # child, which inherits no threads): every stream of every estimate runs on its
 # CPU-capped threads. The only threads an estimate starts and stops are
 # limiting_complexity's waiters, which queue their grid points' streams here and
-# do no sampling themselves.
+# do no sampling themselves. workers=1 never reaches it, so it starts no thread;
+# the allocator raise above does not depend on it.
 _POOL: tuple[int, object] | None = None
 _POOL_LOCK = threading.Lock()
 
@@ -289,15 +300,13 @@ def _cpu_cap() -> int:
 def _pool():
     """The module's ThreadPoolExecutor, capped at _cpu_cap() threads. Its
     queue is shared: the streams of a slope fit's grid points, submitted
-    side by side, wait in it together and run as threads come free."""
+    side by side, wait in it together and run as threads come free. Its
+    threads start with the mmap threshold already raised, at import."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None or _POOL[0] != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
 
-            # Freeing a mapped block raises glibc's mmap threshold to its size (cap 32 MiB); make
-            # the last raise here, not in a race of pool threads that moved peak RSS by 4-5 MiB.
-            np.empty(31 << 17)
             pool = ThreadPoolExecutor(max_workers=_cpu_cap(), thread_name_prefix="bayescomplex")
             _POOL = (os.getpid(), pool)
         return _POOL[1]

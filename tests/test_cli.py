@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -612,15 +613,15 @@ class TestEntryPoints:
     SCIPY_SUBMODULES = ("scipy.stats", "scipy.linalg", "scipy.special", "scipy.integrate")
 
     @staticmethod
-    def _run_fresh(code: str) -> str:
+    def _run_fresh(code: str, **env: str) -> str:
         """Run code in a new interpreter that finds this source tree's
-        package; return its stdout."""
+        package, with env added to its environment; return its stdout."""
         package_parent = str(Path(bayescomplex.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": package_parent},
+            env={**os.environ, **env, "PYTHONPATH": package_parent},
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
@@ -692,3 +693,50 @@ class TestEntryPoints:
         )
         assert result.returncode == 0, result.stderr
         assert_report_matches(result.stdout, (GOLDEN_DIR / "periodic.csv").read_text())
+
+
+class TestInlineRuns:
+    """workers=1 runs inline: no pool and no thread, and the allocator
+    setting made at import keeps its batch temporaries off fresh pages."""
+
+    ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS")}
+
+    def test_workers_one_starts_no_thread(self):
+        out = TestEntryPoints._run_fresh(
+            "import contextlib, io, threading\n"
+            "import bayescomplex.cli as cli\n"
+            "from bayescomplex import complexity\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['codim', 'n_samples=20000', '--workers', '1'])\n"
+            "print(rc, threading.active_count(), complexity._POOL is None)"
+        )
+        assert out.split() == ["0", "1", "True"]
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="pins glibc malloc's mmap threshold, which other C libraries do not have",
+    )
+    @pytest.mark.parametrize("argv", [
+        ["codim", "n_samples=20000"],
+        ["linear_complexity", "mc_samples=200000"],
+        ["nn_complexity", "n_per_eps=20000"],
+    ], ids=lambda argv: argv[0])
+    def test_repeated_run_takes_no_page_faults(self, argv):
+        """A second run in one process reuses the heap pages of the first:
+        without the threshold raised at import, glibc maps and unmaps every
+        batch-sized temporary, and the second run takes 350-1,750 minor
+        faults."""
+        out = TestEntryPoints._run_fresh(
+            "import contextlib, io, resource\n"
+            "from bayescomplex.cli import main\n"
+            "faults = []\n"
+            "for _ in range(2):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert main({[*argv, '--workers', '1']!r}) == 0\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(faults[1])",
+            **self.ONE_BLAS_THREAD,
+        )
+        assert int(out) < 50
