@@ -1,13 +1,13 @@
 """Print the minor page faults, wall time and peak RSS of every benchmark op.
 
-    python3 scripts/op_faults.py [--seed N] [--workload NAME ...]
+    python3 scripts/op_faults.py
 
-Runs each workload of ``perfbench/workloads.py`` (read, never changed) in a
-fresh interpreter of its own, which imports ``bayescomplex.cli`` from this
-checkout's ``src/`` and runs the workload's ops twice through
-``bayescomplex.cli.main``. The first pass warms the process up (imports,
-caches, the allocator's heap); for the second it prints one line per op and
-one per workload:
+Runs each workload of ``perfbench/workloads.py`` (read, never changed) at
+seed 42 in a fresh interpreter of its own, which runs the workload's ops
+twice through ``scripts/op_digests.py``'s runner (this checkout's ``src/``,
+one BLAS thread). The first pass warms the process up (imports, caches, the
+allocator's heap); for the second it prints one line per op and one per
+workload:
 
     <workload> <label> minflt=<faults> wall_s=<seconds> maxrss_mib=<peak RSS>
     <workload> pass minflt=<faults> wall_s=<seconds> maxrss_mib=<peak RSS>
@@ -21,49 +21,34 @@ workload's process fails.
 
 from __future__ import annotations
 
-import os
-
-# One BLAS thread, as in perfbench/run.py, so the ops run as the benchmark runs them.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse
-import contextlib
-import io
 import platform
 import resource
 import subprocess
 import sys
-from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+import op_digests
 
-from workloads import WORKLOADS  # noqa: E402
+SEED = 42
 
 
-def run_pass(cli, ops, seed: int) -> list[tuple[str, int, float, float]]:
+def run_pass(ops) -> list[tuple[str, int, float, float]]:
     """(label, minor faults, wall seconds, ru_maxrss in MiB) per op, run in order."""
     rows = []
     for op in ops:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            rc = cli.main(op.argv(seed))
+        op_digests.op_digest(op, SEED)
         wall = perf_counter() - start
         usage = resource.getrusage(resource.RUSAGE_SELF)
-        if rc not in (0, 1):
-            raise SystemExit(f"{op.label} exited {rc}")
         rows.append((op.label, usage.ru_minflt - before, wall, usage.ru_maxrss / 1024))
     return rows
 
 
-def run_workload(name: str, seed: int) -> None:
-    import bayescomplex.cli as cli
-
-    run_pass(cli, WORKLOADS[name], seed)
-    rows = run_pass(cli, WORKLOADS[name], seed)
+def run_workload(name: str) -> None:
+    ops = op_digests.WORKLOADS[name]
+    run_pass(ops)
+    rows = run_pass(ops)
     for label, faults, wall, maxrss in rows:
         print(f"{name} {label} minflt={faults} wall_s={wall:.3f} maxrss_mib={maxrss:.2f}")
     faults = sum(row[1] for row in rows)
@@ -72,24 +57,16 @@ def run_workload(name: str, seed: int) -> None:
           flush=True)
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=42, help="benchmark seed (default 42)")
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
-                        help="workload to run (repeatable; default all)")
-    parser.add_argument("--in-process", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    names = args.workload or list(WORKLOADS)
-    if args.in_process:
-        for name in names:
-            run_workload(name, args.seed)
+def main(argv: list[str]) -> int:
+    # Given a workload's name, this is the fresh interpreter started for it.
+    if argv:
+        run_workload(argv[0])
         return 0
     print("libc:", *platform.libc_ver(), flush=True)
-    for name in names:
-        subprocess.run([sys.executable, __file__, "--in-process", "--seed", str(args.seed),
-                        "--workload", name], check=True)
+    for name in op_digests.WORKLOADS:
+        subprocess.run([sys.executable, __file__, name], check=True)
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
