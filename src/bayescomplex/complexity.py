@@ -596,8 +596,10 @@ def limiting_complexity_closed_form(
 
 
 #: Iteration cap of the multiplier solve, past which it is declared failed.
-#: Bracketed Newton took at most 16 steps on 0.6M test points (uniform,
-#: exact and near ties p = +-q, p q / v near 1 and 4, |v| down to 1e-6).
+#: After its warm start the solve took at most 20 steps on the 0.9M points
+#: of tests/test_complexity_closed_forms.py's _stress_points (uniform, exact
+#: and near ties p = +-q, p q / v near 1 and 4, |v| down to 1e-6), where
+#: bracketed Newton from the quadratic model's zero took 25.
 _HYPERBOLA_MAX_ITER = 100
 #: Relative step (or bracket width) at which the multiplier solve stops.
 _HYPERBOLA_RTOL = 2.0**-46
@@ -617,7 +619,7 @@ def hyperbola_distance(p, q, v) -> np.ndarray | float:
         f(delta) = sigma a^2 (1 - delta) + delta^2 (p q - v (2 - delta)^2),
 
     whose end values are f(0) = sigma a^2 and f(1) = p q - v. Each point is
-    solved by bracketed, safeguarded Newton on delta, and then
+    solved by bracketed, safeguarded Halley steps on delta, and then
 
         d^2 = (1 - delta)^2 [(a - sigma delta q)^2 + (a - delta p)^2]
               / (delta (2 - delta))^2.
@@ -691,35 +693,43 @@ def _multiplier_offset(a_abs, h0, sv) -> np.ndarray:
     h = h0 + sv delta (4 - delta), with h0 = sigma (p q - 4 v), sv = sigma v
     and a != 0, so g(0) > 0 >= g(1).
 
-    Newton steps are kept while they stay inside the bracket and at least
-    halve (rtsafe, Numerical Recipes); otherwise the bracket is bisected,
-    geometrically while it spans more than a factor 4. Only unconverged
-    points are iterated.
+    The start is the zero of the quadratic model a^2 (1 - delta) + h delta^2
+    at h = h0, taken twice more at h of the last start and clipped to the
+    bracket. Halley steps are kept while they stay inside the bracket and
+    at least halve (rtsafe, Numerical Recipes); otherwise the bracket is
+    bisected, geometrically while it spans more than a factor 4. A step may
+    land on the upper end, so a zero within rounding of hi = 1 is reached
+    in one step, not by bisection. Only unconverged points are iterated.
     """
     a_sq = a_abs * a_abs
     # |h| <= |h0| + 3|sv| on [0, 1], so g > 0 below the zero of
     # a^2 (1 - delta) - delta^2 (|h0| + 3|sv|): a lower end for the bracket.
     lo = 2.0 * a_abs / (a_abs + np.sqrt(a_sq + 4.0 * (np.abs(h0) + 3.0 * np.abs(sv))))
     hi = np.ones(a_abs.size)
-    # Start at the zero of the quadratic model a^2 (1 - delta) + h0 delta^2.
     x = 2.0 * a_abs / (a_abs + np.sqrt(a_sq + 4.0 * np.maximum(-h0, 0.0)))
+    for _ in range(2):
+        h = h0 + sv * x * (4.0 - x)
+        x = np.clip(2.0 * a_abs / (a_abs + np.sqrt(a_sq + 4.0 * np.maximum(-h, 0.0))), lo, hi)
     last = hi - lo
     out = np.empty(a_abs.size)
     todo = np.arange(a_abs.size)
     for _ in range(_HYPERBOLA_MAX_ITER):
+        dh = sv * (4.0 - 2.0 * x)
         h = h0 + sv * x * (4.0 - x)
         g = a_sq * (1.0 - x) + x * x * h
-        slope = -a_sq + 2.0 * x * h + x * x * sv * (4.0 - 2.0 * x)
+        slope = -a_sq + 2.0 * x * h + x * x * dh
         lo = np.where(g > 0.0, x, lo)
         hi = np.where(g < 0.0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = g / slope
+            # Halley's correction, with g'' / 2 = h + 2 x h' - x^2 sv.
+            step = step / (1.0 - step * (h + 2.0 * x * dh - x * x * sv) / slope)
         nx = x - step
         small = np.abs(step) <= _HYPERBOLA_RTOL * x
-        newton = (nx > lo) & (nx < hi) & (np.abs(step) <= 0.5 * last)
+        halley = (nx > lo) & (nx <= hi) & (np.abs(step) <= 0.5 * last)
         bisect = np.where(hi > 4.0 * lo, np.sqrt(lo * hi), 0.5 * (lo + hi))
-        nx = np.where(g == 0.0, x, np.where(newton | small, nx, bisect))
-        last = np.where(newton, np.abs(step), hi - lo)
+        nx = np.where(g == 0.0, x, np.where(halley | small, nx, bisect))
+        last = np.where(halley, np.abs(step), hi - lo)
         done = small | (g == 0.0) | (hi - lo <= _HYPERBOLA_RTOL * hi)
         out[todo[done]] = nx[done]
         keep = ~done
@@ -731,6 +741,34 @@ def _multiplier_offset(a_abs, h0, sv) -> np.ndarray:
         f"hyperbola multiplier solve did not converge for {todo.size} points "
         f"in {_HYPERBOLA_MAX_ITER} iterations"
     )
+
+
+def _far_from_hyperbola(p, q, v, r_sq) -> np.ndarray:
+    """True where (p, q) lies farther than sqrt(r_sq) from {x y = v}; never
+    where the computed d = hyperbola_distance(p, q, v) has fl(d^2) <= r_sq.
+
+    If (x, y) on the curve is within r of (p, q), write dx = x - p and
+    dy = y - q: then x y - p q = p dy + q dx + dx dy, and Cauchy-Schwarz and
+    AM-GM give |p q - v| <= r N + r^2 / 2, N = sqrt(p^2 + q^2). A point is
+    marked where |p q - v| exceeds that, at r^2 = max(r_sq, 0), by more
+    than the margin 2^-38 (p^2 + q^2 + |v| + r^2).
+
+    Rounding, with u = 2^-53 and S = max(|p|, |q|, sqrt|v|): fl(d^2) <= r^2
+    gives d <= (1 + u) r, and d is within 2^-40 S of the true distance
+    (hyperbola_distance is accurate to a few ulps of S). So the true
+    distance is below r + u r + 2^-40 S, which raises the bound by at most
+    (u r + 2^-40 S)(N + r) plus its square. The test's own roundings put
+    |p q - v| off by at most 3.01 u S^2 and the right side low by at most
+    6 u (r N + r^2 / 2). With N <= sqrt(2) S, all of it stays below
+    2.2 * 2^-40 (S^2 + r^2), and the margin, p^2 + q^2 + |v| being at least
+    S^2, is at least 3.99 * 2^-40 (S^2 + r^2). The 2^-960 added to |v|
+    keeps the margin above the error, under 2^-1070, of results that
+    underflow."""
+    n_sq = p * p + q * q
+    r_sq = np.maximum(r_sq, 0.0)
+    margin = 2.0**-38 * (n_sq + (np.abs(v) + 2.0**-960) + r_sq)
+    with np.errstate(invalid="ignore"):  # inf weights: nan, never marked
+        return np.abs(p * q - v) > np.sqrt(r_sq) * np.sqrt(n_sq) + 0.5 * r_sq + margin
 
 
 def _inactive_cost_sq(w1, w2, b1) -> np.ndarray:
@@ -768,22 +806,37 @@ def _dist_batch(
     set of g, for k = c or k = c + 1 (the latter is an upper bound).
 
     A node matched to the knot (t, v) costs (b1 - t)^2 plus the squared
-    distance from its weights (w1, w2) to the hyperbola w1 w2 = v. The
-    bias-only cost (b1 - t)^2 gives a lower bound (see _assign); rows whose
-    bound exceeds ``cutoff`` come back as inf without a hyperbola solve, and
-    every other row (a nan bound included) gets the same bits as with no
-    cutoff."""
+    distance from its weights (w1, w2) to the hyperbola w1 w2 = v. Rows
+    whose computed distance exceeds ``cutoff`` = C may come back as inf
+    without a hyperbola solve; every other row (a nan included) gets the
+    same bits as with no cutoff. Two exact screens drop them: the bias-only
+    cost (b1 - t)^2, a lower bound (see _assign), and then that cost with
+    inf at each (node, knot) pair whose weights _far_from_hyperbola puts
+    beyond the pair's budget C^2 - base - (b1 - t)^2. A pair in the cheapest
+    assignment of a row that _assign puts within C has fl(d^2) at most that
+    budget plus 4.01 u C^2, u = 2^-53 (d the computed hyperbola distance):
+    rounding is monotone, so with the other costs at 0 the row's sum is no
+    larger, and then only fl((b1 - t)^2 + fl(d^2)), fl(base + that) and the
+    sqrt round, each within a factor 1 + u. The budget is computed from
+    fl(C^2 (1 + 2^-48)), at least 29.9 u C^2 above C^2, and its two
+    subtractions cost at most 2.01 u C^2: no pair of such a row is marked."""
     c = len(g.knots)
     w1 = thetas[:, :k]
     w2 = thetas[:, k : 2 * k]
     b1 = thetas[:, 2 * k : 3 * k]
     base = (thetas[:, 3 * k] - g.bias) ** 2
-    inact = _inactive_cost_sq(w1, w2, b1)
     if c == 0:
-        return np.sqrt(base + inact.sum(axis=1))
+        return np.sqrt(base + _inactive_cost_sq(w1, w2, b1).sum(axis=1))
+    # _assign reads inactive costs only at k = c + 1, for the surplus node.
+    inact = _inactive_cost_sq(w1, w2, b1) if k > c else np.empty((thetas.shape[0], 0))
     t, v = np.array(g.knots).T
     bias_sq = (b1[:, :, None] - t) ** 2
     live = np.flatnonzero(~(_assign(base, bias_sq, inact, k, c) > cutoff))
+    if cutoff < math.inf:
+        room = cutoff * cutoff * (1.0 + 2.0**-48) - base[live, None, None] - bias_sq[live]
+        far = _far_from_hyperbola(w1[live, :, None], w2[live, :, None], v, room)
+        cost = np.where(far, np.inf, bias_sq[live])
+        live = live[~(_assign(base[live], cost, inact[live], k, c) > cutoff)]
     hyp = hyperbola_distance(w1[live, :, None], w2[live, :, None], v)
     dist = np.full(thetas.shape[0], np.inf)
     dist[live] = _assign(base[live], bias_sq[live] + hyp**2, inact[live], k, c)
@@ -859,11 +912,13 @@ def codim_estimate(
     to the rows it still needs at the acceptance seen so far, so a stream
     of a few rows draws a few candidates.
 
-    Only draws whose bias-only lower bound (_assign) is within the largest
-    eps, grid[0], get the hyperbola solve. The screen is
-    exact: rounding is monotone, so a dropped draw's computed distance is at
-    least its computed bound, above every eps of the grid, and every hit
-    count is the one the unscreened oracle gives."""
+    Only draws that both screens of _dist_batch keep at the largest eps,
+    grid[0], get the hyperbola solve: the bias-only lower bound (_assign),
+    and the weight screen, which rules out each node-knot pair whose
+    weights are too far from the knot's hyperbola for what the rest of the
+    bound leaves. Both screens are exact: a dropped draw's computed distance
+    is above grid[0], so above every eps of the grid, and every hit count is
+    the one the unscreened oracle gives."""
     c = len(g.knots)
     _check_oracle_width(k, c)
     note = "upper-bound-based" if k > c else ""

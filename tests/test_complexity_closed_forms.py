@@ -6,12 +6,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from bayescomplex import complexity
 from bayescomplex.complexity import (
     _check_oracle_width,
     _dist_batch,
+    _far_from_hyperbola,
     chi_from_q,
     fit_limiting_slope,
     hyperbola_distance,
@@ -401,6 +404,40 @@ def _hyperbola_reference(p, q, v):
     return out
 
 
+def _stress_points():
+    """(p, q, v), 910,007 points: uniform p, q in [-4, 4] at seven levels v
+    down to |v| = 1e-6; exact ties p = +-q and near ties (relative offsets
+    1e-16 to 1e-5) at those levels; p q / v near 1 and near 4, half of them
+    at near ties; the origin; and uniform p, q, v in [-4, 4]."""
+    gen = np.random.default_rng(16)
+    levels = np.array([1.0, -0.8, 0.3, 1e-3, -1e-3, 1e-6, -1e-6])
+    parts = []
+
+    def add(p, q, v):
+        parts.append([a.ravel() for a in np.broadcast_arrays(p, q, v)])
+
+    def signs(shape):
+        return gen.choice([-1.0, 1.0], shape)
+
+    add(gen.uniform(-4, 4, 210_000), gen.uniform(-4, 4, 210_000), np.resize(levels, 210_000))
+    t = gen.uniform(-4, 4, (20_000, 1))
+    add(t, t, levels)
+    add(t, -t, levels)
+    off = 10.0 ** gen.uniform(-16, -5, (10_000, 1)) * signs((10_000, 1))
+    t = gen.uniform(-4, 4, (10_000, 1))
+    add(t, t * (1 + off), levels)
+    add(t, -t * (1 + off), levels)
+    for ratio in (1.0, 4.0):
+        p = gen.uniform(-4, 4, 40_000)
+        q = p * (1 + 10.0 ** gen.uniform(-16, -1, 40_000) * signs(40_000))
+        q[::2] = gen.uniform(-4, 4, 20_000)
+        rho = ratio * (1 + 10.0 ** gen.uniform(-16, -2, 40_000) * signs(40_000))
+        add(p, q, p * q / rho)
+    add(0.0, 0.0, levels)
+    add(*gen.uniform(-4, 4, (3, 200_000)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 class TestHyperbolaDistanceProperty:
     """hyperbola_distance against the independent quartic-root reference."""
 
@@ -465,6 +502,67 @@ class TestHyperbolaDistanceProperty:
         monkeypatch.setattr(complexity, "_HYPERBOLA_MAX_ITER", 1)
         with pytest.raises(NumericalError):
             hyperbola_distance(np.array([1.3, -2.1]), np.array([0.4, 0.7]), 1.0)
+
+    def test_solve_rounds_on_the_stress_set(self, monkeypatch):
+        """_HYPERBOLA_MAX_ITER's comment records 20 steps at most on these
+        points; a solve that needs more than 22 raises NumericalError."""
+        monkeypatch.setattr(complexity, "_HYPERBOLA_MAX_ITER", 22)
+        p, q, v = _stress_points()
+        assert p.size == 910_007
+        assert np.isfinite(hyperbola_distance(p, q, v)).all()
+
+
+@st.composite
+def _curve_points(draw):
+    """(p, q, v), p and q in [-4, 4]: q free, an exact tie q = +-p or a near
+    one; v = +-10^x down to 1e-6, or p q / v near 1 or 4."""
+    unit = st.floats(-4.0, 4.0)
+    p = draw(unit)
+    tie = draw(st.sampled_from(["none", "exact", "near"]))
+    if tie == "none":
+        q = draw(unit)
+    else:
+        q = draw(st.sampled_from([1.0, -1.0])) * p
+        if tie == "near":
+            q *= 1.0 + draw(st.floats(-1e-9, 1e-9))
+    if draw(st.booleans()):
+        v = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-6.0, 0.6))
+    else:
+        rho = draw(st.sampled_from([1.0, 4.0])) * (1.0 + draw(st.floats(-1e-9, 1e-9)))
+        v = p * q / rho
+    return p, q, v
+
+
+class TestFarFromHyperbola:
+    """The weight screen of _dist_batch marks a point only when its
+    computed squared hyperbola distance exceeds the budget."""
+
+    BUDGETS = (1.0, 1.0 + 2.0**-40, 1.0 - 2.0**-40)
+
+    @given(_curve_points())
+    @settings(max_examples=500, deadline=None)
+    def test_never_marks_a_point_within_its_budget(self, point):
+        p, q, v = (np.float64(a) for a in point)
+        d_sq = hyperbola_distance(p, q, v) ** 2
+        for r_sq in (d_sq * f for f in self.BUDGETS):
+            assert not (_far_from_hyperbola(p, q, v, r_sq) and d_sq <= r_sq), (p, q, v, r_sq)
+
+    def test_stress_points_at_their_own_distance(self):
+        """No stress point is marked at a budget of its own squared
+        distance, and nearly all are at a quarter of it."""
+        p, q, v = _stress_points()
+        d_sq = hyperbola_distance(p, q, v) ** 2
+        for r_sq in (d_sq * f for f in self.BUDGETS):
+            assert not (_far_from_hyperbola(p, q, v, r_sq) & (d_sq <= r_sq)).any()
+        assert _far_from_hyperbola(p, q, v, 0.25 * d_sq).mean() > 0.95
+
+    def test_negative_and_infinite_budgets(self):
+        """A negative budget is a zero one: only points on the curve pass.
+        An infinite one, or infinite weights, mark nothing."""
+        far = _far_from_hyperbola(np.array([1.0, 2.0]), np.array([3.0, 2.0]), 3.0, -1.0)
+        assert far.tolist() == [False, True]
+        assert not _far_from_hyperbola(np.array([0.0, 5.0]), 0.0, 1.0, np.inf).any()
+        assert not _far_from_hyperbola(np.array([np.inf, 1.0]), np.array([0.0, np.inf]), 1.0, 0.0).any()
 
 
 class TestDistToRepresentationSet:

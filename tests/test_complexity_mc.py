@@ -975,6 +975,70 @@ class TestCodimScreen:
         assert 0 < sum(points) < 0.1 * n
 
 
+class TestWeightScreen:
+    """_dist_batch drops rows by their (node, knot) weights as well as their
+    biases; the rows it keeps get the unscreened oracle's bits."""
+
+    @pytest.mark.parametrize("surplus", [0, 1])
+    @pytest.mark.parametrize("g", [_ONE_KNOT, _TWO_KNOT], ids=["c1", "c2"])
+    def test_rows_crossing_the_cutoff_by_weight_only(self, g, surplus, monkeypatch):
+        """Every hidden bias sits on its knot and the output bias on g's, so
+        the bias-only bound is 0. The first node's weights lie off their
+        hyperbola along its normal at (sqrt|v|, v / sqrt|v|), by 0.5 to 3
+        times eps and by eps to within 2^-40 either way; every other knot's
+        node lies on its hyperbola, and a surplus node has zero weights."""
+        c, eps = len(g.knots), 0.3
+        k = c + surplus
+        offsets = eps * np.concatenate(
+            [np.linspace(0.5, 3.0, 26), 1.0 + np.arange(-64, 65) * 2.0**-46]
+        )
+        rows = np.zeros((offsets.size, 3 * k + 1))
+        for i, (t, v) in enumerate(g.knots):
+            rows[:, i], rows[:, k + i], rows[:, 2 * k + i] = 1.0, v, t
+        v = g.knots[0][1]
+        x = math.sqrt(abs(v))
+        y = v / x
+        rows[:, 0] = x + offsets * y / math.hypot(x, y)
+        rows[:, k] = y + offsets * x / math.hypot(x, y)
+        rows[:, 3 * k] = g.bias
+        unscreened = _dist_batch(g, rows, k)
+        points = _count_points(monkeypatch)
+        screened = _dist_batch(g, rows, k, cutoff=eps)
+        hit = unscreened <= eps
+        assert hit[26:].any() and not hit[26:].all()
+        kept = np.isfinite(screened)
+        assert kept[hit].all()
+        np.testing.assert_array_equal(screened[kept], unscreened[kept])
+        # The rows from 1.5 eps on are dropped before any hyperbola solve.
+        assert not kept[10:26].any()
+        assert sum(points) == kept.sum() * k  # one (w1, w2) pair per node of a kept row
+        # A row whose own distance is the cutoff is kept, with the same bits.
+        for row, d in zip(rows, unscreened):
+            assert _dist_batch(g, row[None], k, cutoff=d)[0] == d
+
+    @pytest.mark.parametrize("cutoff", [math.inf, 0.3])
+    def test_inactive_costs_only_for_a_surplus_node(self, cutoff, monkeypatch):
+        """_assign reads inactive costs only for the surplus node of
+        k = c + 1, and the c = 0 distance is all inactive cost."""
+        calls = []
+        inactive = complexity._inactive_cost_sq
+
+        def counted(w1, w2, b1):
+            calls.append(w1.shape)
+            return inactive(w1, w2, b1)
+
+        monkeypatch.setattr(complexity, "_inactive_cost_sq", counted)
+        rows = np.random.default_rng(3).uniform(0.0, 1.0, (50, 10))
+        cases = [
+            (_ONE_KNOT, 1, 0), (_TWO_KNOT, 2, 0), (_ONE_KNOT, 2, 1), (_TWO_KNOT, 3, 1),
+            (PwlFunction(bias=0.2), 1, 1),
+        ]
+        for g, k, want in cases:
+            calls.clear()
+            _dist_batch(g, rows[:, : 3 * k + 1], k, cutoff)
+            assert len(calls) == want, (len(g.knots), k)
+
+
 def _box_rows(gen, n, k, radius, b_hi):
     """codim_estimate's old sampler: uniform rows of the box
     [-R, R]^2k x [0, b_hi]^k x [-R, R], kept when inside B_R, in blocks of
