@@ -45,7 +45,7 @@ def basis_matrix(basis: BasisSpec, xs) -> np.ndarray:
     column is scaled by sqrt((2i+1)/2) so that int_{-1}^{1} b_i b_j dx = delta.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(xs < -1.0 - 1e-12) or np.any(xs > 1.0 + 1e-12):
+    if (xs < -1.0 - 1e-12).any() or (xs > 1.0 + 1e-12).any():
         raise ConfigError("basis evaluation point outside [-1, 1]")
     d = basis.d
     P = np.empty((xs.size, d), dtype=float)

@@ -45,7 +45,8 @@ class Dataset:
     per replica at every step. The dataset therefore builds them once, when
     it is made, after checking that phi is finite. xs and ys are stored as
     read-only float copies, and phi, gram and rhs are read-only, so none of
-    them can go stale and the caller's arrays stay writable.
+    them can go stale and the caller's arrays stay writable. A dataset from
+    generate_dataset takes over the design that formed its ys.
     """
 
     xs: np.ndarray
@@ -55,19 +56,31 @@ class Dataset:
     gram: np.ndarray = field(init=False, repr=False, compare=False)
     rhs: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, phi: np.ndarray | None = None):
         for name in ("xs", "ys"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.xs.shape != self.ys.shape:
             raise ConfigError("xs and ys must have matching shapes")
-        phi = basis_matrix(self.basis, self.xs)
-        if not np.all(np.isfinite(phi)):
+        if phi is None:
+            phi = basis_matrix(self.basis, self.xs)
+        if not np.isfinite(phi).all():
             raise NumericalError("design matrix contains non-finite entries")
         for name, arr in (("phi", phi), ("gram", phi.T @ phi), ("rhs", phi.T @ self.ys)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _with_design(cls, xs, ys, basis: BasisSpec, phi: np.ndarray) -> Dataset:
+        """Dataset(xs, ys, basis), taking over phi = basis_matrix(basis, xs)
+        instead of computing it again: for generate_dataset, which formed
+        ys with phi and holds it nowhere else."""
+        S = cls.__new__(cls)
+        for name, value in (("xs", xs), ("ys", ys), ("basis", basis)):
+            object.__setattr__(S, name, value)
+        S.__post_init__(phi)
+        return S
 
     @property
     def n(self) -> int:
@@ -79,8 +92,8 @@ class LossSpec:
     clip_C: float
 
     def __post_init__(self):
-        if self.clip_C <= 0:
-            raise ConfigError(f"clip_C must be > 0, got {self.clip_C}")
+        if not 0.0 < self.clip_C < math.inf:
+            raise ConfigError(f"clip_C must be finite and > 0, got {self.clip_C}")
 
 
 @dataclass(frozen=True)
@@ -136,10 +149,11 @@ def generate_dataset(
         raise ConfigError(f"sigma_e_sq must be >= 0, got {sigma_e_sq}")
     gen = rng.generator()
     xs = _scale_shift(gen.random(N), 2.0, -1.0)  # gen.uniform(-1.0, 1.0, N)
-    ys = basis_matrix(basis, xs) @ np.asarray(w, dtype=float)
+    phi = basis_matrix(basis, xs)
+    ys = phi @ np.asarray(w, dtype=float)
     if sigma_e_sq > 0:
         ys += _scale_shift(gen.standard_normal(N), math.sqrt(sigma_e_sq), 0.0)
-    return Dataset(xs, ys, basis)
+    return Dataset._with_design(xs, ys, basis, phi)
 
 
 # --------------------------------------------------------------------------
@@ -156,10 +170,11 @@ def conjugate_posterior_linear(
     d = S.basis.d
     if S.n == 0:
         return GaussianPosterior(np.zeros(d), prior.sigma_w_sq * np.eye(d))
+    eye = np.eye(d)  # dpotrs below only reads it
     with np.errstate(over="ignore"):
-        precision = S.gram / sigma_y_sq + np.eye(d) / prior.sigma_w_sq
+        precision = S.gram / sigma_y_sq + eye / prior.sigma_w_sq
         scaled_rhs = S.rhs / sigma_y_sq
-    if not (np.all(np.isfinite(precision)) and np.all(np.isfinite(scaled_rhs))):
+    if not (np.isfinite(precision).all() and np.isfinite(scaled_rhs).all()):
         raise NumericalError(
             f"posterior precision or data term not finite at sigma_y_sq={sigma_y_sq}, "
             f"sigma_w_sq={prior.sigma_w_sq}"
@@ -173,7 +188,7 @@ def conjugate_posterior_linear(
         raise NumericalError(
             f"posterior precision not positive definite (LAPACK dpotrf info={info})"
         )
-    cov = _cho_solve(factor, np.eye(d), lower=0)
+    cov = _cho_solve(factor, eye, lower=0)
     mean = _cho_solve(factor, scaled_rhs, lower=0)
     return GaussianPosterior(mean, (cov + cov.T) / 2.0)
 
@@ -208,27 +223,36 @@ def expected_clipped_loss_gaussian(mu, s_sq, C: float):
     The standard normal pdf is scipy's own expression exp(-x**2/2)/sqrt(2 pi)
     and the cdf is scipy.special.ndtr, the calls scipy.stats.norm makes at
     loc=0, scale=1, so the result is bit for bit the same without the cost
-    of scipy.stats (its import and its per-call argument handling)."""
+    of scipy.stats (its import and its per-call argument handling).
+
+    Both truncation ends, alpha = (-sqrt(C) - mu) / s and beta = (sqrt(C) -
+    mu) / s, are rows 0 and 1 of one array, so each elementwise step below
+    is one call for both; every value keeps its bits."""
     from scipy import special
 
     mu = np.asarray(mu, dtype=float)
     s_sq = np.asarray(s_sq, dtype=float)
-    if not np.all(s_sq >= 0.0):
+    if not (s_sq >= 0.0).all():
         raise NumericalError("clipped loss got a negative or NaN variance")
     s = np.sqrt(s_sq)
+    degenerate = s == 0.0
     root = math.sqrt(C)
+    ends = np.array([-root, root]).reshape((2,) + (1,) * max(mu.ndim, s.ndim))
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.where(s > 0, (-root - mu) / s, 0.0)
-        beta = np.where(s > 0, (root - mu) / s, 0.0)
-    phi_a, phi_b = _std_normal_pdf(alpha), _std_normal_pdf(beta)
-    cdf_a, cdf_b = special.ndtr(alpha), special.ndtr(beta)
-    mass = cdf_b - cdf_a
-    second = (mu * mu + s * s) * mass + 2.0 * mu * s * (phi_a - phi_b) + s * s * (
-        alpha * phi_a - beta * phi_b
+        ab = (ends - mu) / s
+    # In place, here and below: a batch's (2, n) arrays then need no more
+    # memory at once than the two ends computed one after the other.
+    np.copyto(ab, 0.0, where=degenerate)
+    phi = _std_normal_pdf(ab)
+    cdf = special.ndtr(ab)
+    ab_phi = np.multiply(ab, phi, out=ab)  # ab is not read again
+    mass = cdf[1] - cdf[0]
+    s2 = s * s
+    second = (mu * mu + s2) * mass + 2.0 * mu * s * (phi[0] - phi[1]) + s2 * (
+        ab_phi[0] - ab_phi[1]
     )
     out = second + C * (1.0 - mass)
-    degenerate = s == 0.0
-    if np.any(degenerate):
+    if degenerate.any():
         out = np.where(degenerate, np.minimum(mu * mu, C), out)
     return out
 
@@ -237,14 +261,23 @@ def conjugate_empirical_loss(
     batch: Sequence[tuple[Dataset, GaussianPosterior]], spec: LossSpec
 ) -> list[float]:
     """Exact E_{h~Q}[L_S(h)] for each (S, Q) in batch, Q Gaussian over linear weights: one
-    expected_clipped_loss_gaussian call, then a mean per item over its own slice."""
+    expected_clipped_loss_gaussian call, then a mean per item over its own slice.
+
+    A one-item batch hands its arrays to that call as they are, without
+    concatenating copies. Each mean is np.add.reduce(v) / n, the sum and
+    division ndarray.mean makes."""
     mus, s_sqs, ends = [], [], [0]
     for S, post in batch:
         mus.append(S.phi @ post.mean - S.ys)
         s_sqs.append(np.einsum("ij,jk,ik->i", S.phi, post.covariance, S.phi))
         ends.append(ends[-1] + S.n)
-    vals = expected_clipped_loss_gaussian(np.concatenate(mus), np.concatenate(s_sqs), spec.clip_C)
-    return [float(vals[start:end].mean()) for start, end in zip(ends, ends[1:])]
+    if len(mus) == 1:
+        vals = expected_clipped_loss_gaussian(mus[0], s_sqs[0], spec.clip_C)
+    else:
+        vals = expected_clipped_loss_gaussian(
+            np.concatenate(mus), np.concatenate(s_sqs), spec.clip_C)
+    return [float(np.add.reduce(vals[start:end]) / (end - start))
+            for start, end in zip(ends, ends[1:])]
 
 
 _QUAD_NODES = 200  # Gauss-Legendre nodes of conjugate_true_loss's quadrature
@@ -356,18 +389,26 @@ def run_sgld(
     noise_scale = math.sqrt(2.0 * cfg.eta / n_eff)
     psi = theta @ Q
     draws = []
+    band_len, bands = 0, []
     for start in range(0, cfg.steps, _SGLD_BLOCK):
         m = min(_SGLD_BLOCK, cfg.steps - start)
+        if m != band_len:
+            # dtbtrs only reads its band, so each coordinate's is built once
+            # per block length (Fortran-ordered, as LAPACK takes it).
+            band_len = m
+            bands = [np.asfortranarray([np.ones(m), np.full(m, neg)])
+                     for neg in -decay]
         # Row i of u holds eigen-coordinate i's inputs over the block's m
         # steps, and the solve turns it into psi_i at those steps:
         # psi_i[t] - decay_i psi_i[t - 1] = u_i[t], psi_i[-1] the carried state.
         if inject_noise:
-            u = noise_scale * (Q.T @ gen.standard_normal((m, d)).T) + shift[:, None]
+            u = Q.T @ gen.standard_normal((m, d)).T
+            u *= noise_scale
+            u += shift[:, None]
         else:
             u = np.repeat(shift[:, None], m, axis=1)
         u[:, 0] += decay * psi
-        for i in range(d):
-            band = np.vstack([np.ones(m), np.full(m, -decay[i])])
+        for i, band in enumerate(bands):
             x, info = lapack.dtbtrs(band, u[i][:, None], uplo="L", diag="U")
             if info != 0:
                 raise NumericalError(f"SGLD block solve failed (LAPACK info={info})")
@@ -480,8 +521,8 @@ def find_sigma_alg(
     """
     if not 0.0 < beta <= 1.0:
         raise ConfigError(f"beta must lie in (0, 1], got {beta}")
-    if tol <= 0:
-        raise ConfigError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be finite and > 0, got {tol}")
     replicas = [dataset_generator(rng.stream(i)) for i in range(n_replicas)]
 
     def mean_loss(sigma_y_sq: float) -> float:

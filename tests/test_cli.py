@@ -296,6 +296,20 @@ class TestExitCodes:
         assert err.startswith(f"config error: {message}, got ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("pair, key", [
+        ("clip_C=0", "clip_C"), ("clip_C=inf", "clip_C"), ("clip_C=nan", "clip_C"),
+        ("tol=0", "tol"), ("tol=inf", "tol"), ("tol=nan", "tol"),
+    ])
+    def test_bad_clip_or_tol_is_two(self, pair, key, capsys):
+        """pacbayes takes only a finite, positive clip and search tolerance:
+        anything else is a config error, not a bracket failure, a search
+        that cannot stop or one that stops anywhere."""
+        rc, out, err = run_cli(["pacbayes", pair, "n_trials=2", "n_replicas=2"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"config error: {key} must be finite and > 0, got ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, variances", [
         (["sgld_check", "sigma_y_sq=1e-320"], "sigma_y_sq=1e-320, sigma_w_sq=1.0"),
         (["sgld_check", "sigma_w_sq=1e-320"], "sigma_y_sq=0.04, sigma_w_sq=1e-320"),

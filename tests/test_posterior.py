@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 from scipy.stats import ks_2samp, multivariate_normal, norm
 
-from bayescomplex import cli
+from bayescomplex import cli, posterior
 from bayescomplex.errors import CheckFailure, ConfigError, NumericalError
 from bayescomplex.families import LinearFamily, LinearPriorSpec, LinearTarget
 from bayescomplex.models import BasisSpec, basis_matrix
@@ -136,6 +136,12 @@ class TestClippedLoss:
         with pytest.raises(ConfigError):
             LossSpec(clip_C=0.0)
 
+    @pytest.mark.parametrize("clip", [-1.0, math.inf, math.nan])
+    def test_spec_rejects_clip_that_is_not_finite_and_positive(self, clip):
+        """An infinite clip makes the loss formula's C * (1 - mass) nan."""
+        with pytest.raises(ConfigError, match="clip_C must be finite and > 0"):
+            LossSpec(clip_C=clip)
+
 
 def _clipped_loss_with_scipy_stats(mu, s_sq, C):
     """expected_clipped_loss_gaussian's formula through scipy.stats.norm, the
@@ -183,6 +189,28 @@ class TestExpectedClippedLossGaussian:
                 got = expected_clipped_loss_gaussian(*args, C)
                 assert (type(got), np.shape(got)) == (type(want), np.shape(want))
                 np.testing.assert_array_equal(got, want)
+
+    _EDGE_S_SQ = st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e299, 1e301),
+                           st.floats(0.0, 1e3))
+
+    @given(
+        pairs=st.lists(st.tuples(st.floats(-1e150, 1e150), _EDGE_S_SQ), min_size=1, max_size=12),
+        C=st.floats(1e-3, 1e8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_edge_arrays_bit_identical_to_scipy_stats(self, pairs, C):
+        """Arrays mixing zero, subnormal, moderate and ~1e300 variances with
+        |mu| up to 1e150 send both truncation ends through the s == 0 and
+        degenerate branches inside one call. Where |mu| / s overflows,
+        both sides divide into inf and then multiply it by a zero pdf, so
+        both warn and return nan there: this test pins only that the two
+        agree, bit for bit, wherever that happens."""
+        mu, s_sq = (np.array(col) for col in zip(*pairs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _clipped_loss_with_scipy_stats(mu, s_sq, C)
+            got = expected_clipped_loss_gaussian(mu, s_sq, C)
+        assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mu", [1e3, -1e3])
     def test_huge_standardized_bound_does_not_overflow(self, mu):
@@ -300,6 +328,40 @@ class TestDatasetDesign:
                 assert conjugate_empirical_loss([(S, post)], spec) == (
                     conjugate_empirical_loss([(fresh, ref)], spec)
                 )
+
+    @pytest.mark.parametrize("seed", [3, 40])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_generated_design_is_the_datasets_own(self, d, seed, monkeypatch):
+        """generate_dataset hands the design it formed ys with to its
+        dataset, evaluating the basis once: phi, gram and rhs equal a fresh
+        dataset's bit for bit, are read-only down to any array they view,
+        and share no memory with the caller's coefficients."""
+        basis, _, _ = _linear_setup(d)
+        w = np.linspace(0.7, -0.3, d)
+        evaluations = []
+
+        def counting_basis_matrix(*args):
+            evaluations.append(args)
+            return basis_matrix(*args)
+
+        monkeypatch.setattr(posterior, "basis_matrix", counting_basis_matrix)
+        S = generate_dataset(w, basis, 40, 0.04, SeededRng(seed))
+        assert len(evaluations) == 1
+        xs, ys = S.xs.copy(), S.ys.copy()
+        fresh = Dataset(xs, ys, basis)
+        assert len(evaluations) == 2
+        for name in ("phi", "gram", "rhs"):
+            got, want = getattr(S, name), getattr(fresh, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[(0,) * got.ndim] = 0.5
+            view = got
+            while view is not None:
+                assert not view.flags.writeable
+                view = view.base
+            assert not np.shares_memory(got, w)
+            assert not (np.shares_memory(want, xs) or np.shares_memory(want, ys))
 
     def test_arrays_are_read_only_copies(self):
         xs, ys = np.linspace(-1.0, 1.0, 5), np.zeros(5)
@@ -951,6 +1013,78 @@ class TestFindSigmaAlg:
         with pytest.raises(ConfigError):
             find_sigma_alg(1.0, 0.04, lambda r: None, family, 0.0, SeededRng(0),
                            loss_spec=LossSpec(clip_C=4.0))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_tol_that_is_not_finite_is_rejected(self, tol):
+        """A nan tol never stops the search; an infinite one stops it at the
+        first midpoint, whatever its loss. Both are rejected before any
+        replica is drawn."""
+        _, _, family = _linear_setup(1)
+
+        def make(r):
+            raise AssertionError("replica drawn before checking tol")
+
+        with pytest.raises(ConfigError, match="tol must be finite and > 0"):
+            find_sigma_alg(1.0, 0.04, make, family, tol, SeededRng(0),
+                           loss_spec=LossSpec(clip_C=4.0))
+
+    @staticmethod
+    def _count_search_calls(monkeypatch):
+        """Record each conjugate_empirical_loss call's batch and each
+        conjugate_posterior_linear call's temperature, inside posterior."""
+        batches, temps = [], []
+        loss, post = posterior.conjugate_empirical_loss, posterior.conjugate_posterior_linear
+
+        def counting_loss(batch, spec):
+            batches.append([S for S, _ in batch])
+            return loss(batch, spec)
+
+        def counting_post(S, prior, sigma_y_sq):
+            temps.append(sigma_y_sq)
+            return post(S, prior, sigma_y_sq)
+
+        monkeypatch.setattr(posterior, "conjugate_empirical_loss", counting_loss)
+        monkeypatch.setattr(posterior, "conjugate_posterior_linear", counting_post)
+        return batches, temps
+
+    @pytest.mark.parametrize("n_replicas", [1, 3, 8])
+    def test_one_one_item_call_per_replica_per_evaluation(self, n_replicas, monkeypatch):
+        """perfbench reads the search's objective evaluations as its
+        conjugate_empirical_loss calls over n_replicas (CI gates that count
+        at >= 2): each evaluation makes one call per replica, in replica
+        order, with a one-item batch at the evaluation's temperature."""
+        basis, _, family = _linear_setup(2)
+        batches, temps = self._count_search_calls(monkeypatch)
+        replicas = []
+
+        def make(r):
+            replicas.append(generate_dataset((0.7, -0.3), basis, 40, 0.04, r))
+            return replicas[-1]
+
+        sigma_alg_sq, _ = find_sigma_alg(1.0, 0.04, make, family, 1e-3, SeededRng(3).stream(1),
+                                         loss_spec=LossSpec(clip_C=4.0), n_replicas=n_replicas)
+        assert len(replicas) == n_replicas
+        evaluations, rest = divmod(len(batches), n_replicas)
+        assert rest == 0 and evaluations >= 3
+        assert all(len(batch) == 1 for batch in batches)
+        assert all(batch[0] is S for batch, S in zip(batches, replicas * evaluations))
+        assert len(temps) == len(batches)
+        per_eval = [temps[i:i + n_replicas] for i in range(0, len(temps), n_replicas)]
+        assert all(chunk == chunk[:1] * n_replicas for chunk in per_eval)
+        assert [chunk[0] for chunk in per_eval[:2]] == [1e-6, 1e6]
+        assert per_eval[-1][0] == sigma_alg_sq
+
+    @pytest.mark.parametrize("seed, evaluations", [(1, 8), (42, 8)])
+    def test_pacbayes_benchmark_op_evaluation_count(self, seed, evaluations, monkeypatch):
+        """The benchmark's pacbayes op (n_trials=50, n_replicas=32) makes this
+        many objective evaluations at these seeds."""
+        batches, _ = self._count_search_calls(monkeypatch)
+        args = cli.build_parser().parse_args([
+            "pacbayes", "n_trials=50", "n_replicas=32", "--seed", str(seed),
+        ])
+        cli.cmd_pacbayes(cli.resolve_config(args))
+        assert len(batches) == 32 * evaluations
+        assert all(len(batch) == 1 for batch in batches)
 
 class TestBatchMeansSe:
     """Chain standard error via batch means."""
