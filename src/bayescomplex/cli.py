@@ -13,10 +13,10 @@ a single CSV table; floats are written with 17 significant digits so output
 is byte-identical across runs with the same (config, seed, workers).
 
 ``--workers N`` splits each estimator's sample budget into N independent
-Philox streams and runs them on up to min(N, CPUs) threads; every stream
-owns its generator and partial results are reduced in stream order, so the
-bytes depend on (config, seed, workers), never on the thread count or the
-scheduling. Only ``linear_complexity``, ``nn_complexity``, ``codim`` and
+SFC64 streams (``rng`` says why SFC64) and runs them on up to min(N, CPUs)
+threads; every stream owns its generator and partial results are reduced in
+stream order, so the bytes depend on (config, seed, workers), never on the
+thread count or the scheduling. Only ``linear_complexity``, ``nn_complexity``, ``codim`` and
 ``one_change`` sample in streams; the other subcommands echo ``workers``
 and ignore it.
 

@@ -36,6 +36,12 @@ PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 GOLDEN_RTOL = 1e-12
 GOLDEN_ATOL = 1e-13
 
+# A small codim run that must exit 0 or 1, in one _CODIM_ROWS batch. Its last
+# radius expects about 11 hits at this budget by codim.csv's rates (288 per
+# 1M draws at eps 0.14); the default grid's last one (eps 0.05, 15 per 1M)
+# expects 0.3 at 20,000 draws and starves (exit 3) at most seeds.
+CODIM_SMALL = ["codim", "eps_grid=0.3,0.2,0.14", "n_samples=40000"]
+
 
 def run_cli(argv, capsys):
     rc = main(argv)
@@ -222,12 +228,14 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_underflowing_hit_weights_get_the_binomial_error(self, capsys):
-        """At eps = 0.2 this run's two hits carry weights whose squares
-        underflow, so the weights show no variance: the point reports the
-        hits' binomial relative error instead of 0, and the fit stays
-        finite (its slope fails the check at 40 draws a point)."""
+        """At eps = 0.2 this run's one hit carries a weight (about 8e-181)
+        whose square underflows, so the weights show no variance: the point
+        reports the hits' binomial relative error instead of 0, and the fit
+        stays finite (its slope fails the check at 40 draws a point). Seed 0
+        is the first seed, counting up from 0, at which the last point's
+        std_err is that binomial error."""
         argv = ["nn_complexity", "k=32", "eps_grid=0.3,0.25,0.2", "n_per_eps=40",
-                "--seed", "5"]
+                "--seed", "0"]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc, out, err = run_cli(argv, capsys)
@@ -524,8 +532,8 @@ class TestGoldenOutputs:
         assert rc == 0
         got = next(line for line in out.splitlines() if line.startswith("point,")).split(",")
         want = (
-            "point,0.10000000000000001,7.6964375756586643,7.6211051668596017,"
-            "0.10099050268541622,98,200000,42,false,,,,,,,"
+            "point,0.10000000000000001,7.696437575658666,7.6009024595420822,"
+            "0.099974996874218514,100,200000,42,false,true,,,,,,"
         ).split(",")
         assert len(got) == len(want)
         assert all(a == b or _close_floats(a, b) for a, b in zip(got, want)), got
@@ -670,7 +678,7 @@ class TestEntryPoints:
             ["linear_complexity", "mc_samples=20000"],
             ["nn_complexity", "eps_grid=0.2,0.14,0.1", "n_per_eps=5000"],
             ["one_change", "n_samples=20000"],
-            ["codim", "n_samples=20000"],
+            CODIM_SMALL,
             ["projection_check", "n_trials=10"],
             ["periodic", "n_grid=1000"],
         ]) == []
@@ -727,7 +735,7 @@ class TestInlineRuns:
             "import bayescomplex.cli as cli\n"
             "from bayescomplex import complexity\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = cli.main(['codim', 'n_samples=20000', '--workers', '1'])\n"
+            f"    rc = cli.main({[*CODIM_SMALL, '--workers', '1']!r})\n"
             "print(rc, threading.active_count(), complexity._POOL is None)"
         )
         assert out.split() == ["0", "1", "True"]
@@ -737,7 +745,7 @@ class TestInlineRuns:
         reason="pins glibc malloc's mmap threshold, which other C libraries do not have",
     )
     @pytest.mark.parametrize("argv", [
-        ["codim", "n_samples=20000"],
+        CODIM_SMALL,
         ["linear_complexity", "mc_samples=200000"],
         ["nn_complexity", "n_per_eps=20000"],
     ], ids=lambda argv: argv[0])

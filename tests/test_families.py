@@ -19,6 +19,7 @@ from bayescomplex.families import (
 from bayescomplex.models import BasisSpec, shallow_to_pwl
 from bayescomplex.posterior import generate_dataset
 from bayescomplex.pwl import PwlFunction
+from bayescomplex.rng import SeededRng
 from paper_checks import (
     UNIFORM_UNIT,
     cloud_draws_ref,
@@ -235,12 +236,13 @@ def _tiled_family(k, tile):
     return fam, n
 
 
-def _philox(seed):
-    return np.random.Generator(np.random.Philox(seed))
+def _generator(seed):
+    """The generator the package draws stream (seed, 0) from."""
+    return SeededRng(seed).generator()
 
 
 def _state(gen):
-    """The bit generator's state, with its counter and key arrays as lists."""
+    """The bit generator's state, with its arrays as lists."""
     return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
 
 
@@ -264,7 +266,7 @@ def test_draws_are_column_major_with_the_row_major_bits(k, tile):
                   lambda gen: cloud_draws_ref(fam, n, center, 0.2, gen)),
     }
     for name, (draw, reference) in cases.items():
-        gen, ref_gen = _philox(4000 + k), _philox(4000 + k)
+        gen, ref_gen = _generator(4000 + k), _generator(4000 + k)
         drawn = draw(gen)
         assert drawn.flags.f_contiguous, name
         _same_bits(drawn, reference(ref_gen), name)
@@ -287,12 +289,12 @@ def test_linear_draws_and_datasets_have_the_normal_and_uniform_calls_bits():
     generator where those calls leave it."""
     basis = BasisSpec(d=3)
     fam = LinearFamily(basis, LinearPriorSpec(0.7))
-    gen, ref_gen = _philox(11), _philox(11)
+    gen, ref_gen = _generator(11), _generator(11)
     _same_bits(fam.sample_matrix(1000, gen), linear_draws_ref(fam, 1000, ref_gen), "prior")
     assert _state(gen) == _state(ref_gen)
     w = (0.8, -0.3, 0.1)
     for sigma_e_sq in (0.0, 0.04):
-        gen, ref_gen = _philox(12), _philox(12)
+        gen, ref_gen = _generator(12), _generator(12)
         S = generate_dataset(w, basis, 500, sigma_e_sq, _FixedStream(gen))
         xs, ys = dataset_draws_ref(w, basis, 500, sigma_e_sq, ref_gen)
         _same_bits(S.xs, xs, f"xs, sigma_e_sq={sigma_e_sq}")

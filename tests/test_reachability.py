@@ -227,14 +227,15 @@ def test_field_walk_names_shared_fields(tmp_path):
 
 # Every command, at budgets well under a second. A result check may fail at
 # such a budget (exit 1); a configuration or numerical error (exit 2 or 3)
-# may not.
+# may not. codim's grid stops where its budget still expects about 11 hits,
+# as test_cli.CODIM_SMALL's does.
 _COMMAND_RUNS = [
     ["linear_complexity", "mc_samples=20000"],
     ["pacbayes", "n_trials=2", "n_replicas=2"],
     ["sgld_check", "steps=7000", "burn_in=1000"],
     ["nn_complexity", "eps_grid=0.2,0.14,0.1", "n_per_eps=2000", "--workers", "2"],
     ["one_change", "n_samples=2000"],
-    ["codim", "n_samples=20000"],
+    ["codim", "eps_grid=0.3,0.2,0.14", "n_samples=40000"],
     ["periodic", "n_grid=200"],
     ["projection_check", "n_trials=5"],
 ]
