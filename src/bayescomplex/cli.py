@@ -228,10 +228,6 @@ def parse_config_text(text: str, schema: dict) -> dict:
     return updates
 
 
-def parse_pairs(pairs: list[str], schema: dict) -> dict:
-    return dict(_setting(pair, schema, "key=value") for pair in pairs)
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
     schema = {**SCHEMAS[args.subcommand], **_COMMON_SCHEMA}
     cfg = dict(schema)
@@ -240,7 +236,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         cfg.update(parse_config_text(path.read_text(), schema))
-    cfg.update(parse_pairs(args.pairs, schema))
+    cfg.update(_setting(pair, schema, "key=value") for pair in args.pairs)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.workers is not None:
@@ -281,14 +277,21 @@ def _fmt_cfg_value(v) -> str:
     return _fmt_cell(v)
 
 
-@dataclass(frozen=True)
+@dataclass
 class CsvReport:
-    """One experiment's tabular output plus its failed-check messages. Each
-    row maps column names to values; a column a row leaves out is empty."""
+    """One experiment's tabular output plus the messages of its failed checks,
+    each verdict cell and its message coming from one ``check``. Each row maps
+    column names to values; a column a row leaves out is empty."""
 
     columns: tuple[str, ...]
     rows: list[dict] = field(default_factory=list)
-    failures: tuple[str, ...] = ()
+    failures: list[str] = field(default_factory=list)
+
+    def check(self, ok: bool, message: str) -> bool:
+        """ok, after recording message as a failure when ok is false."""
+        if not ok:
+            self.failures.append(message)
+        return ok
 
 
 def render_csv(cfg: dict, columns: tuple[str, ...], rows: list[dict]) -> str:
@@ -300,15 +303,6 @@ def render_csv(cfg: dict, columns: tuple[str, ...], rows: list[dict]) -> str:
             raise NumericalError(f"internal: row keys {sorted(unknown)} are not columns")
         lines.append(",".join(_fmt_cell(row.get(col)) for col in columns))
     return "\n".join(lines) + "\n"
-
-
-def emit_report(cfg: dict, columns: tuple[str, ...], rows: list[dict]) -> None:
-    text = render_csv(cfg, columns, rows)
-    out = cfg.get("out", "")
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 # --------------------------------------------------------------------------
@@ -327,13 +321,13 @@ def _pwl_target(cfg: dict) -> PwlFunction:
 
 
 def _nn_prior(cfg: dict, k: int) -> NnPriorSpec:
-    """The network prior; a value of exactly 0 means NnPriorSpec.default_for(k)'s,
-    and every other value goes to NnPriorSpec's checks."""
+    """The network prior; a sigma_w_sq or M of exactly 0 means default_for(k)'s,
+    and every other value, sigma_b_sq's too, goes to NnPriorSpec's checks."""
     base = NnPriorSpec.default_for(k)
-    return NnPriorSpec(**{
-        key: getattr(base, key) if cfg[key] == 0 else cfg[key]
-        for key in ("sigma_w_sq", "M", "sigma_b_sq")
-    })
+    return NnPriorSpec(
+        sigma_w_sq=cfg["sigma_w_sq"] or base.sigma_w_sq, M=cfg["M"] or base.M,
+        sigma_b_sq=cfg["sigma_b_sq"],
+    )
 
 
 # --------------------------------------------------------------------------
@@ -355,13 +349,11 @@ def cmd_linear_complexity(cfg: dict) -> CsvReport:
     fit = limiting_complexity_closed_form(kappa, sigma_w, d, grid, cfg["perp_sq"])
     family = LinearFamily(BasisSpec(d=d), LinearPriorSpec(sigma_w * sigma_w))
     target = LinearTarget(w=(kappa,) + (0.0,) * (d - 1), perp_sq=cfg["perp_sq"])
-    columns = (
+    report = CsvReport((
         "row", "eps", "chi_closed", "chi_mc", "std_err", "n_hits", "n_samples",
         "seed", "zero_hits", "mc_consistent", "slope", "slope_ci", "slope_target",
         "offset_measured", "offset_claimed", "passed",
-    )
-    rows: list[dict] = []
-    failures: list[str] = []
+    ))
     per_mc = sharp_complexity_mc_grid(
         family, target, [eps * eps for eps in fit.eps_grid], cfg["mc_samples"],
         rng.stream(10), workers=cfg["workers"],
@@ -369,19 +361,17 @@ def cmd_linear_complexity(cfg: dict) -> CsvReport:
     for eps, est, mc in zip(fit.eps_grid, fit.per_eps, per_mc):
         consistent = None
         if not mc.zero_hits and mc.n_hits >= 100 and math.isfinite(est.chi):
-            consistent = abs(mc.chi - est.chi) <= 3.0 * mc.std_err
-            if not consistent:
-                failures.append(
-                    f"MC cross-check failed at eps={eps:g}: "
-                    f"closed form {est.chi:.6g} vs MC {mc.chi:.6g} "
-                    f"(3 SE = {3.0 * mc.std_err:.3g})"
-                )
-        rows.append({
+            consistent = report.check(
+                abs(mc.chi - est.chi) <= 3.0 * mc.std_err,
+                f"MC cross-check failed at eps={eps:g}: "
+                f"closed form {est.chi:.6g} vs MC {mc.chi:.6g} "
+                f"(3 SE = {3.0 * mc.std_err:.3g})",
+            )
+        report.rows.append({
             "row": "point", "eps": eps, "chi_closed": est.chi, "chi_mc": mc.chi,
             "std_err": mc.std_err, "n_hits": mc.n_hits, "n_samples": mc.n_samples,
             "seed": cfg["seed"], "zero_hits": mc.zero_hits, "mc_consistent": consistent,
         })
-    slope_ok = abs(fit.slope - d) <= cfg["slope_rel_tol"] * d
     # Offset of the kappa-target complexity against the rescaled unit-target
     # one at the finest radius. The exact scaling identity makes the measured
     # value 0; the claimed column carries the -ln(kappa) folklore value for
@@ -392,18 +382,17 @@ def cmd_linear_complexity(cfg: dict) -> CsvReport:
         rescaled = chi_from_q(1.0, sigma_w / kappa, (grid[-1] / kappa) ** 2, d)
         offset_measured = fit.per_eps[-1].chi - rescaled.chi
         offset_claimed = -math.log(kappa)
-    rows.append({
+    report.rows.append({
         "row": "fit", "seed": cfg["seed"], "slope": fit.slope,
         "slope_ci": fit.ci_halfwidth, "slope_target": float(d),
         "offset_measured": offset_measured, "offset_claimed": offset_claimed,
-        "passed": slope_ok,
-    })
-    if not slope_ok:
-        failures.append(
+        "passed": report.check(
+            abs(fit.slope - d) <= cfg["slope_rel_tol"] * d,
             f"fitted slope {fit.slope:.4f} deviates from d={d} by more than "
-            f"{100 * cfg['slope_rel_tol']:.0f}%"
-        )
-    return CsvReport(columns, rows, tuple(failures))
+            f"{100 * cfg['slope_rel_tol']:.0f}%",
+        ),
+    })
+    return report
 
 
 def cmd_nn_complexity(cfg: dict) -> CsvReport:
@@ -419,30 +408,28 @@ def cmd_nn_complexity(cfg: dict) -> CsvReport:
     )
     lower = (2 * c + 1) / 5.0
     upper = float(2 * c + 1)
-    passed = lower - fit.ci_halfwidth <= fit.slope <= upper + fit.ci_halfwidth
-    columns = (
+    report = CsvReport((
         "row", "eps", "chi", "log_prob", "std_err", "n_hits", "n_samples", "seed",
         "zero_hits", "slope", "slope_ci", "lower", "upper", "passed",
-    )
-    rows = [
+    ))
+    report.rows.extend(
         {
             "row": "point", "eps": eps, "chi": est.chi, "log_prob": -est.chi,
             "std_err": est.std_err, "n_hits": est.n_hits, "n_samples": est.n_samples,
             "seed": cfg["seed"], "zero_hits": est.zero_hits,
         }
         for eps, est in zip(fit.eps_grid, fit.per_eps)
-    ]
-    rows.append({
+    )
+    report.rows.append({
         "row": "fit", "seed": cfg["seed"], "slope": fit.slope,
-        "slope_ci": fit.ci_halfwidth, "lower": lower, "upper": upper, "passed": passed,
-    })
-    failures = []
-    if not passed:
-        failures.append(
+        "slope_ci": fit.ci_halfwidth, "lower": lower, "upper": upper,
+        "passed": report.check(
+            lower - fit.ci_halfwidth <= fit.slope <= upper + fit.ci_halfwidth,
             f"fitted slope {fit.slope:.4f} (CI {fit.ci_halfwidth:.4f}) outside "
-            f"[{lower:.3f}, {upper:.3f}]"
-        )
-    return CsvReport(columns, rows, tuple(failures))
+            f"[{lower:.3f}, {upper:.3f}]",
+        ),
+    })
+    return report
 
 
 def cmd_codim(cfg: dict) -> CsvReport:
@@ -458,30 +445,28 @@ def cmd_codim(cfg: dict) -> CsvReport:
         workers=cfg["workers"],
     )
     target = float(2 * c + 1)
-    passed = abs(fit.slope - target) <= cfg["tolerance"]
-    columns = (
+    report = CsvReport((
         "row", "eps", "log_vol_frac", "std_err", "n_hits", "n_samples", "seed",
         "slope", "slope_ci", "codim_target", "tolerance", "note", "passed",
-    )
-    rows = [
+    ))
+    report.rows.extend(
         {
             "row": "point", "eps": eps, "log_vol_frac": -est.chi,
             "std_err": est.std_err, "n_hits": est.n_hits, "n_samples": est.n_samples,
             "seed": cfg["seed"], "note": fit.note,
         }
         for eps, est in zip(fit.eps_grid, fit.per_eps)
-    ]
-    rows.append({
+    )
+    report.rows.append({
         "row": "fit", "seed": cfg["seed"], "slope": fit.slope,
         "slope_ci": fit.ci_halfwidth, "codim_target": target,
-        "tolerance": cfg["tolerance"], "note": fit.note, "passed": passed,
+        "tolerance": cfg["tolerance"], "note": fit.note,
+        "passed": report.check(
+            abs(fit.slope - target) <= cfg["tolerance"],
+            f"codimension slope {fit.slope:.4f} outside {target:g} +/- {cfg['tolerance']:g}",
+        ),
     })
-    failures = []
-    if not passed:
-        failures.append(
-            f"codimension slope {fit.slope:.4f} outside {target:g} +/- {cfg['tolerance']:g}"
-        )
-    return CsvReport(columns, rows, tuple(failures))
+    return report
 
 
 def cmd_one_change(cfg: dict) -> CsvReport:
@@ -495,38 +480,31 @@ def cmd_one_change(cfg: dict) -> CsvReport:
         workers=cfg["workers"],
     )
     est = res.chi_hat
-    within = None
-    failures: list[str] = []
-    if est.zero_hits:
-        failures.append(
-            f"no hits in {est.n_samples} samples; chi_hat is only a lower bound "
-            f"{est.chi:.4g}"
-        )
-    else:
-        within = (
-            res.lower - 3.0 * est.std_err <= est.chi <= res.upper + 3.0 * est.std_err
-        )
-        if not within:
-            failures.append(
-                f"chi_hat {est.chi:.4f} outside [{res.lower:.4f}, {res.upper:.4f}] "
-                f"within 3 SE ({3.0 * est.std_err:.4f})"
-            )
-    if res.violated:
-        failures.append("assumption checks violated: " + ";".join(res.violated))
-    passed = not failures
-    columns = (
+    report = CsvReport((
         "a", "b", "t", "k", "eps", "chi_hat", "std_err", "n_hits", "n_samples",
         "seed", "zero_hits", "lower", "upper", "assumptions_ok", "violated",
         "within_bounds", "passed",
-    )
-    rows = [{
+    ))
+    within = None
+    if report.check(
+        not est.zero_hits,
+        f"no hits in {est.n_samples} samples; chi_hat is only a lower bound {est.chi:.4g}",
+    ):
+        within = report.check(
+            res.lower - 3.0 * est.std_err <= est.chi <= res.upper + 3.0 * est.std_err,
+            f"chi_hat {est.chi:.4f} outside [{res.lower:.4f}, {res.upper:.4f}] "
+            f"within 3 SE ({3.0 * est.std_err:.4f})",
+        )
+    violated = ";".join(res.violated)
+    assumptions_ok = report.check(not violated, "assumption checks violated: " + violated)
+    report.rows.append({
         "a": cfg["a"], "b": cfg["b"], "t": cfg["t"], "k": cfg["k"], "eps": cfg["eps"],
         "chi_hat": est.chi, "std_err": est.std_err, "n_hits": est.n_hits,
         "n_samples": est.n_samples, "seed": cfg["seed"], "zero_hits": est.zero_hits,
-        "lower": res.lower, "upper": res.upper, "assumptions_ok": not res.violated,
-        "violated": ";".join(res.violated), "within_bounds": within, "passed": passed,
-    }]
-    return CsvReport(columns, rows, tuple(failures))
+        "lower": res.lower, "upper": res.upper, "assumptions_ok": assumptions_ok,
+        "violated": violated, "within_bounds": within, "passed": not report.failures,
+    })
+    return report
 
 
 # Grid points per slice of periodic's sup check: the deep net's activations
@@ -548,25 +526,22 @@ def cmd_periodic(cfg: dict) -> CsvReport:
     m = interior_knot_count(g0)
     deep_bound = 4 * l + 2 * m + 6
     shallow_count = 2 * (l * (m + 2)) + 1
-    passed = sup_err < cfg["sup_tol"] and deep_count <= deep_bound < shallow_count
-    columns = (
+    report = CsvReport((
         "l", "m", "deep_count", "deep_bound", "shallow_count", "sup_err",
         "sup_tol", "passed",
+    ))
+    report.check(sup_err < cfg["sup_tol"], f"sup error {sup_err:.3g} >= {cfg['sup_tol']:g}")
+    report.check(
+        deep_count <= deep_bound < shallow_count,
+        f"parameter counts violate deep {deep_count} <= bound {deep_bound} "
+        f"< shallow {shallow_count}",
     )
-    rows = [{
+    report.rows.append({
         "l": l, "m": m, "deep_count": deep_count, "deep_bound": deep_bound,
         "shallow_count": shallow_count, "sup_err": sup_err, "sup_tol": cfg["sup_tol"],
-        "passed": passed,
-    }]
-    failures = []
-    if sup_err >= cfg["sup_tol"]:
-        failures.append(f"sup error {sup_err:.3g} >= {cfg['sup_tol']:g}")
-    if not deep_count <= deep_bound < shallow_count:
-        failures.append(
-            f"parameter counts violate deep {deep_count} <= bound {deep_bound} "
-            f"< shallow {shallow_count}"
-        )
-    return CsvReport(columns, rows, tuple(failures))
+        "passed": not report.failures,
+    })
+    return report
 
 
 def cmd_pacbayes(cfg: dict) -> CsvReport:
@@ -601,12 +576,11 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
         target.kappa, math.sqrt(cfg["sigma_w_sq"]), beta * sigma_e_sq, d
     ).chi
     thm = theorem_bound(sigma_e_sq, beta, chi_sharp, N, C)
-    columns = (
+    report = CsvReport((
         "row", "L_S", "L_D", "kl", "pac_rhs", "pac_holds", "sigma_alg_sq",
         "L_S_search", "chi_sharp", "theorem_rhs", "std_err", "n_samples", "seed",
         "passed",
-    )
-    rows: list[dict] = []
+    ))
     datasets = [make_dataset(rng.stream(200 + trial)) for trial in range(n_trials)]
     posts = [conjugate_posterior_linear(S, prior, sigma_alg_sq) for S in datasets]
     ls_vals = conjugate_empirical_loss(list(zip(datasets, posts)), loss_spec)
@@ -614,39 +588,36 @@ def cmd_pacbayes(cfg: dict) -> CsvReport:
     for trial, (post, L_S, L_D) in enumerate(zip(posts, ls_vals, ld_vals)):
         kl = kl_gaussians(post, prior_gauss)
         rhs = pac_bayes_rhs(L_S, kl, N, C)
-        rows.append({
+        report.rows.append({
             "row": str(trial), "L_S": L_S, "L_D": L_D, "kl": kl, "pac_rhs": rhs,
             "pac_holds": L_D <= rhs, "seed": cfg["seed"],
         })
-    pac_flags = [row["pac_holds"] for row in rows]
+    pac_flags = [row["pac_holds"] for row in report.rows]
     mean_ls = float(np.mean(ls_vals))
     mean_ld = float(np.mean(ld_vals))
     se_ld = float(np.std(ld_vals) / math.sqrt(len(ld_vals)))
-    failures = []
-    if not all(pac_flags):
-        bad = sum(1 for f in pac_flags if not f)
-        failures.append(f"PAC-Bayes bound violated in {bad} of {len(pac_flags)} trials")
-    theorem_ok = mean_ld <= thm + 3.0 * se_ld
-    if not theorem_ok:
-        failures.append(
-            f"mean L_D {mean_ld:.6g} exceeds theorem bound {thm:.6g} + 3 SE "
-            f"({3.0 * se_ld:.3g})"
-        )
+    pac_holds = report.check(
+        all(pac_flags),
+        f"PAC-Bayes bound violated in {pac_flags.count(False)} of {len(pac_flags)} trials",
+    )
+    report.check(
+        mean_ld <= thm + 3.0 * se_ld,
+        f"mean L_D {mean_ld:.6g} exceeds theorem bound {thm:.6g} + 3 SE "
+        f"({3.0 * se_ld:.3g})",
+    )
     target_loss = (1.0 + beta) * sigma_e_sq
-    ls_ok = abs(search_ls - target_loss) <= cfg["tol"]
-    if not ls_ok:
-        failures.append(
-            f"calibrated L_S {search_ls:.6g} misses target {target_loss:.6g} "
-            f"by more than {cfg['tol']:g}"
-        )
-    passed = not failures
-    rows.append({
-        "row": "summary", "L_S": mean_ls, "L_D": mean_ld, "pac_holds": all(pac_flags),
+    report.check(
+        abs(search_ls - target_loss) <= cfg["tol"],
+        f"calibrated L_S {search_ls:.6g} misses target {target_loss:.6g} "
+        f"by more than {cfg['tol']:g}",
+    )
+    report.rows.append({
+        "row": "summary", "L_S": mean_ls, "L_D": mean_ld, "pac_holds": pac_holds,
         "sigma_alg_sq": sigma_alg_sq, "L_S_search": search_ls, "chi_sharp": chi_sharp,
         "theorem_rhs": thm, "std_err": se_ld, "n_samples": n_trials,
-        "seed": cfg["seed"], "passed": passed,
+        "seed": cfg["seed"], "passed": not report.failures,
     })
-    return CsvReport(columns, rows, tuple(failures))
+    return report
 
 
 def cmd_sgld_check(cfg: dict) -> CsvReport:
@@ -663,44 +634,39 @@ def cmd_sgld_check(cfg: dict) -> CsvReport:
         eta=cfg["eta"], steps=cfg["steps"], burn_in=cfg["burn_in"],
         thin=cfg["thin"], sigma_y_sq=cfg["sigma_y_sq"],
     )
-    draws = run_sgld(S, family, chain_cfg, rng.stream(1))
+    map_steps = _at_least(cfg, "map_steps", 1)
     map_cfg = SgldConfig(
-        eta=cfg["map_eta"], steps=cfg["map_steps"], burn_in=cfg["map_steps"] - 1,
+        eta=cfg["map_eta"], steps=map_steps, burn_in=map_steps - 1,
         thin=1, sigma_y_sq=cfg["sigma_y_sq"],
     )
+    draws = run_sgld(S, family, chain_cfg, rng.stream(1))
     map_theta = run_sgld(S, family, map_cfg, rng.stream(2), inject_noise=False)[-1]
-    columns = (
+    report = CsvReport((
         "row", "exact_mean", "sgld_mean", "mean_se", "mean_ok", "exact_var",
         "sgld_var", "var_ratio", "var_ok", "map_value", "map_exact", "map_abs_err",
         "map_ok", "n_samples", "seed", "passed",
-    )
-    rows: list[dict] = []
-    failures: list[str] = []
+    ))
     for i in range(d):
         exact_mean = float(post.mean[i])
         exact_var = float(post.covariance[i, i])
         chain = draws[:, i]
         se = batch_means_se(chain)
-        mean_ok = abs(float(chain.mean()) - exact_mean) <= 3.0 * se
+        mean_ok = report.check(
+            abs(float(chain.mean()) - exact_mean) <= 3.0 * se,
+            f"coordinate {i}: chain mean {chain.mean():.6g} vs exact "
+            f"{exact_mean:.6g} beyond 3 SE ({3.0 * se:.3g})",
+        )
         ratio = float(chain.var()) / exact_var
-        var_ok = abs(ratio - 1.0) <= cfg["var_rel_tol"]
+        var_ok = report.check(
+            abs(ratio - 1.0) <= cfg["var_rel_tol"],
+            f"coordinate {i}: variance ratio {ratio:.4f} outside 1 +/- {cfg['var_rel_tol']:g}",
+        )
         map_err = abs(float(map_theta[i]) - exact_mean)
-        map_ok = map_err <= cfg["map_tol"]
-        if not mean_ok:
-            failures.append(
-                f"coordinate {i}: chain mean {chain.mean():.6g} vs exact "
-                f"{exact_mean:.6g} beyond 3 SE ({3.0 * se:.3g})"
-            )
-        if not var_ok:
-            failures.append(
-                f"coordinate {i}: variance ratio {ratio:.4f} outside "
-                f"1 +/- {cfg['var_rel_tol']:g}"
-            )
-        if not map_ok:
-            failures.append(
-                f"coordinate {i}: MAP error {map_err:.3g} exceeds {cfg['map_tol']:g}"
-            )
-        rows.append({
+        map_ok = report.check(
+            map_err <= cfg["map_tol"],
+            f"coordinate {i}: MAP error {map_err:.3g} exceeds {cfg['map_tol']:g}",
+        )
+        report.rows.append({
             "row": str(i), "exact_mean": exact_mean, "sgld_mean": float(chain.mean()),
             "mean_se": se, "mean_ok": mean_ok, "exact_var": exact_var,
             "sgld_var": float(chain.var()), "var_ratio": ratio, "var_ok": var_ok,
@@ -708,12 +674,11 @@ def cmd_sgld_check(cfg: dict) -> CsvReport:
             "map_abs_err": map_err, "map_ok": map_ok, "n_samples": draws.shape[0],
             "seed": cfg["seed"],
         })
-    passed = not failures
-    rows.append({
+    report.rows.append({
         "row": "summary", "n_samples": draws.shape[0], "seed": cfg["seed"],
-        "passed": passed,
+        "passed": not report.failures,
     })
-    return CsvReport(columns, rows, tuple(failures))
+    return report
 
 
 def _random_admissible_theta(k: int, frac: float, gen: np.random.Generator) -> ShallowNetParams:
@@ -753,17 +718,15 @@ def _phases_account_for(theta: ShallowNetParams, res: ProjectionResult) -> bool:
 
 def cmd_projection_check(cfg: dict) -> CsvReport:
     rng = SeededRng(cfg["seed"])
-    k = cfg["k"]
+    k = _at_least(cfg, "k", 1)
     lo, hi = cfg["norm_frac_lo"], cfg["norm_frac_hi"]
     if not 0.0 < lo <= hi < 1.0:
         raise ConfigError("norm fractions must satisfy 0 < lo <= hi < 1")
     n_trials = _at_least(cfg, "n_trials", 1)
-    columns = (
+    report = CsvReport((
         "row", "k", "norm_sq", "movement_sq", "bound", "ratio", "exact_zero",
         "bound_ok", "accounting_ok", "seed", "passed",
-    )
-    rows: list[dict] = []
-    failures: list[str] = []
+    ))
     max_ratio = 0.0
     for trial in range(n_trials):
         gen = rng.stream(1000 + trial).generator()
@@ -772,33 +735,30 @@ def cmd_projection_check(cfg: dict) -> CsvReport:
         norm_sq = l2_norm_sq(shallow_to_pwl(theta))
         res = project_to_zero(theta)
         f_star = shallow_to_pwl(res.theta_star)
-        exact = len(f_star.knots) == 0 and abs(f_star.bias) <= 1e-12
-        bound_ok = res.movement_sq <= res.bound * (1.0 + 1e-12)
-        accounting_ok = _phases_account_for(theta, res)
+        exact = report.check(
+            len(f_star.knots) == 0 and abs(f_star.bias) <= 1e-12,
+            f"trial {trial}: projection did not reach the zero function",
+        )
+        bound_ok = report.check(
+            res.movement_sq <= res.bound * (1.0 + 1e-12),
+            f"trial {trial}: movement^2 {res.movement_sq:.6g} exceeds bound {res.bound:.6g}",
+        )
+        accounting_ok = report.check(
+            _phases_account_for(theta, res), f"trial {trial}: phase accounting mismatch"
+        )
         ratio = res.movement_sq / res.bound if res.bound > 0 else math.inf
         max_ratio = max(max_ratio, ratio)
-        ok = exact and bound_ok and accounting_ok
-        if not exact:
-            failures.append(f"trial {trial}: projection did not reach the zero function")
-        if not bound_ok:
-            failures.append(
-                f"trial {trial}: movement^2 {res.movement_sq:.6g} exceeds bound "
-                f"{res.bound:.6g}"
-            )
-        if not accounting_ok:
-            failures.append(f"trial {trial}: phase accounting mismatch")
-        rows.append({
+        report.rows.append({
             "row": str(trial), "k": k, "norm_sq": norm_sq,
             "movement_sq": res.movement_sq, "bound": res.bound, "ratio": ratio,
             "exact_zero": exact, "bound_ok": bound_ok, "accounting_ok": accounting_ok,
-            "seed": cfg["seed"], "passed": ok,
+            "seed": cfg["seed"], "passed": exact and bound_ok and accounting_ok,
         })
-    passed = not failures
-    rows.append({
+    report.rows.append({
         "row": "summary", "k": k, "ratio": max_ratio, "seed": cfg["seed"],
-        "passed": passed,
+        "passed": not report.failures,
     })
-    return CsvReport(columns, rows, tuple(failures))
+    return report
 
 
 COMMANDS = {
@@ -852,7 +812,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         report = COMMANDS[args.subcommand](cfg)
-        emit_report(cfg, report.columns, report.rows)
+        text = render_csv(cfg, report.columns, report.rows)
+        if cfg["out"]:
+            Path(cfg["out"]).write_text(text)
+        else:
+            sys.stdout.write(text)
         if report.failures:
             raise CheckFailure("; ".join(report.failures))
     except CheckFailure as exc:

@@ -985,6 +985,8 @@ def one_change_bounds(
     """
     if not 0.0 < t < 1.0:
         raise ConfigError(f"knot t must lie in (0, 1), got {t}")
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"eps must be finite and > 0, got {eps}")
     g1 = PwlFunction(bias=b, knots=((t, a),))
     family = ShallowNetFamily(k, spec)
     chi_hat = sharp_complexity_is(

@@ -70,6 +70,8 @@ class NnPriorSpec:
 
     @staticmethod
     def default_for(k: int) -> "NnPriorSpec":
+        if k < 1:
+            raise ConfigError("node count must be >= 1")
         return NnPriorSpec(sigma_w_sq=1.0 / k, M=float(k), sigma_b_sq=1.0)
 
 

@@ -107,6 +107,8 @@ class SgldConfig:
     def __post_init__(self):
         if self.eta <= 0:
             raise ConfigError(f"eta must be > 0, got {self.eta}")
+        if self.burn_in < 0:
+            raise ConfigError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.steps <= self.burn_in:
             raise ConfigError("steps must exceed burn_in")
         if self.thin < 1:
@@ -205,14 +207,6 @@ def _cho_solve(factor: np.ndarray, b: np.ndarray, lower: int) -> np.ndarray:
 
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
-# exp(-x**2/2) is exactly 0 from |x| ~ 38.6 on; capping |x| here keeps x**2
-# finite (no overflow warning) and changes no value.
-_PDF_CAP = 1e150
-
-
-def _std_normal_pdf(x):
-    x = np.minimum(np.abs(x), _PDF_CAP)
-    return np.exp(-x**2/2.0) / _SQRT_2PI
 
 
 def expected_clipped_loss_gaussian(mu, s_sq, C: float):
@@ -235,25 +229,27 @@ def expected_clipped_loss_gaussian(mu, s_sq, C: float):
     if not (s_sq >= 0.0).all():
         raise NumericalError("clipped loss got a negative or NaN variance")
     s = np.sqrt(s_sq)
-    degenerate = s == 0.0
     root = math.sqrt(C)
     ends = np.array([-root, root]).reshape((2,) + (1,) * max(mu.ndim, s.ndim))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Where s is 0, or |mu| / s, mu * mu or mu * s overflows, the formula
+    # below multiplies an infinity by a zero pdf, mass or variance and gives
+    # nan; the loss there is the s -> 0 limit min(mu^2, C), set at the end.
+    with np.errstate(all="ignore"):
         ab = (ends - mu) / s
-    # In place, here and below: a batch's (2, n) arrays then need no more
-    # memory at once than the two ends computed one after the other.
-    np.copyto(ab, 0.0, where=degenerate)
-    phi = _std_normal_pdf(ab)
-    cdf = special.ndtr(ab)
-    ab_phi = np.multiply(ab, phi, out=ab)  # ab is not read again
-    mass = cdf[1] - cdf[0]
-    s2 = s * s
-    second = (mu * mu + s2) * mass + 2.0 * mu * s * (phi[0] - phi[1]) + s2 * (
-        ab_phi[0] - ab_phi[1]
-    )
-    out = second + C * (1.0 - mass)
-    if degenerate.any():
-        out = np.where(degenerate, np.minimum(mu * mu, C), out)
+        phi = np.exp(-ab**2/2.0) / _SQRT_2PI
+        cdf = special.ndtr(ab)
+        # In place: a batch's (2, n) arrays then need no more memory at once
+        # than the two ends computed one after the other.
+        ab_phi = np.multiply(ab, phi, out=ab)  # ab is not read again
+        mass = cdf[1] - cdf[0]
+        s2 = s * s
+        second = (mu * mu + s2) * mass + 2.0 * mu * s * (phi[0] - phi[1]) + s2 * (
+            ab_phi[0] - ab_phi[1]
+        )
+        out = second + C * (1.0 - mass)
+        limit = np.isnan(out)
+        if limit.any():
+            out = np.where(limit, np.minimum(mu * mu, C), out)
     return out
 
 

@@ -193,6 +193,15 @@ class TestExitCodes:
         [row] = csv.DictReader(line for line in out.splitlines() if not line.startswith("#"))
         assert (row["assumptions_ok"], row["violated"]) == ("false", "eps^(1/4) <= |b|")
 
+    def test_nan_sup_error_is_one(self, monkeypatch, capsys):
+        """A nan sup error fails the sup check: the cell reads false and the
+        run exits 1 with the check's message, not 0."""
+        monkeypatch.setattr(cli, "periodize", lambda g0, l: lambda xs: np.full_like(xs, np.nan))
+        rc, out, err = run_cli(["periodic"], capsys)
+        assert rc == 1
+        assert out.splitlines()[-1].endswith(",nan,1.0000000000000001e-09,false")
+        assert err == "check failed: sup error nan >= 1e-09\n"
+
     def test_config_error_is_two(self, capsys):
         rc, _, err = run_cli(["linear_complexity", "eps_grid=0.1,0.01"], capsys)
         assert rc == 2
@@ -303,6 +312,31 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"config error: {message}, got ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["nn_complexity", "k=0"], "node count must be >= 1"),
+        (["nn_complexity", "k=-2"], "node count must be >= 1"),
+        (["codim", "k=0"], "node count must be >= 1"),
+        (["projection_check", "k=0"], "k must be >= 1, got 0"),
+        (["one_change", "eps=-1"], "eps must be finite and > 0, got -1.0"),
+        (["one_change", "eps=nan"], "eps must be finite and > 0, got nan"),
+        (["sgld_check", "map_steps=0"], "map_steps must be >= 1, got 0"),
+        (["sgld_check", "steps=0", "burn_in=-1"], "burn_in must be >= 0, got -1"),
+        (["sgld_check", "burn_in=-5"], "burn_in must be >= 0, got -5"),
+        (["nn_complexity", "sigma_b_sq=0"],
+         "prior variances must be finite and > 0, got sigma_w_sq=1.0, sigma_b_sq=0.0"),
+        (["codim", "sigma_b_sq=0"],
+         "prior variances must be finite and > 0, got sigma_w_sq=1.0, sigma_b_sq=0.0"),
+    ])
+    def test_bad_size_eps_or_bias_variance_is_two(self, argv, message, capsys):
+        """A node count, radius or chain length that leaves nothing to
+        compute is a config error, not a traceback, a misattributed prior
+        error or a run on a meaningless radius; only sigma_w_sq and M read
+        0 as the network prior's default, so sigma_b_sq=0 is rejected."""
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("pair, key", [
         ("clip_C=0", "clip_C"), ("clip_C=inf", "clip_C"), ("clip_C=nan", "clip_C"),
@@ -437,6 +471,32 @@ GOLDEN_RUNS = [
      ["nn_complexity", "eps_grid=0.2,0.14,0.1", "n_per_eps=20000", "--workers", "2"]),
     ("one_change_workers2", ["one_change", "n_samples=150000", "--workers", "2"]),
 ]
+
+
+# Runs that fail a check and still write their CSV.
+FAILING_RUNS = [
+    ["linear_complexity", "kappa=36"],
+    ["linear_complexity", "slope_rel_tol=0.0001"],
+    ["nn_complexity", "k=4", "n_per_eps=50000"],
+    ["one_change", "k=2", "M=1", "n_samples=20000"],
+    ["codim", "tolerance=0.01", "n_samples=40000", "eps_grid=0.3,0.2,0.14"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for _, argv in GOLDEN_RUNS] + FAILING_RUNS,
+    ids=[name for name, _ in GOLDEN_RUNS] + [" ".join(argv) for argv in FAILING_RUNS],
+)
+def test_exit_status_agrees_with_verdict_cells(argv, capsys):
+    """A report exits 1 exactly when one of its passed or mc_consistent
+    cells reads false, and a run that exits 0 writes nothing to stderr."""
+    rc, out, err = run_cli(argv, capsys)
+    table = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+    verdicts = [row[col] for row in table for col in ("passed", "mc_consistent") if col in row]
+    assert set(verdicts) <= {"true", "false", ""} and set(verdicts) - {""}
+    assert rc == (1 if "false" in verdicts else 0)
+    assert (err == "") == (rc == 0)
+    assert rc == 0 or err.startswith("check failed: ")
 
 
 class TestProjectionAccounting:

@@ -200,17 +200,19 @@ class TestExpectedClippedLossGaussian:
     @settings(max_examples=300, deadline=None)
     def test_edge_arrays_bit_identical_to_scipy_stats(self, pairs, C):
         """Arrays mixing zero, subnormal, moderate and ~1e300 variances with
-        |mu| up to 1e150 send both truncation ends through the s == 0 and
-        degenerate branches inside one call. Where |mu| / s overflows,
-        both sides divide into inf and then multiply it by a zero pdf, so
-        both warn and return nan there: this test pins only that the two
-        agree, bit for bit, wherever that happens."""
+        |mu| up to 1e150 put degenerate, huge and moderate truncation ends
+        in one call. Where |mu| / s, mu * mu or
+        mu * s overflows, the reference multiplies an infinity by a zero pdf
+        or mass and returns nan with a warning; there the loss must be the
+        s -> 0 limit min(mu^2, C), with no warning, and everywhere else the
+        reference's bits."""
         mu, s_sq = (np.array(col) for col in zip(*pairs))
         with np.errstate(over="ignore", invalid="ignore"):
             want = _clipped_loss_with_scipy_stats(mu, s_sq, C)
-            got = expected_clipped_loss_gaussian(mu, s_sq, C)
+            limit = np.minimum(mu * mu, C)
+        got = expected_clipped_loss_gaussian(mu, s_sq, C)
         assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.where(np.isnan(want), limit, want).tobytes()
 
     @pytest.mark.parametrize("mu", [1e3, -1e3])
     def test_huge_standardized_bound_does_not_overflow(self, mu):
@@ -221,6 +223,19 @@ class TestExpectedClippedLossGaussian:
             warnings.simplefilter("error")
             got = expected_clipped_loss_gaussian(mu, 5e-324, 4.0)
         assert got == 4.0
+
+    @pytest.mark.parametrize("mu, s_sq", [
+        (1e150, 5e-324),  # |mu| / s overflows
+        (-1e155, 1.0),  # mu * mu overflows
+        (1e160, 1e300),  # mu * s overflows
+    ])
+    def test_overflowing_formula_gives_the_small_variance_limit(self, mu, s_sq):
+        """Where the closed form overflows into inf * 0, the loss is the
+        s -> 0 limit min(mu^2, C), with no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expected_clipped_loss_gaussian(np.array([mu, 0.5]), np.array([s_sq, 0.0]), 4.0)
+        assert got.tolist() == [4.0, 0.25]
 
     def test_degenerate_variance(self):
         assert expected_clipped_loss_gaussian(0.5, 0.0, 4.0) == 0.25
